@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ArbitrageBoundError, DegenerateDriftError, InvariantError
+from .errors import ArbitrageBoundError, InvariantError, SvLiborError
 from .fourier import QuadratureConfig, black76, caplet_price, implied_vol
 from .market_data import CapletPanel, strip_libors
 from .model import ModelParams, build_loadings, factorize_vols
@@ -147,7 +147,11 @@ def panel_market_prices(panel: CapletPanel, tenor, curve, params,
 def objective(j: int, candidate, strikes, market_prices, tenor, curve,
               params: ModelParams, loadings,
               quad: QuadratureConfig, libors=None) -> float:
-    """Mean relative price error of the candidate (|beta|, kappa, eps, rho)."""
+    """Mean relative price error of the candidate (|beta|, kappa, eps, rho).
+
+    A candidate the pricer rejects with any SvLiborError (degenerate drift,
+    a lost normalization, a non-finite price) scores PENALTY.
+    """
     beta_norm, kappa, eps, rho = candidate
     work = params.with_expiry(j, beta_norm=beta_norm, rho=rho,
                               kappa=kappa, eps=eps)
@@ -155,7 +159,7 @@ def objective(j: int, candidate, strikes, market_prices, tenor, curve,
     try:
         model = caplet_price(j, np.asarray(strikes), tenor, curve, work,
                              fact, quad, libors)
-    except DegenerateDriftError:
+    except SvLiborError:
         return PENALTY
     return float(np.mean(np.abs(model - market_prices) / market_prices))
 

@@ -232,6 +232,7 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
 
     ``cf`` maps complex z to the characteristic function value; it must be
     normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``.
+    Raises QuadratureError when any price comes out inf or nan.
     """
     check = cf(np.array([-1j]))[0]
     if abs(check - 1.0) > 1e-8:
@@ -253,6 +254,10 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     black = black76(forward, expiry, sigma_b, K)
     # Half-line real part carries the factor 2 / (2 pi).
     price = discount_times_accrual * (black + forward * corr / np.pi)
+    bad = ~np.isfinite(price)
+    if bad.any():
+        raise QuadratureError(f"non-finite price at {bad.sum()} of {bad.size} "
+                              "strikes: the integrand overflowed")
     return float(price[0]) if scalar else price
 
 

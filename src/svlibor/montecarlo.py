@@ -7,11 +7,20 @@ endpoint, and the square-root variances v_j by full-truncation Euler
 negative).  Each L_j freezes at its own fixing date T_j; variances keep
 evolving since later Libors still reference them.
 
-Reproducibility: normals come from a counter-based generator keyed by the
-seed with the path index in the counter's high bits, so every path owns a
-fixed stream regardless of how paths are grouped into blocks or threads.
-Blocks have a fixed size and are reduced in index order, which makes
-results bitwise identical across thread counts.
+Reproducibility: normals come from a counter-based generator (Philox)
+keyed by the seed with the path index in the counter's high bits, so every
+path owns a fixed stream regardless of how paths are grouped into blocks
+or threads.  A block builds one generator and resets its counter for each
+path, and lays the block's normals out step-major, (steps, paths, dim), so
+each step reads one contiguous slice.  Blocks have a fixed size and are
+reduced in index order, which makes results bitwise identical across
+thread counts.
+
+Each step is a few BLAS products and in-place elementwise updates on a
+(rows, paths) state: one product of the step's normals with the stacked
+loadings [beta; sigma | sigbar; gamma] gives every noise term, and one
+with the strictly upper coupling matrix G_jk = beta_j . beta_k (k > j)
+gives the drift sums.
 
 Substitution modes reproduce the single-variance comparison models:
 "caplet-j" drives every Libor with v_j; "swap-pq" drives the Libors of the
@@ -44,6 +53,7 @@ __all__ = [
 
 # Fixed so the path-to-block assignment never depends on the thread count.
 BLOCK = 4096
+CHUNK = 16  # paths drawn before each copy into a block's step-major normals
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,6 @@ class MCConfig:
     paths: int = 30000
     steps_per_year: int = 8
     seed: int = 0
-    scheme: str = "full-truncation"
     substitution: tuple | None = None  # ("caplet", j) or ("swap", p, q)
     threads: int = 1
     antithetic: bool = False
@@ -61,8 +70,6 @@ class MCConfig:
             raise InvariantError("paths", "need at least one path")
         if self.steps_per_year < 1:
             raise InvariantError("steps_per_year", "need at least one step per year")
-        if self.scheme != "full-truncation":
-            raise InvariantError("scheme", f"unknown variance scheme {self.scheme!r}")
         if self.antithetic and self.paths % 2:
             raise InvariantError("paths", "antithetic sampling needs an even count")
         sub = self.substitution
@@ -78,10 +85,17 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCResult:
+    """One price with its standard error.
+
+    ``steps`` is the number of grid steps simulated, so the simulation ran
+    at ``paths * steps / elapsed`` path-steps per second.
+    """
+
     price: float
     se: float
     paths: int
     elapsed: float
+    steps: int
 
 
 class _Precomp:
@@ -106,20 +120,15 @@ class _Precomp:
         self.delta = clean(tenor.accruals()[:n])
         self.delta[0] = 0.0
         beta_norm = clean(params.beta_norm)
-        self.beta_load = beta_norm[:, None] * fact.loadings  # rows beta_j
-        self.gamma = params.gamma
-        self.beta_sq = beta_norm ** 2
-        self.gam_sq = np.einsum("jf,jf->j", self.gamma, self.gamma)
-        # Strictly upper couplings: row j sums only over k > j.
-        upper = np.triu(np.ones((n, n)), k=1)
-        self.G = (self.beta_load @ self.beta_load.T) * upper
-        self.Ggam = (self.gamma @ self.gamma.T) * upper if self.mh else None
+        beta_load = beta_norm[:, None] * fact.loadings  # rows beta_j
+        gamma = params.gamma
 
         kap = clean(params.kappa)
         thet = clean(params.theta)
-        sig = fact.sigma.copy()
+        sig = fact.sigma
         sigbar = clean(fact.sigma_bar)
-        self.vmap = np.arange(n)
+        # vmap[j]: variance row driving X_j; None when that is row j.
+        self.vmap = None
         sub = cfg.substitution
         if sub is not None and sub[0] == "caplet":
             j = int(sub[1])
@@ -135,11 +144,8 @@ class _Precomp:
             sig = np.vstack([sig, s_pq])
             sigbar = np.append(sigbar, sb_pq)
             self.vmap = np.arange(n)
-            self.vmap[p:q] = n  # the appended shared column
-        self.kappa_v = kap
-        self.theta_v = thet
-        self.sigma_v = sig
-        self.sigbar_v = sigbar
+            self.vmap[p:q] = n  # the appended shared row
+        self.nv = nv = kap.size
 
         libors = strip_libors(curve, tenor)
         x0 = np.zeros(n)
@@ -154,8 +160,40 @@ class _Precomp:
         self.n_steps = self.dt.size
         # alive[s, j]: X_j still updates on the step starting at grid[s].
         dates = np.concatenate([[np.inf], tenor.dates[1:n]])
-        self.alive = dates[None, :] > self.grid[:-1, None] + 1e-12
-        self.alive[:, 0] = False
+        alive = dates[None, :] > self.grid[:-1, None] + 1e-12
+        alive[:, 0] = False
+
+        # Step coefficients as (rows, 1) columns over the (rows, paths)
+        # state.  drift_dt is -dt while X_j is alive and 0 once it fixed.
+        dt = self.dt[:, None, None]
+        self.drift_dt = -dt * alive[:, :, None]
+        self.half_beta_sq = (0.5 * beta_norm ** 2)[:, None]
+        self.half_gam_sq = 0.5 * np.einsum("jf,jf->j", gamma, gamma)[:, None]
+        # Strictly upper couplings: row j sums only over k > j.
+        upper = np.triu(np.ones((n, n)), k=1)
+        self.G = (beta_load @ beta_load.T) * upper
+        self.Ggam = (gamma @ gamma.T) * upper if self.mh else None
+        # c_j = delta_j e^X_j / (1 - delta_j alpha_j + delta_j e^X_j).
+        self.delta_col = self.delta[:, None]
+        self.one_minus_da = (1.0 - self.delta * self.alpha)[:, None]
+        self.theta_v = thet[:, None]
+        self.kappa_dt = dt * kap[:, None]
+        # One product load @ Z gives every noise term of a step: rows
+        # [0, n) beta_j.dW, [n, n + nv) sigma_i.dW + sigbar_i dWbar and,
+        # when m_hat > 0, [n + nv, 2n + nv) gamma_j.dWhat.
+        load = np.zeros((n + nv + (n if self.mh else 0), self.dim))
+        load[:n, :self.m] = beta_load
+        load[n:n + nv, :self.m] = sig
+        load[n:n + nv, -1] = sigbar
+        if self.mh:
+            load[n + nv:, self.m:-1] = gamma
+        self.load = load
+        # Each row's noise scale: sqrt(dt), zero for a fixed Libor.
+        sqdt = np.sqrt(dt)
+        libor_sqdt = sqdt * alive[:, :, None]
+        self.noise_dt = np.concatenate(
+            [libor_sqdt, np.repeat(sqdt, nv, axis=1)]
+            + ([libor_sqdt] if self.mh else []), axis=1)
 
 
 def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
@@ -172,19 +210,32 @@ def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
     return np.asarray(times)
 
 
-def _path_normals(seed: int, path: int, n_steps: int, dim: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=path << 128))
-    return gen.standard_normal((n_steps, dim))
-
-
 def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray:
-    out = np.empty((p1 - p0, pre.n_steps, pre.dim))
-    for i, path in enumerate(range(p0, p1)):
-        if cfg.antithetic:
-            base = _path_normals(cfg.seed, path >> 1, pre.n_steps, pre.dim)
-            out[i] = base if path % 2 == 0 else -base
-        else:
-            out[i] = _path_normals(cfg.seed, path, pre.n_steps, pre.dim)
+    """Step-major normals (n_steps, paths, dim) for paths p0..p1-1.
+
+    Path i draws from Philox keyed by the seed with counter i << 128 (under
+    antithetic sampling, pair i >> 1, negated on odd paths).  Resetting one
+    generator's counter gives the stream of a freshly built generator.
+    Paths are drawn into a contiguous chunk first, so the step-major copy
+    writes runs of CHUNK paths rather than single rows.
+    """
+    out = np.empty((pre.n_steps, p1 - p0, pre.dim))
+    bitgen = np.random.Philox(key=cfg.seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # buffer empty, so a new counter restarts the stream
+    chunk = np.empty((CHUNK, pre.n_steps, pre.dim))
+    for i0 in range(0, p1 - p0, CHUNK):
+        size = min(CHUNK, p1 - p0 - i0)
+        for k, path in enumerate(range(p0 + i0, p0 + i0 + size)):
+            if cfg.antithetic and path % 2:
+                # Blocks and chunks start at even paths: the partner is k - 1.
+                np.negative(chunk[k - 1], out=chunk[k])
+                continue
+            stream = path >> 1 if cfg.antithetic else path
+            state["state"]["counter"][:] = (0, 0, stream, 0)
+            bitgen.state = state
+            gen.standard_normal(out=chunk[k])
+        out[:, i0:i0 + size] = chunk[:size].transpose(1, 0, 2)
     return out
 
 
@@ -192,43 +243,67 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
                     record: dict[int, float]) -> dict[float, tuple]:
     normals = _block_normals(p0, p1, pre, cfg)
     P = p1 - p0
-    n, m, mh = pre.n, pre.m, pre.mh
-    X = np.tile(pre.x0, (P, 1))
-    v = np.tile(pre.v0, (P, 1))
+    n, nv = pre.n, pre.nv
+    # The state is (rows, paths) so that every elementwise operation runs
+    # over contiguous paths; work arrays are allocated once per block.
+    X = np.repeat(pre.x0[:, None], P, axis=1)
+    v = np.repeat(pre.v0[:, None], P, axis=1)
+    vplus, sqrt_v = np.empty((nv, P)), np.empty((nv, P))
+    c, work, dX = np.empty((n, P)), np.empty((n, P)), np.empty((n, P))
+    W = np.empty((pre.load.shape[0], P))
+
+    def snapshot():
+        L = np.exp(X) - pre.alpha[:, None]
+        used = v if pre.vmap is None else v[pre.vmap]
+        return np.ascontiguousarray(L.T), np.ascontiguousarray(used.T)
+
     snaps: dict[float, tuple] = {}
     if 0 in record:
-        snaps[record[0]] = (np.exp(X) - pre.alpha, v[:, pre.vmap].copy())
+        snaps[record[0]] = snapshot()
     for s in range(pre.n_steps):
-        h = pre.dt[s]
-        sqh = np.sqrt(h)
-        Z = normals[:, s, :]
-        dW, dWbar = Z[:, :m], Z[:, m + mh]
+        np.maximum(v, 0.0, out=vplus)
+        np.sqrt(vplus, out=sqrt_v)
+        if pre.vmap is None:
+            vsel, sqv = vplus, sqrt_v
+        else:
+            vsel, sqv = vplus[pre.vmap], sqrt_v[pre.vmap]
+        np.exp(X, out=c)
+        c *= pre.delta_col
+        np.add(pre.one_minus_da, c, out=work)
+        c /= work
+        np.matmul(pre.load * pre.noise_dt[s], normals[s].T, out=W)
 
-        vplus = np.maximum(v, 0.0)
-        sq_all = np.sqrt(vplus)
-        vsel = vplus[:, pre.vmap]
-        sqv = sq_all[:, pre.vmap]
-        L = np.exp(X) - pre.alpha
-        c = pre.delta * (L + pre.alpha) / (1.0 + pre.delta * L)
+        drift_dt = pre.drift_dt[s]
+        np.multiply(c, sqv, out=work)
+        np.matmul(pre.G * drift_dt, work, out=dX)
+        dX *= sqv
+        np.multiply(vsel, pre.half_beta_sq * drift_dt, out=work)
+        dX += work
+        noise = W[:n]
+        noise *= sqv
+        dX += noise
+        if pre.mh:
+            dX += pre.half_gam_sq * drift_dt
+            np.matmul(pre.Ggam * drift_dt, c, out=work)
+            dX += work
+            dX += W[n + nv:]
+        X += dX
 
-        drift = -0.5 * pre.gam_sq - 0.5 * vsel * pre.beta_sq
-        drift -= sqv * np.einsum("pk,jk->pj", c * sqv, pre.G, optimize=False)
-        noise = sqv * np.einsum("pf,jf->pj", dW, pre.beta_load, optimize=False)
-        if mh:
-            dWhat = Z[:, m:m + mh]
-            drift -= np.einsum("pk,jk->pj", c, pre.Ggam, optimize=False)
-            noise += np.einsum("pf,jf->pj", dWhat, pre.gamma, optimize=False)
-        X += pre.alive[s] * (drift * h + noise * sqh)
+        dv = np.subtract(pre.theta_v, vplus, out=vplus)  # v+ is not read again
+        dv *= pre.kappa_dt[s]
+        v_noise = W[n:n + nv]
+        v_noise *= sqrt_v
+        dv += v_noise
+        v += dv
 
-        v_noise = (np.einsum("pf,jf->pj", dW, pre.sigma_v, optimize=False)
-                   + Z[:, m + mh:m + mh + 1] * pre.sigbar_v)
-        v += pre.kappa_v * (pre.theta_v - vplus) * h + sq_all * v_noise * sqh
-
-        if not (np.isfinite(X).all() and np.isfinite(v).all()):
-            raise SimulationError(
-                f"non-finite state at step {s + 1} (t = {pre.grid[s + 1]:.6g})")
-        if s + 1 in record:
-            snaps[record[s + 1]] = (np.exp(X) - pre.alpha, v[:, pre.vmap].copy())
+        # Non-finite values stay non-finite, so checking only where the
+        # state is read still catches every overflow.
+        if s + 1 in record or s + 1 == pre.n_steps:
+            if not (np.isfinite(X).all() and np.isfinite(v).all()):
+                raise SimulationError(
+                    f"non-finite state by step {s + 1} (t = {pre.grid[s + 1]:.6g})")
+            if s + 1 in record:
+                snaps[record[s + 1]] = snapshot()
     return snaps
 
 
@@ -334,7 +409,8 @@ def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
     for j, strikes in targets.items():
         payoff = np.concatenate(blocks[j])
         mean, se = _stats(payoff, b_n, cfg)
-        out[j] = [MCResult(float(mean[i]), float(se[i]), cfg.paths, elapsed)
+        out[j] = [MCResult(float(mean[i]), float(se[i]), cfg.paths, elapsed,
+                           pre.n_steps)
                   for i in range(len(np.atleast_1d(strikes)))]
     return out
 
@@ -383,7 +459,8 @@ def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
     for leg, strikes in legs.items():
         payoff = np.concatenate(blocks[leg])
         mean, se = _stats(payoff, b_n, cfg)
-        out[leg] = [MCResult(float(mean[i]), float(se[i]), cfg.paths, elapsed)
+        out[leg] = [MCResult(float(mean[i]), float(se[i]), cfg.paths,
+                             elapsed, pre.n_steps)
                     for i in range(len(np.atleast_1d(strikes)))]
     return out
 

@@ -182,3 +182,80 @@ def deterministic_variance_cf(z: complex, kappa: float, theta: float,
     total_var = sol.y[1, -1] + gamma_int
     psi = 1j * z + z * z
     return complex(np.exp(-0.5 * psi * total_var))
+
+
+def euler_libor_paths(normals, grid, dates, libors, alpha, delta, beta_norm,
+                      loadings, gamma, kappa, theta, sigma, sigma_bar,
+                      driver):
+    """One terminal-measure Euler step at a time, per path and per Libor.
+
+    The scheme of the simulator written out term by term: for each Libor
+    j = 1..n-1 still alive at the step's start,
+
+        X_j += -[ |gamma_j|^2/2 + v_d(j)^+ |beta_j|^2/2
+                  + sum_{k>j} c_k (sqrt(v_d(j)^+ v_d(k)^+) beta_j.beta_k
+                                   + gamma_j.gamma_k) ] h
+               + sqrt(v_d(j)^+) |beta_j| e_j.dW + gamma_j.dWhat,
+        c_k = delta_k (L_k + alpha_k) / (1 + delta_k L_k),
+
+    with beta_j = |beta_j| e_j and e_j the loading row, and for every
+    variance i (full truncation)
+
+        v_i += kappa_i (theta_i - v_i^+) h
+               + sqrt(v_i^+) (sigma_i.dW + sigma_bar_i dWbar).
+
+    ``normals[p][s]`` is path p's standard normal vector of step s, laid
+    out [W (m), What (m_hat), Wbar]; dW = sqrt(h) times it.  ``driver[j]``
+    names the variance driving L_j, keys of ``kappa``, ``theta``,
+    ``sigma``, ``sigma_bar`` (dicts).  Lists are indexed by expiry j with
+    entry 0 unused.  Returns, per path, the list over grid times of
+    (L_1..L_{n-1}, v_d(1)..v_d(n-1)).
+    """
+    n = len(alpha)
+    m = len(loadings[1])
+    m_hat = len(gamma[1])
+    out = []
+    for path_normals in normals:
+        X = [0.0] + [math.log(libors[j] + alpha[j]) for j in range(1, n)]
+        v = {i: theta[i] for i in kappa}
+
+        def record():
+            L = [math.exp(X[j]) - alpha[j] for j in range(1, n)]
+            return L, [v[driver[j]] for j in range(1, n)]
+
+        trajectory = [record()]
+        for s in range(len(grid) - 1):
+            h = grid[s + 1] - grid[s]
+            z = path_normals[s]
+            dW = [math.sqrt(h) * z[f] for f in range(m)]
+            dWhat = [math.sqrt(h) * z[m + f] for f in range(m_hat)]
+            dWbar = math.sqrt(h) * z[m + m_hat]
+            vp = {i: max(v[i], 0.0) for i in v}
+            L = [0.0] + [math.exp(X[k]) - alpha[k] for k in range(1, n)]
+            c = [0.0] + [delta[k] * (L[k] + alpha[k]) / (1.0 + delta[k] * L[k])
+                         for k in range(1, n)]
+            new_X = list(X)
+            for j in range(1, n):
+                if dates[j] <= grid[s] + 1e-12:
+                    continue  # L_j has fixed
+                vj = vp[driver[j]]
+                gam_sq = sum(g * g for g in gamma[j])
+                drift = 0.5 * gam_sq + 0.5 * vj * beta_norm[j] ** 2
+                for k in range(j + 1, n):
+                    vk = vp[driver[k]]
+                    e_jk = sum(loadings[j][f] * loadings[k][f] for f in range(m))
+                    g_jk = sum(gamma[j][f] * gamma[k][f] for f in range(m_hat))
+                    drift += c[k] * (math.sqrt(vj * vk) * beta_norm[j]
+                                     * beta_norm[k] * e_jk + g_jk)
+                e_dW = sum(loadings[j][f] * dW[f] for f in range(m))
+                g_dW = sum(gamma[j][f] * dWhat[f] for f in range(m_hat))
+                new_X[j] = (X[j] - drift * h
+                            + math.sqrt(vj) * beta_norm[j] * e_dW + g_dW)
+            for i in v:
+                s_dW = sum(sigma[i][f] * dW[f] for f in range(m))
+                v[i] += (kappa[i] * (theta[i] - vp[i]) * h
+                         + math.sqrt(vp[i]) * (s_dW + sigma_bar[i] * dWbar))
+            X = new_X
+            trajectory.append(record())
+        out.append(trajectory)
+    return out

@@ -19,7 +19,7 @@ from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.errors import InvariantError, SvLiborError
-from svlibor.fourier import QuadratureConfig, caplet_price
+from svlibor.fourier import DEFAULT_QUAD, QuadratureConfig, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, build_loadings, factorize_vols
@@ -81,6 +81,19 @@ class TestObjective:
         market = np.array([0.005])
         val = objective(1, bad, strikes, market, tenor, curve, params,
                         loadings, QUAD, libors)
+        assert val == PENALTY
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_pricing_hits_penalty(self, tenor, curve, params,
+                                         loadings, libors):
+        # The default rule prices this candidate to inf/nan and raises a
+        # QuadratureError; any typed pricing error must score PENALTY.
+        j = 17
+        strikes = np.linspace(0.6, 1.6, 7) * libors[j]
+        market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
+                              libors=libors)
+        val = objective(j, (1.82, 4.48, 5.74, 0.876), strikes, market, tenor,
+                        curve, params, loadings, DEFAULT_QUAD, libors)
         assert val == PENALTY
 
 

@@ -71,6 +71,19 @@ def test_cv_rejects_non_martingale_cf():
                       1.0, 1.0, 0.2)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_price_raises(tenor, curve, params, libors):
+    # Strong positive vol-rate correlation at a long expiry overflows the
+    # integrand of the default rule; the pricer must raise, not return
+    # inf/nan.
+    j = 17
+    work = params.with_expiry(j, beta_norm=1.82, kappa=4.48, eps=5.74,
+                              rho=0.876)
+    strikes = np.linspace(0.6, 1.6, 7) * libors[j]
+    with pytest.raises(QuadratureError, match="non-finite"):
+        caplet_price(j, strikes, tenor, curve, work, libors=libors)
+
+
 def test_caplet_zero_strike_parity(tenor, curve, params, fact, libors):
     for j in (1, 5, 11, 19):
         price = caplet_price(j, 0.0, tenor, curve, params, fact)

@@ -3,25 +3,33 @@
 Strong-accuracy statements live in the acceptance suite (full table
 reproduction at 30k paths); this module keeps path counts small and checks
 structure: frozen limits are exact, the RNG is counter-based so results
-cannot depend on the thread count, and discretization bias at the default
-step is below one standard error.
+cannot depend on the thread count, the vectorized step matches a per-path
+loop oracle, and discretization bias at the default step is below one
+standard error.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from oracles import euler_libor_paths
 
 from svlibor import (
     InvariantError,
     MCConfig,
     ModelParams,
+    SimulationError,
     build_factorization,
     caplet_price,
     factorize_vols,
     mc_caplet,
     mc_caplets,
     mc_swaption,
+    montecarlo,
     simulate,
 )
+from svlibor.affine import swap_averaged_vol_params
+from svlibor.market_data import swap_context
 
 
 def test_zero_loading_freezes_libors(tenor, curve, params, loadings, libors):
@@ -136,6 +144,9 @@ def test_result_fields(tenor, curve, params, fact):
     assert res.paths == 2048
     assert res.se > 0.0
     assert res.elapsed >= 0.0
+    # The payoff at T_3 is deflated there: 3 years at 4 steps a year.
+    assert res.steps == 12
+    assert res.paths * res.steps / res.elapsed > 0.0
 
 
 def test_config_validation():
@@ -143,8 +154,6 @@ def test_config_validation():
         MCConfig(paths=0)
     with pytest.raises(InvariantError, match="steps_per_year"):
         MCConfig(steps_per_year=0)
-    with pytest.raises(InvariantError, match="scheme"):
-        MCConfig(scheme="euler")
     with pytest.raises(InvariantError, match="substitution"):
         MCConfig(substitution=("caplet",))
     with pytest.raises(InvariantError, match="substitution"):
@@ -176,3 +185,90 @@ def test_expiry_frozen_after_fixing(tenor, curve, params, fact):
     np.testing.assert_array_equal(L1_at_1, L1_at_2)
     # A later Libor keeps moving.
     assert not np.array_equal(out[1.0][0][:, 5], out[2.0][0][:, 5])
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_block_normals_are_per_path_philox_streams(tenor, curve, params,
+                                                   fact, antithetic):
+    # The RNG contract of the module docstring: path i draws the stream of
+    # Philox(key=seed, counter=i << 128), or under antithetic sampling the
+    # stream of pair i >> 1, negated on odd paths.  Covers a full block and
+    # a partial last one.
+    cfg = MCConfig(paths=montecarlo.BLOCK + 4, steps_per_year=2, seed=11,
+                   antithetic=antithetic)
+    pre = montecarlo._Precomp(tenor, curve, params, fact, 1.5, cfg)
+    for p0, p1 in [(0, montecarlo.BLOCK), (montecarlo.BLOCK, cfg.paths)]:
+        block = montecarlo._block_normals(p0, p1, pre, cfg)
+        assert block.shape == (pre.n_steps, p1 - p0, pre.dim)
+        for i, path in enumerate(range(p0, p1)):
+            stream = path >> 1 if antithetic else path
+            gen = np.random.Generator(
+                np.random.Philox(key=cfg.seed, counter=stream << 128))
+            expected = gen.standard_normal((pre.n_steps, pre.dim))
+            if antithetic and path % 2:
+                expected = -expected
+            np.testing.assert_array_equal(block[:, i], expected)
+
+
+def _oracle_inputs(tenor, curve, params, fact, libors, substitution):
+    n = tenor.n
+    expiries = range(1, n)
+    kappa = {i: params.kappa[i] for i in expiries}
+    theta = {i: params.theta[i] for i in expiries}
+    sigma = {i: fact.sigma[i] for i in expiries}
+    sigma_bar = {i: fact.sigma_bar[i] for i in expiries}
+    driver = {j: j for j in expiries}
+    if substitution is not None and substitution[0] == "caplet":
+        driver = {j: substitution[1] for j in expiries}
+    elif substitution is not None:
+        _, p, q = substitution
+        ctx = swap_context(p, q, curve, tenor)
+        k, t, s, sb = swap_averaged_vol_params(ctx, params, fact)
+        kappa["pq"], theta["pq"], sigma["pq"], sigma_bar["pq"] = k, t, s, sb
+        driver.update({j: "pq" for j in range(p, q)})
+    return dict(dates=tenor.dates, libors=libors, alpha=params.alpha,
+                delta=tenor.accruals(), beta_norm=params.beta_norm,
+                loadings=fact.loadings, gamma=params.gamma, kappa=kappa,
+                theta=theta, sigma=sigma, sigma_bar=sigma_bar, driver=driver)
+
+
+@pytest.mark.parametrize("substitution", [None, ("caplet", 4), ("swap", 2, 7)])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_simulate_matches_euler_oracle(tenor, curve, params, loadings, libors,
+                                       substitution, gaussian):
+    if gaussian:
+        # Displaced Libors with a one-factor Gaussian part on top.
+        params = dataclasses.replace(
+            params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.01),
+            gamma=np.vstack([np.zeros((1, 1)), np.full((19, 1), 0.004)]))
+    fact = factorize_vols(params, loadings)
+    cfg = MCConfig(paths=8, steps_per_year=4, seed=5, substitution=substitution)
+    out = simulate(tenor, curve, params, fact, 2.0, cfg)
+    grid = np.linspace(0.0, 2.0, 9)
+    dim = fact.m + params.m_hat + 1
+    normals = [np.random.Generator(np.random.Philox(key=cfg.seed,
+                                                    counter=path << 128))
+               .standard_normal((grid.size - 1, dim)).tolist()
+               for path in range(cfg.paths)]
+    paths = euler_libor_paths(normals, grid.tolist(), **_oracle_inputs(
+        tenor, curve, params, fact, libors, substitution))
+    for t, (L, v) in out.items():
+        s = int(np.flatnonzero(grid == t)[0])
+        L_ref = np.array([paths[p][s][0] for p in range(cfg.paths)])
+        v_ref = np.array([paths[p][s][1] for p in range(cfg.paths)])
+        np.testing.assert_allclose(L[:, 1:], L_ref, rtol=1e-12, atol=0)
+        # v crosses zero, so its error is measured against its scale,
+        # theta = 1, rather than against values near zero.
+        np.testing.assert_allclose(v[:, 1:], v_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_state_raises(tenor, curve, params):
+    # A vol of vol of 1e200 overflows the variances within a few steps,
+    # before the first recorded time T_1, where the state is checked.
+    wild = dataclasses.replace(
+        params, eps=np.where(np.isnan(params.eps), np.nan, 1e200))
+    fact = build_factorization(wild, tenor)
+    with pytest.raises(SimulationError, match="non-finite state by step"):
+        simulate(tenor, curve, wild, fact, 2.0,
+                 MCConfig(paths=8, steps_per_year=4))
