@@ -7,7 +7,7 @@ price error against the Fourier pricer, multi-started from a few spread-out
 points and re-chained on the incumbent.
 
 The objective prices each candidate's strike row with the graded ``fixed``
-quadrature (``CalibrationOptions.quad``): 512 static nodes, one vectorized
+quadrature (``CalibrationOptions.quad``): 768 static nodes, one vectorized
 characteristic-function call over all of them per candidate, and prices
 that move smoothly with the candidate.  Over the whole search box, for
 strikes 0.6-1.6 times the forward, it agrees with the adaptive rule at
@@ -49,7 +49,7 @@ PENALTY = 1e6
 @dataclass(frozen=True)
 class CalibrationOptions:
     # Graded static rule: one CF call per candidate, smooth in the candidate.
-    quad: QuadratureConfig = QuadratureConfig(z_max=400.0, n=512, kind="fixed")
+    quad: QuadratureConfig = QuadratureConfig(z_max=400.0, n=768, kind="fixed")
     max_evals: int = 1200  # total objective-eval budget per maturity
     xatol: float = 1e-8
     fatol: float = 1e-13

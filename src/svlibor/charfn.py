@@ -124,23 +124,28 @@ def heston_cf(z, p: CharFnParams):
     E = np.exp(-dT)
 
     # a - d without cancellation: (a - d)(a + d) = -|beta|^2 psi eps^2.
+    # The guarded branches below are rare, so each is patched in only
+    # where its mask holds instead of being evaluated over every node.
     apd = a + d
     tiny = np.abs(apd) < 1e-12 * (np.abs(a) + np.abs(d) + 1.0)
-    amd = np.where(tiny, a - d, -w_sq / np.where(tiny, 1.0, apd))
+    amd = -w_sq / np.where(tiny, 1.0, apd)
+    if tiny.any():
+        amd[tiny] = a[tiny] - d[tiny]
 
     # phi1 = (1 - e^{-dT}) / (2d), Taylor past the d = 0 singularity.
     small = np.abs(dT) < 1e-5
-    dT_s = np.where(small, 0.0, dT)
-    phi1 = np.where(small,
-                    (T / 2.0) * (1.0 - dT / 2.0 + dT * dT / 6.0),
-                    (1.0 - E) / np.where(small, 1.0, 2.0 * dT_s / T))
+    phi1 = (1.0 - E) / np.where(small, 1.0, 2.0 * dT / T)
+    if small.any():
+        ds = dT[small]
+        phi1[small] = (T / 2.0) * (1.0 - ds / 2.0 + ds * ds / 6.0)
 
     # ln(1 + w) accurate for the |w| ~ eps^2 regime hit as eps -> 0.
     w = amd * phi1
     w_small = np.abs(w) < 1e-4
-    log_term = np.where(w_small,
-                        w * (1.0 - w * (0.5 - w / 3.0)),
-                        np.log(1.0 + np.where(w_small, 0.0, w)))
+    log_term = np.log(1.0 + np.where(w_small, 0.0, w))
+    if w_small.any():
+        ws = w[w_small]
+        log_term[w_small] = ws * (1.0 - ws * (0.5 - ws / 3.0))
 
     B = -p.beta_sq * psi * phi1 / (a * phi1 + (1.0 + E) / 2.0)
     A = (p.kappa_star * p.theta_star / p.eps ** 2) * (amd * T - 2.0 * log_term)

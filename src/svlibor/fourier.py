@@ -113,14 +113,17 @@ def black76(forward, expiry, vol, strike):
     return float(out[0]) if scalar else out
 
 
-def _cv_integrand(cf, sigma_b: float, expiry: float, log_k: np.ndarray):
-    """Real half-line integrand rows per strike; columns per z node."""
-    def f(z: np.ndarray) -> np.ndarray:
-        zi = z - 1j
-        base = (black_cf(zi, sigma_b, expiry) - cf(zi)) / (z * zi)
-        phase = np.exp(-1j * np.outer(log_k, z))
-        return (phase * base).real
-    return f
+def _cv_rows(z: np.ndarray, cf_values: np.ndarray, sigma_b: float,
+             expiry: float, log_k: np.ndarray) -> np.ndarray:
+    """Real half-line integrand rows per strike; columns per z node.
+
+    ``cf_values`` holds the characteristic function at z - i.
+    """
+    zi = z - 1j
+    base = (black_cf(zi, sigma_b, expiry) - cf_values) / (z * zi)
+    # Re(exp(-i k z) base) without forming the complex phase matrix.
+    arg = np.outer(log_k, z)
+    return np.cos(arg) * base.real + np.sin(arg) * base.imag
 
 
 def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +151,6 @@ def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         weights = (half[:, None] * w[None, :]).ravel()
         _GRADED_CACHE[key] = (nodes, weights)
     return _GRADED_CACHE[key]
-
-
-def _integrate_fixed(f, z_max: float, n: int) -> tuple[np.ndarray, None]:
-    nodes, weights = _graded_rule(z_max, n)
-    return f(nodes) @ weights, None
 
 
 def _integrate_adaptive(f, z_max: float, n: int, tol: float,
@@ -234,7 +232,14 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``.
     Raises QuadratureError when any price comes out inf or nan.
     """
-    check = cf(np.array([-1j]))[0]
+    fixed = quad.kind == "fixed"
+    if fixed:
+        # One CF call serves the static nodes and the phi(-i) check.
+        nodes, weights = _graded_rule(quad.z_max, quad.n)
+        values = cf(np.append(nodes - 1j, -1j))
+        check = values[-1]
+    else:
+        check = cf(np.array([-1j]))[0]
     if abs(check - 1.0) > 1e-8:
         raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
     K = np.asarray(strike, dtype=float)
@@ -243,14 +248,14 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     if np.any(K <= 0.0) or forward <= 0.0:
         raise StrikeError("Carr-Madan needs positive forward and strikes")
     log_k = np.log(K / forward)
-    if quad.kind == "fft":
+    if fixed:
+        corr = _cv_rows(nodes, values[:-1], sigma_b, expiry, log_k) @ weights
+    elif quad.kind == "fft":
         corr, _ = _integrate_fft(cf, sigma_b, expiry, log_k, quad.z_max, quad.n)
     else:
-        f = _cv_integrand(cf, sigma_b, expiry, log_k)
-        if quad.kind == "adaptive":
-            corr, _ = _integrate_adaptive(f, quad.z_max, quad.n, quad.tol)
-        else:
-            corr, _ = _integrate_fixed(f, quad.z_max, quad.n)
+        corr, _ = _integrate_adaptive(
+            lambda z: _cv_rows(z, cf(z - 1j), sigma_b, expiry, log_k),
+            quad.z_max, quad.n, quad.tol)
     black = black76(forward, expiry, sigma_b, K)
     # Half-line real part carries the factor 2 / (2 pi).
     price = discount_times_accrual * (black + forward * corr / np.pi)
