@@ -2,27 +2,28 @@
 
 Maturities are processed in decreasing order: the measure change for expiry
 j sums over all k > j, so later maturities must be fixed first.  Each
-subproblem is a bounded derivative-free simplex search on the mean relative
-price error against the Fourier pricer, multi-started from a few spread-out
-points and re-chained on the incumbent.
+subproblem is one bounded least-squares solve (scipy's trust-region
+reflective method inside ``BOUNDS``, finite-difference Jacobian) on the
+per-strike relative price residuals against the Fourier pricer, started
+from the neighbouring maturity's fit.
 
-The objective prices each candidate's strike row with the graded ``fixed``
+The residuals price each candidate's strike row with the graded ``fixed``
 quadrature (``CalibrationOptions.quad``): 768 static nodes, one vectorized
 characteristic-function call over all of them per candidate, and prices
-that move smoothly with the candidate.  Over the whole search box, for
-strikes 0.6-1.6 times the forward, it agrees with the adaptive rule at
-``tol=1e-12`` to 1e-8 relative, down to that reference's own absolute
-error (checked by test).  Default pricing elsewhere
-(``fourier.DEFAULT_QUAD``) stays adaptive.
+that move smoothly with the candidate, which the finite-difference
+Jacobian needs.  Over the whole search box, for strikes 0.6-1.6 times the
+forward, it agrees with the adaptive rule at ``tol=1e-12`` to 1e-8
+relative, down to that reference's own absolute error (checked by test).
+Default pricing elsewhere (``fourier.DEFAULT_QUAD``) stays adaptive.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
 from .fourier import QuadratureConfig, black76, caplet_price, implied_vol
@@ -34,6 +35,7 @@ __all__ = [
     "MaturityFit",
     "CalibrationResult",
     "panel_market_prices",
+    "residuals",
     "objective",
     "calibrate_maturity",
     "calibrate_all",
@@ -50,17 +52,9 @@ PENALTY = 1e6
 class CalibrationOptions:
     # Graded static rule: one CF call per candidate, smooth in the candidate.
     quad: QuadratureConfig = QuadratureConfig(z_max=400.0, n=768, kind="fixed")
-    max_evals: int = 1200  # total objective-eval budget per maturity
-    xatol: float = 1e-8
-    fatol: float = 1e-13
-    early_stop: float = 1e-7  # stop the search below this objective
-    start_scales: tuple = (1.0, 1.5, 0.5)
-
-
-# Simplex evaluations per Nelder-Mead call; the search restarts from the
-# incumbent with a fresh simplex between slices, which escapes the flat
-# (kappa, eps) ridge far more reliably than one long run.
-_NM_SLICE = 250
+    # Objective evals per maturity, finite-difference Jacobian columns
+    # included.
+    max_evals: int = 1200
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,9 @@ class MaturityFit:
     iterations: int
     converged: bool
     note: str = ""
+    status: int | None = None  # least_squares status; None if not fitted
+    message: str = ""  # the optimizer's stop reason
+    penalties: int = 0  # evals that scored PENALTY
 
 
 @dataclass(frozen=True)
@@ -108,24 +105,10 @@ class CalibrationResult:
                 "kappa": f.kappa, "eps": f.eps, "rho": f.rho,
                 "objective": f.objective, "iterations": f.iterations,
                 "converged": f.converged, "note": f.note,
+                "status": f.status, "message": f.message,
+                "penalties": f.penalties,
             } for f in self.fits],
         }
-
-
-def _to_box(u: np.ndarray) -> np.ndarray:
-    """Map unconstrained simplex coordinates into the search box."""
-    out = np.empty(4)
-    for i, (lo, hi) in enumerate(BOUNDS):
-        out[i] = lo + (hi - lo) * (np.sin(u[i]) + 1.0) / 2.0
-    return out
-
-
-def _from_box(x) -> np.ndarray:
-    out = np.empty(4)
-    for i, (lo, hi) in enumerate(BOUNDS):
-        frac = np.clip((x[i] - lo) / (hi - lo), 1e-9, 1.0 - 1e-9)
-        out[i] = np.arcsin(2.0 * frac - 1.0)
-    return out
 
 
 def panel_market_prices(panel: CapletPanel, tenor, curve, params,
@@ -144,13 +127,14 @@ def panel_market_prices(panel: CapletPanel, tenor, curve, params,
                      for k, vol in zip(panel.strikes, panel.quotes)])
 
 
-def objective(j: int, candidate, strikes, market_prices, tenor, curve,
-              params: ModelParams, loadings,
-              quad: QuadratureConfig, libors=None) -> float:
-    """Mean relative price error of the candidate (|beta|, kappa, eps, rho).
+def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
+              params: ModelParams, loadings, quad: QuadratureConfig,
+              libors=None) -> np.ndarray:
+    """Relative price residuals (model - market) / market, one per strike.
 
-    A candidate the pricer rejects with any SvLiborError (degenerate drift,
-    a lost normalization, a non-finite price) scores PENALTY.
+    A candidate (|beta|, kappa, eps, rho) the pricer rejects with any
+    SvLiborError (degenerate drift, a lost normalization, a non-finite
+    price) gets PENALTY at every strike.
     """
     beta_norm, kappa, eps, rho = candidate
     work = params.with_expiry(j, beta_norm=beta_norm, rho=rho,
@@ -160,8 +144,17 @@ def objective(j: int, candidate, strikes, market_prices, tenor, curve,
         model = caplet_price(j, np.asarray(strikes), tenor, curve, work,
                              fact, quad, libors)
     except SvLiborError:
-        return PENALTY
-    return float(np.mean(np.abs(model - market_prices) / market_prices))
+        return np.full(len(market_prices), PENALTY)
+    return (model - market_prices) / market_prices
+
+
+def objective(j: int, candidate, strikes, market_prices, tenor, curve,
+              params: ModelParams, loadings,
+              quad: QuadratureConfig, libors=None) -> float:
+    """Mean relative price error of the candidate; PENALTY if it is rejected."""
+    return float(np.mean(np.abs(residuals(j, candidate, strikes,
+                                          market_prices, tenor, curve, params,
+                                          loadings, quad, libors))))
 
 
 def _boundary_note(x) -> str:
@@ -175,15 +168,20 @@ def _boundary_note(x) -> str:
     return "; ".join(hits)
 
 
+class _BudgetSpent(Exception):
+    """Raised by the residual function once ``max_evals`` calls are made."""
+
+
 def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                        tenor, curve, loadings,
                        options: CalibrationOptions = CalibrationOptions(),
                        libors=None, warm_start=None) -> MaturityFit:
     """Fit expiry j holding every k > j at its current value in ``params``.
 
-    ``warm_start`` is tried before the standard multi-starts; passing the
-    neighbouring maturity's fit keeps parameters from hopping along the
-    price-equivalent (kappa, eps) ridge between adjacent maturities.
+    One trust-region reflective least-squares solve inside ``BOUNDS``,
+    started from ``warm_start`` (the neighbouring maturity's fit) or from
+    ``START``; starting next to the neighbour keeps parameters from hopping
+    along the price-equivalent (kappa, eps) ridge between maturities.
     """
     if panel.expiry != j:
         raise InvariantError("expiry", f"panel is for {panel.expiry}, not {j}")
@@ -191,45 +189,42 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
         libors = strip_libors(curve, tenor)
     market = panel_market_prices(panel, tenor, curve, params, libors)
     strikes = np.asarray(panel.strikes, dtype=float)
+    lower, upper = np.array(BOUNDS).T
+    evals = penalties = 0
+    best = (np.inf, None, None)  # (cost, x, residuals) of the best eval
 
-    def fun(u: np.ndarray) -> float:
-        return objective(j, _to_box(u), strikes, market, tenor, curve,
-                         params, loadings, options.quad, libors)
+    # scipy's nfev leaves out the finite-difference Jacobian columns, so
+    # the budget is counted, and enforced, here.
+    def fun(x: np.ndarray) -> np.ndarray:
+        nonlocal evals, penalties, best
+        if evals == options.max_evals:
+            raise _BudgetSpent
+        evals += 1
+        r = residuals(j, x, strikes, market, tenor, curve, params, loadings,
+                      options.quad, libors)
+        penalties += bool(np.all(r == PENALTY))
+        cost = float(r @ r)
+        if cost < best[0]:
+            best = (cost, x.copy(), r)
+        return r
 
-    starts = [np.asarray(warm_start, dtype=float)] if warm_start is not None else []
-    starts += [[s * scale for s in START] for scale in options.start_scales]
-    best = None
-    total_evals = 0
-    any_success = False
-    for raw in starts:
-        start = np.clip(raw, [lo for lo, _ in BOUNDS],
-                        [hi for _, hi in BOUNDS])
-        u = _from_box(start)
-        prev = np.inf
-        while total_evals < options.max_evals:
-            res = minimize(fun, u, method="Nelder-Mead",
-                           options={"maxfev": min(_NM_SLICE,
-                                                  options.max_evals - total_evals),
-                                    "xatol": options.xatol,
-                                    "fatol": options.fatol,
-                                    "adaptive": True})
-            total_evals += res.nfev
-            any_success = any_success or bool(res.success)
-            if best is None or res.fun < best.fun:
-                best = res
-            u = res.x
-            if res.fun < options.early_stop or res.fun > 0.9 * prev:
-                break
-            prev = res.fun
-        if best.fun < options.early_stop:
-            break
-    x = _to_box(best.x)
-    note = _boundary_note(x)
+    start = START if warm_start is None else warm_start
+    try:
+        res = least_squares(fun, np.clip(start, lower, upper),
+                            bounds=(lower, upper), method="trf",
+                            x_scale="jac", max_nfev=options.max_evals)
+        x, r, status, message = res.x, res.fun, res.status, res.message
+    except _BudgetSpent:
+        _, x, r = best
+        status = 0
+        message = f"objective-eval budget of {options.max_evals} spent"
+    value = float(np.mean(np.abs(r)))
     return MaturityFit(expiry=j, beta_norm=float(x[0]), kappa=float(x[1]),
-                       eps=float(x[2]), rho=float(x[3]),
-                       objective=float(best.fun), iterations=total_evals,
-                       converged=bool(any_success or best.fun < 1e-6),
-                       note=note)
+                       eps=float(x[2]), rho=float(x[3]), objective=value,
+                       iterations=evals,
+                       converged=status > 0 and value < PENALTY,
+                       note=_boundary_note(x), status=int(status),
+                       message=message, penalties=penalties)
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,

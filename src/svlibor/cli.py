@@ -114,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit per-maturity vol parameters")
     _add_io(p)
-    _add_quad(p)
     p.add_argument("--panels", required=True, help="caplet panel CSV")
     p.add_argument("--fit-report", default=None,
                    help="optional per-strike diagnostics CSV")
@@ -264,10 +263,7 @@ def _cmd_mc_price(args) -> int:
 def _cmd_calibrate(args) -> int:
     tenor, curve, params = _load_market(args)
     panels = load_panel(args.panels)
-    options = CalibrationOptions(quad=QuadratureConfig(
-        z_max=args.quad_zmax, n=max(64, args.quad_n), kind=args.quad_mode,
-        tol=1e-10))
-    result = calibrate_all(panels, params, tenor, curve, options)
+    result = calibrate_all(panels, params, tenor, curve, CalibrationOptions())
     with _open_out(args.out) as out:
         json.dump(result.to_dict(), out, indent=2)
         out.write("\n")

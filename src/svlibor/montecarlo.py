@@ -240,7 +240,10 @@ def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray
 
 
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
-                    record: dict[int, float]) -> dict[float, tuple]:
+                    record: dict[int, float],
+                    variance: bool = False) -> dict[float, tuple]:
+    """Snapshots {t: (L, v_used)} of one path block; v_used is None unless
+    ``variance`` is set, because the pricers read only the Libors."""
     normals = _block_normals(p0, p1, pre, cfg)
     P = p1 - p0
     n, nv = pre.n, pre.nv
@@ -253,9 +256,11 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
     W = np.empty((pre.load.shape[0], P))
 
     def snapshot():
-        L = np.exp(X) - pre.alpha[:, None]
+        L = np.ascontiguousarray((np.exp(X) - pre.alpha[:, None]).T)
+        if not variance:
+            return L, None
         used = v if pre.vmap is None else v[pre.vmap]
-        return np.ascontiguousarray(L.T), np.ascontiguousarray(used.T)
+        return L, np.ascontiguousarray(used.T)
 
     snaps: dict[float, tuple] = {}
     if 0 in record:
@@ -317,16 +322,18 @@ def _record_map(pre: _Precomp, record_times) -> dict[int, float]:
     return record
 
 
-def _run_blocks(pre: _Precomp, cfg: MCConfig, record: dict[int, float]):
+def _run_blocks(pre: _Precomp, cfg: MCConfig, record: dict[int, float],
+                variance: bool = False):
     """Yield per-block snapshot dicts in fixed block order."""
     bounds = [(p0, min(p0 + BLOCK, cfg.paths))
               for p0 in range(0, cfg.paths, BLOCK)]
     if cfg.threads <= 1:
         for p0, p1 in bounds:
-            yield _simulate_block(p0, p1, pre, cfg, record)
+            yield _simulate_block(p0, p1, pre, cfg, record, variance)
         return
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_simulate_block, p0, p1, pre, cfg, record)
+        futures = [pool.submit(_simulate_block, p0, p1, pre, cfg, record,
+                               variance)
                    for p0, p1 in bounds]
         for fut in futures:  # submission order == block order
             yield fut.result()
@@ -345,7 +352,7 @@ def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
         record_times = [t for t in tenor.dates if 0.0 < t <= horizon]
     record = _record_map(pre, record_times)
     merged: dict[float, list] = {t: [] for t in record.values()}
-    for snaps in _run_blocks(pre, cfg, record):
+    for snaps in _run_blocks(pre, cfg, record, variance=True):
         for t, pair in snaps.items():
             merged[t].append(pair)
     return {t: (np.concatenate([L for L, _ in parts]),

@@ -333,9 +333,12 @@ class TestCriterion6Calibration:
                                  fitted, fact, libors=libors)
             errs.extend(np.abs(model - panel.quotes) / panel.quotes)
         mean_err = float(np.mean(errs))
+        evals = [fit.iterations for fit in result.fits]
         ok = mean_err < 0.01 and elapsed < 60.0
         report("6a", ok, f"19-maturity refit: mean relative price error = "
-                         f"{mean_err:.2e} (< 1e-2) in {elapsed:.1f}s (< 60s)")
+                         f"{mean_err:.2e} (< 1e-2) in {elapsed:.1f}s (< 60s), "
+                         f"{sum(evals)} evals (at most {max(evals)} "
+                         f"per maturity)")
         assert ok
 
     def test_6b_exactly_identified_panel(self, tenor, curve, params,
@@ -343,7 +346,7 @@ class TestCriterion6Calibration:
         strikes = np.array([0.005, 0.013, 0.021, 0.029])
         quotes = caplet_price(5, strikes, tenor, curve, params, libors=libors)
         panel = CapletPanel(expiry=5, strikes=strikes, quotes=quotes)
-        options = CalibrationOptions(max_evals=4000, early_stop=1e-7)
+        options = CalibrationOptions(max_evals=4000)
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
                                  options, libors)
         ok = fit.objective < 1e-6

@@ -28,7 +28,10 @@ QUAD = CalibrationOptions().quad
 
 # Budget for the small-model searches below; truth is at the default start
 # so convergence is immediate and the full default budget is never needed.
-FAST = CalibrationOptions(max_evals=600, early_stop=1e-9)
+FAST = CalibrationOptions(max_evals=600)
+
+# A start far from the small market's truth at START.
+AWAY = (0.05, 0.2, 0.3, -0.9)
 
 
 def small_market():
@@ -75,7 +78,7 @@ class TestObjective:
                                                loadings, libors):
         # kappa near zero with strong positive rho drives the effective
         # reversion speed negative; the objective must absorb that as a
-        # finite penalty instead of crashing the simplex search.
+        # finite penalty instead of crashing the search.
         bad = (0.15, 1e-3, 10.0, 0.999)
         strikes = np.array([0.02])
         market = np.array([0.005])
@@ -187,6 +190,85 @@ class TestCalibrateMaturity:
         loadings = build_loadings(tenor, params.corr_decay)
         with pytest.raises(InvariantError, match="expiry"):
             calibrate_maturity(4, panel, params, tenor, curve, loadings, FAST)
+
+    @pytest.mark.parametrize("start", [None, AWAY])
+    def test_iterations_count_every_objective_call(self, start, monkeypatch):
+        # scipy's nfev leaves out the finite-difference Jacobian columns;
+        # the fit must count them, because the budget and evals/s use it.
+        import svlibor.calibrate
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        loadings = build_loadings(tenor, params.corr_decay)
+        calls = []
+        price = svlibor.calibrate.caplet_price
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(svlibor.calibrate, "caplet_price", counted)
+        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+                                 FAST, warm_start=start)
+        assert fit.penalties == 0
+        assert fit.iterations == len(calls) > 0
+
+    def test_cold_start_away_from_truth_converges(self):
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        loadings = build_loadings(tenor, params.corr_decay)
+        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+                                 CalibrationOptions(), warm_start=AWAY)
+        assert fit.converged and fit.status > 0
+        assert fit.objective < 1e-7
+        # 240 evals measured; the bound is twice that.
+        assert fit.iterations <= 480
+
+    def test_budget_caps_every_eval(self):
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        loadings = build_loadings(tenor, params.corr_decay)
+        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+                                 CalibrationOptions(max_evals=20),
+                                 warm_start=AWAY)
+        assert fit.iterations == 20
+        assert not fit.converged and fit.status == 0
+        assert "budget" in fit.message
+        assert math.isfinite(fit.objective)
+
+    def test_boundary_hits_reported_with_stop_reason(self):
+        # Quotes three times the model's reach push the fit into corners of
+        # the box; the fit must say which, and why the solver stopped.
+        tenor, curve, params = small_market()
+        exact = small_panel(5, tenor, curve, params)
+        panel = dataclasses.replace(exact, quotes=3.0 * exact.quotes)
+        loadings = build_loadings(tenor, params.corr_decay)
+        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+                                 FAST)
+        assert "beta_norm at upper bound" in fit.note
+        assert fit.status is not None and fit.message
+        blob = CalibrationResult(fits=(fit,), theta=params.theta,
+                                 alpha=params.alpha, gamma=params.gamma,
+                                 corr_decay=params.corr_decay).to_dict()
+        assert blob["fits"][0]["note"] == fit.note
+        assert blob["fits"][0]["message"] == fit.message
+        assert blob["fits"][0]["status"] == fit.status
+        assert blob["fits"][0]["penalties"] == fit.penalties
+
+    def test_rejected_candidates_are_counted(self, tenor, curve, params,
+                                             loadings, libors):
+        # A start whose effective reversion speed is negative scores
+        # PENALTY; the fit counts those evals and does not claim success.
+        j = 1
+        strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+        quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
+                              libors=libors)
+        panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
+        fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
+                                 FAST, libors,
+                                 warm_start=(0.15, 1e-3, 10.0, 0.999))
+        assert fit.penalties > 0
+        assert fit.objective == PENALTY
+        assert not fit.converged
 
     def test_boundary_note_flags_pinned_parameter(self):
         # A panel priced with rho at the box edge should leave a breadcrumb

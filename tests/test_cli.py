@@ -181,6 +181,44 @@ class TestCalibrate:
             assert float(row["model_price"]) == pytest.approx(
                 float(row["market_price"]), rel=1e-3)
 
+    @pytest.mark.filterwarnings("ignore:no panel")
+    def test_uses_calibration_options_and_emits_diagnostics(self, tmp_path,
+                                                             monkeypatch):
+        # The subcommand must price candidates with the calibration rule,
+        # not with the pricing commands' quadrature flags.
+        import svlibor.cli
+        from svlibor.calibrate import CalibrationOptions
+        seen = []
+        real = svlibor.cli.calibrate_all
+
+        def spy(panels, params, tenor, curve, options):
+            seen.append(options)
+            return real(panels, params, tenor, curve, options)
+
+        monkeypatch.setattr(svlibor.cli, "calibrate_all", spy)
+        curve_path, model_path = write_small_market(tmp_path)
+        from svlibor.market_data import load_curve
+        from svlibor.model import load_params
+        tenor, curve = load_curve(curve_path)
+        strikes = (0.02, 0.03, 0.04)
+        prices = caplet_price(5, strikes, tenor, curve,
+                              load_params(model_path))
+        panel_path = tmp_path / "panels.csv"
+        lines = ["expiry_index,strike,quote,quote_kind"]
+        lines += [f"5,{k},{p:.17g},price" for k, p in zip(strikes, prices)]
+        panel_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        rc = main(["calibrate", "--curve", str(curve_path),
+                   "--model", str(model_path), "--panels", str(panel_path),
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(seen) == 1
+        assert seen[0].quad == CalibrationOptions().quad
+        fit = json.loads(out.read_text())["fits"][-1]
+        assert fit["iterations"] > 0
+        assert isinstance(fit["status"], int) and fit["message"]
+        assert fit["penalties"] == 0
+
 
 class TestImpliedVol:
     def test_round_trip(self, capsys):
