@@ -60,11 +60,12 @@ def main(argv=None) -> int:
 
     rows = []
     for (p, q) in legs:
+        fourier = swaption_price(p, q, strikes, tenor, curve, params, fact,
+                                 libors=libors)
         for i, k in enumerate(strikes):
             rows.append({
                 "p": p, "q": q, "strike": float(k),
-                "fourier": float(swaption_price(p, q, k, tenor, curve,
-                                                params, fact, libors=libors)),
+                "fourier": float(fourier[i]),
                 "mc_substituted": sub[(p, q)][i].price,
                 "se_sub": sub[(p, q)][i].se,
                 "mc_full": full[(p, q)][i].price,

@@ -7,14 +7,15 @@ reflective method inside ``BOUNDS``, finite-difference Jacobian) on the
 per-strike relative price residuals against the Fourier pricer, started
 from the neighbouring maturity's fit.
 
-The residuals price each candidate's strike row with the graded ``fixed``
-quadrature (``CalibrationOptions.quad``): 768 static nodes, one vectorized
-characteristic-function call over all of them per candidate, and prices
-that move smoothly with the candidate, which the finite-difference
+The residuals price each candidate's strike row with the package's graded
+static quadrature at half the default node count (``CalibrationOptions.quad``,
+768 nodes): one vectorized characteristic-function call per candidate, and
+prices that move smoothly with the candidate, which the finite-difference
 Jacobian needs.  Over the whole search box, for strikes 0.6-1.6 times the
-forward, it agrees with the adaptive rule at ``tol=1e-12`` to 1e-8
+forward, it agrees with an adaptive reference at ``tol=1e-12`` to 1e-8
 relative, down to that reference's own absolute error (checked by test).
-Default pricing elsewhere (``fourier.DEFAULT_QUAD``) stays adaptive.
+Wider strikes need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which
+fit reports use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
-from .fourier import QuadratureConfig, black76, caplet_price, implied_vol
+from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
+                      implied_vol)
 from .market_data import CapletPanel, strip_libors
 from .model import ModelParams, build_loadings, factorize_vols
 
@@ -51,7 +53,7 @@ PENALTY = 1e6
 @dataclass(frozen=True)
 class CalibrationOptions:
     # Graded static rule: one CF call per candidate, smooth in the candidate.
-    quad: QuadratureConfig = QuadratureConfig(z_max=400.0, n=768, kind="fixed")
+    quad: QuadratureConfig = QuadratureConfig(n=768)
     # Objective evals per maturity, finite-difference Jacobian columns
     # included.
     max_evals: int = 1200
@@ -270,7 +272,7 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
 
 def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
                     tenor, curve,
-                    quad: QuadratureConfig = QuadratureConfig()) -> list[dict]:
+                    quad: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
     """Per-strike fit diagnostics: prices and implied vols, market vs model."""
     params = result.params()
     loadings = build_loadings(tenor, params.corr_decay)

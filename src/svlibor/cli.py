@@ -14,7 +14,7 @@ import numpy as np
 from .affine import effective_caplet_params, swap_effective_params
 from .calibrate import CalibrationOptions, calibrate_all, fit_report_rows
 from .errors import SvLiborError
-from .fourier import QuadratureConfig, caplet_price, implied_vol, swaption_price
+from .fourier import caplet_price, implied_vol, swaption_price
 from .market_data import load_curve, load_panel, strip_libors, swap_context
 from .model import (build_factorization, build_loadings, correlation_matrices,
                     factorize_vols, load_params)
@@ -52,13 +52,6 @@ def _add_io(parser, model=True):
     parser.add_argument("--out", default="-", help="output path (default stdout)")
 
 
-def _add_quad(parser):
-    parser.add_argument("--quad-zmax", type=float, default=400.0)
-    parser.add_argument("--quad-n", type=int, default=128)
-    parser.add_argument("--quad-mode", choices=["adaptive", "fft"],
-                        default="adaptive")
-
-
 def _add_mc(parser):
     parser.add_argument("--paths", type=int, default=30000)
     parser.add_argument("--steps-per-year", type=int, default=8)
@@ -81,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price-caplet", help="caplet price table")
     _add_io(p)
-    _add_quad(p)
     _add_mc(p)
     p.add_argument("--j", type=int, required=True, help="expiry index")
     p.add_argument("--strike", type=float, default=None)
@@ -93,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price-swaption", help="payer swaption price table")
     _add_io(p)
-    _add_quad(p)
     _add_mc(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -141,22 +132,17 @@ def _load_market(args):
     return tenor, curve, params
 
 
-def _quad_from(args) -> QuadratureConfig:
-    return QuadratureConfig(z_max=args.quad_zmax, n=args.quad_n,
-                            kind=args.quad_mode)
-
-
 def _mc_from(args, substitution=None) -> MCConfig:
     return MCConfig(paths=args.paths, steps_per_year=args.steps_per_year,
                     seed=args.seed, substitution=substitution,
                     threads=args.threads, antithetic=args.antithetic)
 
 
-def _strikes_from(args) -> list[float]:
+def _strikes_from(args) -> np.ndarray:
     if args.strikes is not None:
-        return list(args.strikes)
+        return np.array(args.strikes)
     if args.strike is not None:
-        return [args.strike]
+        return np.array([args.strike])
     raise SvLiborError("one of --strike / --strikes is required")
 
 
@@ -197,11 +183,11 @@ def _cmd_price_caplet(args) -> int:
             out.write("\n")
         return 0
     strikes = _strikes_from(args)
-    fourier = [caplet_price(args.j, k, tenor, curve, params, fact,
-                            _quad_from(args), libors) for k in strikes]
+    fourier = caplet_price(args.j, strikes, tenor, curve, params, fact,
+                           libors=libors)
     mc = None
     if not args.no_mc:
-        mc = mc_caplets({args.j: np.array(strikes)}, tenor, curve, params,
+        mc = mc_caplets({args.j: strikes}, tenor, curve, params,
                         fact, _mc_from(args))[args.j]
     with _open_out(args.out) as out:
         _write_table(out, strikes, fourier, mc)
@@ -220,11 +206,11 @@ def _cmd_price_swaption(args) -> int:
             out.write("\n")
         return 0
     strikes = _strikes_from(args)
-    fourier = [swaption_price(args.p, args.q, k, tenor, curve, params, fact,
-                              _quad_from(args), libors) for k in strikes]
+    fourier = swaption_price(args.p, args.q, strikes, tenor, curve, params,
+                             fact, libors=libors)
     mc = None
     if not args.no_mc:
-        mc = mc_swaptions({(args.p, args.q): np.array(strikes)}, tenor,
+        mc = mc_swaptions({(args.p, args.q): strikes}, tenor,
                           curve, params, fact, _mc_from(args))[(args.p, args.q)]
     with _open_out(args.out) as out:
         _write_table(out, strikes, fourier, mc)

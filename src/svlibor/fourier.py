@@ -16,18 +16,16 @@ quadrature below evaluates.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
-from .market_data import swap_context
+from .market_data import strip_libors, swap_context
 from .model import build_factorization
 
 __all__ = [
@@ -42,42 +40,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Half-line quadrature settings.
+    """Graded static half-line quadrature on [0, z_max].
 
-    kind "adaptive": Gauss-Legendre panels on [0, z_max], refined where the
-    7/15-point error estimate is largest; n sets the initial panel budget.
-    kind "fixed": composite 16-point Gauss-Legendre on n // 16 static
-    panels, graded geometrically towards z = 0 and uniform in the tail,
-    evaluated in one CF call.  The calibration objective uses it: its
-    prices are smooth in the model parameters and cost one vectorized pass.
-    kind "fft": batch evaluation on a uniform log-strike grid with n nodes
-    in z, correction integral interpolated by a cubic spline per strike.
+    Composite 16-point Gauss-Legendre on n / 16 panels: the first is
+    [0, 1e-4], the next ones are geometric up to z_max / 10 and the last
+    3/8 are uniform on [z_max / 10, z_max].  All n nodes go through one
+    characteristic-function call, and the prices are smooth functions of
+    the model parameters.  The default (1536 nodes) holds wide strikes to
+    1e-9; the calibration objective uses 768 (``CalibrationOptions.quad``).
     """
 
     z_max: float = 400.0
-    n: int = 128
-    kind: str = "adaptive"
-    tol: float = 1e-12
+    n: int = 1536
 
     def __post_init__(self):
         if self.z_max <= 0.0:
             raise InvariantError("z_max", "truncation bound must be positive")
         if self.n < 64:
             raise InvariantError("n", "need at least 64 nodes")
-        if self.kind not in ("adaptive", "fixed", "fft"):
-            raise InvariantError("kind", f"unknown quadrature kind {self.kind!r}")
+        if self.n % 16:
+            raise InvariantError("n", "node count must be a multiple of 16")
 
 
 DEFAULT_QUAD = QuadratureConfig()
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GRADED_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
 
 
 def black76(forward, expiry, vol, strike):
@@ -129,16 +116,14 @@ def _cv_rows(z: np.ndarray, cf_values: np.ndarray, sigma_b: float,
 def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite 16-point rule on graded panels.
 
-    Of the n // 16 panels, the first is [0, 1e-4], the next ones are
-    geometric up to z_max / 10 and the last 3/8 are uniform on
-    [z_max / 10, z_max].  The geometric part resolves the control-variate
-    integrand where large total variance concentrates it near z = 0; the
-    uniform part caps the panel width for small total variance, where the
-    integrand still oscillates at the log-moneyness frequency far out.
+    The geometric panels resolve the control-variate integrand where large
+    total variance concentrates it near z = 0; the uniform ones cap the
+    panel width for small total variance, where the integrand still
+    oscillates at the log-moneyness frequency far out.
     """
     key = (z_max, n)
     if key not in _GRADED_CACHE:
-        x, w = _gl_rule(16)
+        x, w = np.polynomial.legendre.leggauss(16)
         panels = n // 16
         uniform = panels * 3 // 8
         knee = z_max / 10.0
@@ -153,76 +138,6 @@ def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GRADED_CACHE[key]
 
 
-def _integrate_adaptive(f, z_max: float, n: int, tol: float,
-                        max_panels: int = 4000) -> tuple[np.ndarray, float]:
-    """Panel-adaptive Gauss-Legendre with a 7/15 embedded error estimate.
-
-    Deterministic: the refinement queue is ordered by (error, position),
-    so identical inputs split identically regardless of call context.
-    """
-    x15, w15 = _gl_rule(15)
-    x7, w7 = _gl_rule(7)
-
-    def eval_panel(lo: float, hi: float):
-        half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        vals = f(np.concatenate([mid + half * x15, mid + half * x7]))
-        fine = vals[..., :15] @ (half * w15)
-        coarse = vals[..., 15:] @ (half * w7)
-        err = float(np.max(np.abs(fine - coarse)))
-        return fine, err
-
-    n_init = max(4, n // 32)
-    edges = np.linspace(0.0, z_max, n_init + 1)
-    heap = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fine, err = eval_panel(lo, hi)
-        heapq.heappush(heap, (-err, lo, hi, fine))
-    while len(heap) < max_panels:
-        total_err = -sum(item[0] for item in heap)
-        if total_err <= tol:
-            break
-        _, lo, hi, _ = heapq.heappop(heap)
-        mid = (lo + hi) / 2.0
-        for a, b in ((lo, mid), (mid, hi)):
-            fine, err = eval_panel(a, b)
-            heapq.heappush(heap, (-err, a, b, fine))
-    total_err = -sum(item[0] for item in heap)
-    # Fixed-order reduction: sum panels by position, not by heap order.
-    items = sorted(heap, key=lambda item: item[1])
-    total = np.sum([item[3] for item in items], axis=0)
-    if total_err > tol and len(heap) >= max_panels:
-        raise QuadratureError(
-            f"adaptive quadrature stalled at {len(heap)} panels with "
-            f"estimated error {total_err:.3g}",
-            estimate=total_err, panels=len(heap))
-    return total, total_err
-
-
-def _integrate_fft(cf, sigma_b: float, expiry: float, log_k: np.ndarray,
-                   z_max: float, n: int) -> tuple[np.ndarray, None]:
-    """Batch correction integral on a uniform log-strike grid via one FFT.
-
-    Midpoint z grid (avoids z = 0), log-strike spacing paired by the FFT
-    relation dk dz = 2 pi / n; requested strikes are read off a cubic
-    spline through the grid values.  Only the correction term is
-    interpolated; the Black part stays analytic per strike.
-    """
-    dz = z_max / n
-    z = (np.arange(n) + 0.5) * dz
-    zi = z - 1j
-    base = (black_cf(zi, sigma_b, expiry) - cf(zi)) / (z * zi) * dz
-    dk = 2.0 * np.pi / (n * dz)
-    k_grid = (np.arange(n) - n // 2) * dk
-    spun = base * np.exp(-1j * np.arange(n) * dz * k_grid[0])
-    transformed = np.fft.fft(spun)
-    # Residual half-node phase: z_m = (m + 1/2) dz.
-    corr = (np.exp(-0.5j * dz * k_grid) * transformed).real
-    if np.any(log_k < k_grid[0]) or np.any(log_k > k_grid[-1]):
-        raise QuadratureError("log-moneyness outside the FFT strike grid")
-    return CubicSpline(k_grid, corr)(log_k), None
-
-
 def carr_madan_cv(cf, forward: float, strike, expiry: float,
                   discount_times_accrual: float, sigma_b: float,
                   quad: QuadratureConfig = DEFAULT_QUAD):
@@ -230,32 +145,26 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
 
     ``cf`` maps complex z to the characteristic function value; it must be
     normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``.
-    Raises QuadratureError when any price comes out inf or nan.
+    Raises QuadratureError when a CF value on the contour or a price comes
+    out inf or nan.
     """
-    fixed = quad.kind == "fixed"
-    if fixed:
-        # One CF call serves the static nodes and the phi(-i) check.
-        nodes, weights = _graded_rule(quad.z_max, quad.n)
-        values = cf(np.append(nodes - 1j, -1j))
-        check = values[-1]
-    else:
-        check = cf(np.array([-1j]))[0]
-    if abs(check - 1.0) > 1e-8:
-        raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
     K = np.asarray(strike, dtype=float)
     scalar = K.ndim == 0
     K = np.atleast_1d(K)
     if np.any(K <= 0.0) or forward <= 0.0:
         raise StrikeError("Carr-Madan needs positive forward and strikes")
+    nodes, weights = _graded_rule(quad.z_max, quad.n)
+    # One CF call serves the static nodes and the phi(-i) check.
+    values = cf(np.append(nodes - 1j, -1j))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise QuadratureError(f"non-finite characteristic function at "
+                              f"{bad.sum()} of {bad.size} contour points")
+    check = values[-1]
+    if not abs(check - 1.0) <= 1e-8:
+        raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
     log_k = np.log(K / forward)
-    if fixed:
-        corr = _cv_rows(nodes, values[:-1], sigma_b, expiry, log_k) @ weights
-    elif quad.kind == "fft":
-        corr, _ = _integrate_fft(cf, sigma_b, expiry, log_k, quad.z_max, quad.n)
-    else:
-        corr, _ = _integrate_adaptive(
-            lambda z: _cv_rows(z, cf(z - 1j), sigma_b, expiry, log_k),
-            quad.z_max, quad.n, quad.tol)
+    corr = _cv_rows(nodes, values[:-1], sigma_b, expiry, log_k) @ weights
     black = black76(forward, expiry, sigma_b, K)
     # Half-line real part carries the factor 2 / (2 pi).
     price = discount_times_accrual * (black + forward * corr / np.pi)
@@ -266,6 +175,30 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     return float(price[0]) if scalar else price
 
 
+def _fourier_price(cf_params, forward: float, strike: np.ndarray,
+                   discount: float, quad: QuadratureConfig):
+    """Discounted calls on an underlying with characteristic function params.
+
+    ``cf_params`` builds the CharFnParams; it is called only when a strike
+    is positive.  A zero strike prices by parity (the call is exercised
+    surely): discount * forward.
+    """
+    scalar = strike.ndim == 0
+    K = np.atleast_1d(strike)
+    out = np.empty(K.shape)
+    zero = K == 0.0
+    out[zero] = discount * forward
+    live = ~zero
+    if np.any(live):
+        cfp = cf_params()
+        sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
+                                + cfp.gamma_int / cfp.horizon))
+        out[live] = carr_madan_cv(lambda z: heston_cf(z, cfp), forward,
+                                  K[live], cfp.horizon, discount, sigma_b,
+                                  quad)
+    return float(out[0]) if scalar else out
+
+
 def caplet_price(j: int, strike, tenor, curve, params, fact=None,
                  quad: QuadratureConfig = DEFAULT_QUAD, libors=None):
     """Caplet on L_j: delta_j B_{j+1}(0) E (L_j(T_j) - K)^+ via Fourier.
@@ -273,33 +206,18 @@ def caplet_price(j: int, strike, tenor, curve, params, fact=None,
     Displacement shifts both forward and strike; K + alpha_j = 0 prices by
     zero-strike parity, K + alpha_j < 0 is rejected.
     """
-    from .market_data import strip_libors
     if fact is None:
         fact = build_factorization(params, tenor)
     if libors is None:
         libors = strip_libors(curve, tenor)
-    K = np.asarray(strike, dtype=float)
-    scalar = K.ndim == 0
-    K = np.atleast_1d(K)
-    delta = tenor.accruals()
-    disp_f = float(libors[j] + params.alpha[j])
-    disp_k = K + params.alpha[j]
+    disp_k = np.asarray(strike, dtype=float) + params.alpha[j]
     if np.any(disp_k < 0.0):
         raise StrikeError(
             f"strike plus displacement is negative for expiry {j}")
-    discount = float(delta[j] * curve.bonds[j + 1])
-    out = np.empty(K.shape)
-    zero = disp_k == 0.0
-    out[zero] = discount * disp_f  # parity: the call is exercised surely
-    live = ~zero
-    if np.any(live):
-        cfp = caplet_cf_params(j, params, fact, tenor, libors)
-        sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
-                                + cfp.gamma_int / cfp.horizon))
-        out[live] = carr_madan_cv(lambda z: heston_cf(z, cfp), disp_f,
-                                  disp_k[live], cfp.horizon, discount,
-                                  sigma_b, quad)
-    return float(out[0]) if scalar else out
+    discount = float(tenor.accruals()[j] * curve.bonds[j + 1])
+    return _fourier_price(
+        lambda: caplet_cf_params(j, params, fact, tenor, libors),
+        float(libors[j] + params.alpha[j]), disp_k, discount, quad)
 
 
 def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
@@ -309,29 +227,17 @@ def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
     No displacement applies to the swap rate; K = 0 prices by parity to
     B_p(0) - B_q(0).
     """
-    from .market_data import strip_libors
     if fact is None:
         fact = build_factorization(params, tenor)
     if libors is None:
         libors = strip_libors(curve, tenor)
     K = np.asarray(strike, dtype=float)
-    scalar = K.ndim == 0
-    K = np.atleast_1d(K)
     if np.any(K < 0.0):
         raise StrikeError("negative swaption strikes are not supported")
     ctx = swap_context(p, q, curve, tenor)
-    out = np.empty(K.shape)
-    zero = K == 0.0
-    out[zero] = float(curve.bonds[p] - curve.bonds[q])
-    live = ~zero
-    if np.any(live):
-        cfp = swaption_cf_params(p, q, params, fact, tenor, curve, libors)
-        sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
-                                + cfp.gamma_int / cfp.horizon))
-        out[live] = carr_madan_cv(lambda z: heston_cf(z, cfp),
-                                  ctx.swap_rate, K[live], cfp.horizon,
-                                  ctx.annuity, sigma_b, quad)
-    return float(out[0]) if scalar else out
+    return _fourier_price(
+        lambda: swaption_cf_params(p, q, params, fact, tenor, curve, libors),
+        ctx.swap_rate, K, ctx.annuity, quad)
 
 
 def implied_vol(target_price: float, forward: float, strike: float,

@@ -16,8 +16,8 @@ import pytest
 from svlibor.affine import effective_caplet_params, swap_effective_params
 from svlibor.calibrate import CalibrationOptions, calibrate_all, calibrate_maturity
 from svlibor.charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
-from svlibor.fourier import (QuadratureConfig, black76, caplet_price,
-                             carr_madan_cv, swaption_price)
+from svlibor.fourier import (DEFAULT_QUAD, QuadratureConfig, black76,
+                             caplet_price, carr_madan_cv, swaption_price)
 from svlibor.market_data import CapletPanel, swap_context
 from svlibor.model import build_factorization, build_loadings
 from svlibor.montecarlo import (MCConfig, deflated_bond_means, mc_caplets,
@@ -102,9 +102,9 @@ def swaption_runs(tenor, curve, swap_market, libors):
                                    fact, cfg)[(p, q)]
     true = mc_swaptions({leg: STRIKES for leg in LEGS}, tenor, curve, params,
                         fact, MCConfig(**MC))
-    fourier = {(p, q): np.array([swaption_price(p, q, k, tenor, curve,
-                                                params, fact, libors=libors)
-                                 for k in STRIKES]) for (p, q) in LEGS}
+    fourier = {(p, q): swaption_price(p, q, STRIKES, tenor, curve, params,
+                                      fact, libors=libors)
+               for (p, q) in LEGS}
     return {"sub": sub, "true": true, "fourier": fourier,
             "elapsed": time.perf_counter() - t0}
 
@@ -358,18 +358,17 @@ class TestCriterion6Calibration:
 class TestCriterion7Quadrature:
     def test_7a_node_and_truncation_stability(self, tenor, curve, params,
                                               fact, libors, swap_market):
-        base = QuadratureConfig(z_max=400.0, n=128)
-        nodes2 = QuadratureConfig(z_max=400.0, n=256)
-        zmax2 = QuadratureConfig(z_max=800.0, n=128)
+        base = DEFAULT_QUAD
+        nodes2 = QuadratureConfig(z_max=base.z_max, n=2 * base.n)
+        zmax2 = QuadratureConfig(z_max=2.0 * base.z_max, n=base.n)
         sw_params, sw_fact = swap_market
 
         def price_all(quad):
             out = [caplet_price(j, STRIKES, tenor, curve, params, fact, quad,
                                 libors) for j in CAPLET_EXPIRIES]
-            out += [[swaption_price(p, q, k, tenor, curve, sw_params,
-                                    sw_fact, quad, libors) for k in STRIKES]
-                    for (p, q) in LEGS]
-            return np.concatenate([np.asarray(row) for row in out])
+            out += [swaption_price(p, q, STRIKES, tenor, curve, sw_params,
+                                   sw_fact, quad, libors) for (p, q) in LEGS]
+            return np.concatenate(out)
 
         ref = price_all(base)
         shift_n = np.max(np.abs(price_all(nodes2) - ref))

@@ -19,7 +19,7 @@ from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.errors import InvariantError, SvLiborError
-from svlibor.fourier import DEFAULT_QUAD, QuadratureConfig, caplet_price
+from svlibor.fourier import DEFAULT_QUAD, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, build_loadings, factorize_vols
@@ -89,8 +89,9 @@ class TestObjective:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_pricing_hits_penalty(self, tenor, curve, params,
                                          loadings, libors):
-        # The default rule prices this candidate to inf/nan and raises a
-        # QuadratureError; any typed pricing error must score PENALTY.
+        # heston_cf returns nan on this candidate's contour and the pricer
+        # raises a QuadratureError; any typed pricing error must score
+        # PENALTY.
         j = 17
         strikes = np.linspace(0.6, 1.6, 7) * libors[j]
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
@@ -101,9 +102,9 @@ class TestObjective:
 
 
 class TestObjectiveQuadrature:
-    # The objective prices with the static graded rule; it must agree with
-    # a tight adaptive reference anywhere in the search box, not just near
-    # the fixture parameters.
+    # The objective prices with the static graded rule at 768 nodes; it must
+    # agree with a tight adaptive reference anywhere in the search box, not
+    # just near the fixture parameters.
     @given(j=st.integers(1, 19),
            beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
            eps=st.floats(*BOUNDS[2]), rho=st.floats(*BOUNDS[3]))
@@ -120,12 +121,12 @@ class TestObjectiveQuadrature:
                                   eps=eps, rho=rho)
         fact = factorize_vols(work, loadings)
         strikes = libors[j] * np.linspace(0.6, 1.6, 7)
-        reference = QuadratureConfig(tol=1e-12)
+        tol = 1e-12
         # Where heston_cf loses its normalization the reference raises or
         # overflows to inf/nan; that defect is tracked on its own.
         try:
-            ref = caplet_price(j, strikes, tenor, curve, work, fact,
-                               reference, libors)
+            ref = oracles.adaptive_caplet_price(j, strikes, tenor, curve,
+                                                work, fact, libors, tol)
         except SvLiborError:
             assume(False)
         assume(np.all(np.isfinite(ref)))
@@ -135,7 +136,7 @@ class TestObjectiveQuadrature:
         # its prices are exact only to D F tol / pi; deep out-of-the-money
         # prices below that carry no relative accuracy to compare against.
         discount = tenor.accruals()[j] * curve.bonds[j + 1]
-        floor = discount * (libors[j] + work.alpha[j]) * reference.tol / np.pi
+        floor = discount * (libors[j] + work.alpha[j]) * tol / np.pi
         np.testing.assert_allclose(static, ref, rtol=1e-8, atol=floor)
 
 

@@ -65,6 +65,26 @@ class TestPriceCaplet:
                                                                 rel=1e-12)
             assert row["mc_price"] == "" and row["mc_se"] == ""
 
+    def test_fourier_column_equals_library_vector(self, tmp_path,
+                                                  fixtures_dir, tenor, curve,
+                                                  params, libors):
+        # The strike list is priced in one vectorized call; the CSV column
+        # round-trips that vector exactly.
+        strikes = [0.002, 0.01, 0.0175, 0.02, 0.045]
+        fact = build_factorization(params, tenor)
+        expected = caplet_price(11, np.array(strikes), tenor, curve, params,
+                                fact, libors=libors)
+        out = tmp_path / "caplet.csv"
+        rc = main(["price-caplet",
+                   "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--j", "11", "--strikes", ",".join(map(str, strikes)),
+                   "--no-mc", "--out", str(out)])
+        assert rc == 0
+        got = [float(row["fourier_price"])
+               for row in csv.DictReader(out.open())]
+        np.testing.assert_array_equal(got, expected)
+
     def test_dump_effective(self, tmp_path, fixtures_dir):
         out = tmp_path / "eff.json"
         rc = main(["price-caplet",
@@ -112,10 +132,10 @@ class TestPriceSwaption:
             float(curve.bonds[2] - curve.bonds[10]), abs=1e-9)
         swapped = dataclasses.replace(params, corr_decay=0.0553)
         fact = build_factorization(swapped, tenor)
-        expected = swaption_price(2, 10, 0.015, tenor, curve, swapped, fact,
-                                  libors=libors)
-        assert float(rows[1]["fourier_price"]) == pytest.approx(expected,
-                                                                rel=1e-12)
+        expected = swaption_price(2, 10, np.array([0.0, 0.015]), tenor, curve,
+                                  swapped, fact, libors=libors)
+        got = [float(row["fourier_price"]) for row in rows]
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestMcPrice:
@@ -185,7 +205,7 @@ class TestCalibrate:
     def test_uses_calibration_options_and_emits_diagnostics(self, tmp_path,
                                                              monkeypatch):
         # The subcommand must price candidates with the calibration rule,
-        # not with the pricing commands' quadrature flags.
+        # not with the pricing commands' default rule.
         import svlibor.cli
         from svlibor.calibrate import CalibrationOptions
         seen = []

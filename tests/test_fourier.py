@@ -7,6 +7,8 @@ here; published table values appear only as loose spot checks because the
 frozen-drift approximation carries its own bias.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,15 +75,16 @@ def test_cv_rejects_non_martingale_cf():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_price_raises(tenor, curve, params, libors):
-    # Strong positive vol-rate correlation at a long expiry overflows the
-    # integrand of the default rule; the pricer must raise, not return
-    # inf/nan.
-    j = 17
-    work = params.with_expiry(j, beta_norm=1.82, kappa=4.48, eps=5.74,
-                              rho=0.876)
-    strikes = np.linspace(0.6, 1.6, 7) * libors[j]
-    with pytest.raises(QuadratureError, match="non-finite"):
-        caplet_price(j, strikes, tenor, curve, work, libors=libors)
+    # Strong positive vol-rate correlation at a long expiry makes heston_cf
+    # return nan on the contour (phi(-i) included); the pricer must raise,
+    # not price the finite remainder.
+    for j, (beta_norm, kappa, eps, rho) in ((17, (1.82, 4.48, 5.74, 0.876)),
+                                            (19, (1.0, 0.001, 10.0, 0.999))):
+        work = params.with_expiry(j, beta_norm=beta_norm, kappa=kappa,
+                                  eps=eps, rho=rho)
+        strikes = np.linspace(0.6, 1.6, 7) * libors[j]
+        with pytest.raises(QuadratureError, match="non-finite"):
+            caplet_price(j, strikes, tenor, curve, work, libors=libors)
 
 
 def test_caplet_zero_strike_parity(tenor, curve, params, fact, libors):
@@ -152,37 +155,33 @@ def test_swaption_monotone_in_strike(tenor, curve, params, fact):
     assert np.all(prices > 0.0)
 
 
-def test_fft_mode_matches_adaptive(tenor, curve, params, fact, libors):
-    # n = 4096 so the log-strike grid covers the quoted moneyness range.
-    strikes = np.array([0.01, float(libors[5]), 0.04])
-    adaptive = caplet_price(5, strikes, tenor, curve, params, fact,
-                            QuadratureConfig(kind="adaptive"))
-    fft = caplet_price(5, strikes, tenor, curve, params, fact,
-                       QuadratureConfig(kind="fft", n=4096))
-    assert np.max(np.abs(adaptive - fft)) <= 1e-8
-
-    sa = swaption_price(2, 10, 0.025, tenor, curve, params, fact,
-                        QuadratureConfig(kind="adaptive"))
-    sf = swaption_price(2, 10, 0.025, tenor, curve, params, fact,
-                        QuadratureConfig(kind="fft", n=4096))
-    assert abs(sa - sf) <= 1e-8
-
-
-def test_fft_rejects_moneyness_outside_grid(tenor, curve, params, fact):
-    # The short default grid only spans |log-moneyness| <= ~1.
-    with pytest.raises(QuadratureError, match="FFT"):
-        caplet_price(5, 0.0005, tenor, curve, params, fact,
-                     QuadratureConfig(kind="fft", n=128))
-
-
-def test_fixed_rule_runs(tenor, curve, params, fact):
-    # The fixed rule is the static graded grid the calibration objective
-    # prices with; its box-wide accuracy is pinned in test_calibrate.py,
-    # this only checks the mode runs and lands near the adaptive price.
-    fixed = caplet_price(5, 0.02, tenor, curve, params, fact,
-                         QuadratureConfig(kind="fixed", n=512))
-    adaptive = caplet_price(5, 0.02, tenor, curve, params, fact)
-    assert fixed == pytest.approx(adaptive, abs=5e-6)
+def test_default_rule_matches_adaptive_on_wide_strikes(tenor, curve, params,
+                                                       fact, libors):
+    # Every caplet expiry and the four acceptance swaption legs (decay
+    # 0.0553), on the acceptance strikes plus two draws in each 0.005-wide
+    # gap of [0, 0.06], so log-moneyness reaches -2.8 at j = 1.  The default
+    # rule must match the adaptive reference to 1e-9 and stay decreasing
+    # and convex in strike; 768 nodes miss both near K = 0.002 at j = 1.
+    rng = np.random.default_rng(1)
+    drawn = 0.005 * (np.tile(np.arange(12), 2) + rng.uniform(0.2, 0.8, 24))
+    strikes = np.sort(np.concatenate([0.005 * np.arange(1, 7), drawn]))
+    swapped = dataclasses.replace(params, corr_decay=0.0553)
+    sw_fact = build_factorization(swapped, tenor)
+    rows = [(caplet_price(j, strikes, tenor, curve, params, fact,
+                          libors=libors),
+             oracles.adaptive_caplet_price(j, strikes, tenor, curve, params,
+                                           fact, libors))
+            for j in range(1, tenor.n)]
+    rows += [(swaption_price(p, q, strikes, tenor, curve, swapped, sw_fact,
+                             libors=libors),
+              oracles.adaptive_swaption_price(p, q, strikes, tenor, curve,
+                                              swapped, sw_fact, libors))
+             for p, q in ((2, 10), (4, 10), (4, 20), (10, 20))]
+    for prices, reference in rows:
+        np.testing.assert_allclose(prices, reference, rtol=0, atol=1e-9)
+        slopes = np.diff(prices) / np.diff(strikes)
+        assert np.all(slopes <= 1e-8)
+        assert np.all(np.diff(slopes) >= -1e-8)
 
 
 def test_quadrature_config_validation():
@@ -190,8 +189,8 @@ def test_quadrature_config_validation():
         QuadratureConfig(z_max=0.0)
     with pytest.raises(InvariantError, match="n"):
         QuadratureConfig(n=16)
-    with pytest.raises(InvariantError, match="kind"):
-        QuadratureConfig(kind="simpson")
+    with pytest.raises(InvariantError, match="multiple of 16"):
+        QuadratureConfig(n=1000)
 
 
 def test_implied_vol_round_trip():
