@@ -183,7 +183,10 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     One trust-region reflective least-squares solve inside ``BOUNDS``,
     started from ``warm_start`` (the neighbouring maturity's fit) or from
     ``START``; starting next to the neighbour keeps parameters from hopping
-    along the price-equivalent (kappa, eps) ridge between maturities.
+    along the price-equivalent (kappa, eps) ridge between maturities.  When
+    every eval of the warm-started solve scores PENALTY, the fit is solved
+    again from ``START``; ``iterations`` and ``max_evals`` count both
+    solves, and ``note`` says so.
     """
     if panel.expiry != j:
         raise InvariantError("expiry", f"panel is for {panel.expiry}, not {j}")
@@ -210,23 +213,35 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
             best = (cost, x.copy(), r)
         return r
 
-    start = START if warm_start is None else warm_start
-    try:
-        res = least_squares(fun, np.clip(start, lower, upper),
-                            bounds=(lower, upper), method="trf",
-                            x_scale="jac", max_nfev=options.max_evals)
-        x, r, status, message = res.x, res.fun, res.status, res.message
-    except _BudgetSpent:
-        _, x, r = best
-        status = 0
-        message = f"objective-eval budget of {options.max_evals} spent"
+    def solve(start):
+        try:
+            res = least_squares(fun, np.clip(start, lower, upper),
+                                bounds=(lower, upper), method="trf",
+                                x_scale="jac", max_nfev=options.max_evals)
+            return res.x, res.fun, res.status, res.message
+        except _BudgetSpent:
+            _, x, r = best
+            return (x, r, 0,
+                    f"objective-eval budget of {options.max_evals} spent")
+
+    x, r, status, message = solve(START if warm_start is None else warm_start)
+    # A warm start the pricer rejects leaves a zero finite-difference
+    # Jacobian, so the solve stops where it began; start once more from
+    # START, within the same eval budget.
+    fallback = ""
+    if (warm_start is not None and penalties == evals
+            and evals < options.max_evals):
+        fallback = (f"warm start scored PENALTY at all {evals} evals; "
+                    "re-solved from START")
+        x, r, status, message = solve(START)
     value = float(np.mean(np.abs(r)))
+    note = "; ".join(n for n in (_boundary_note(x), fallback) if n)
     return MaturityFit(expiry=j, beta_norm=float(x[0]), kappa=float(x[1]),
                        eps=float(x[2]), rho=float(x[3]), objective=value,
                        iterations=evals,
                        converged=status > 0 and value < PENALTY,
-                       note=_boundary_note(x), status=int(status),
-                       message=message, penalties=penalties)
+                       note=note, status=int(status), message=message,
+                       penalties=penalties)
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,

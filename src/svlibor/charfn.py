@@ -10,21 +10,25 @@ psi = iz + z^2,
 
     a = kappa* - i z (sigma . beta),
     d = sqrt( a^2 + |beta|^2 psi eps^2 )          (principal branch),
-    B = -|beta|^2 psi phi1 / ( a phi1 + (1 + e^{-dT})/2 ),
-    A = (kappa* theta* / eps^2) * ( (a-d) T - 2 ln(1 + (a-d) phi1) ),
+    B = -|beta|^2 psi phi1 / g,
+    A = (kappa* theta* / eps^2) * ( (a-d) T - 2 ln g ),
 
-    phi1 = (1 - e^{-dT}) / (2d).
+    phi1 = (1 - e^{-dT}) / (2d),
+    g = 1 + (a-d) phi1 = ( (a+d) - (a-d) e^{-dT} ) / (2d).
 
 This is the algebraic rearrangement of the textbook (a+d)/(a-d) form that
 keeps every exponential argument non-positive in real part (|e^{-dT}| <= 1
 since Re d >= 0 on the principal branch), so no overflow occurs for any z
 on the pricing contour, and the complex logarithm stays on its principal
-branch without rotation counting.  Two further substitutions keep the
-evaluation stable where naive arithmetic cancels: a - d is computed as
--|beta|^2 psi eps^2 / (a + d), and the logarithm via a log1p series, so
-that A (which carries a 1/eps^2 prefactor) stays accurate down to the
-deterministic-variance limit; phi1 switches to its Taylor series as
-dT -> 0, which removes the d = 0 removable singularity.
+branch without rotation counting.  Further substitutions keep the
+evaluation stable where naive arithmetic cancels (Lord & Kahl 2010): the
+smaller of a + d and a - d comes from (a + d)(a - d) = -|beta|^2 psi eps^2;
+ln g is taken from real parts, as log1p of |g|^2 - 1 = 2 Re w + |w|^2 with
+w = (a-d) phi1, so that A (which carries a 1/eps^2 prefactor) stays
+accurate down to the deterministic-variance limit; where 1 + w cancels
+towards 0 (Re a < 0, strong positive vol-rate correlation) g comes from
+the quotient form instead; phi1 switches to its Taylor series as dT -> 0,
+which removes the d = 0 removable singularity.
 
 The same formula serves caplets (measure-changed parameters of expiry j)
 and swaptions (annuity-averaged parameters of the leg [p, q]); only the
@@ -33,6 +37,7 @@ parameter bundle differs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,7 @@ from .market_data import swap_context
 __all__ = [
     "CharFnParams",
     "heston_cf",
+    "explosion_margin",
     "black_cf",
     "caplet_cf_params",
     "swaption_cf_params",
@@ -102,6 +108,10 @@ def _deterministic_cf(z: np.ndarray, p: CharFnParams) -> np.ndarray:
     return np.exp(-0.5 * psi * total_var)
 
 
+def _abs_sq(x: np.ndarray) -> np.ndarray:
+    return x.real * x.real + x.imag * x.imag
+
+
 def heston_cf(z, p: CharFnParams):
     """Characteristic function E exp(izx) of the affine log-return.
 
@@ -123,34 +133,57 @@ def heston_cf(z, p: CharFnParams):
     dT = d * T
     E = np.exp(-dT)
 
-    # a - d without cancellation: (a - d)(a + d) = -|beta|^2 psi eps^2.
-    # The guarded branches below are rare, so each is patched in only
-    # where its mask holds instead of being evaluated over every node.
+    # a + d and a - d: the larger in modulus is formed directly, the other
+    # from (a + d)(a - d) = -|beta|^2 psi eps^2 without cancellation.  The
+    # guarded branches below are rare, so each is patched in only where its
+    # mask holds instead of being evaluated over every node.
     apd = a + d
-    tiny = np.abs(apd) < 1e-12 * (np.abs(a) + np.abs(d) + 1.0)
-    amd = -w_sq / np.where(tiny, 1.0, apd)
-    if tiny.any():
-        amd[tiny] = a[tiny] - d[tiny]
+    amd = a - d
+    flip = _abs_sq(apd) <= _abs_sq(amd)  # Re a < 0, or a = d = 0
+    direct = amd[flip]
+    amd = -w_sq / np.where(flip, 1.0, apd)
+    if flip.any():
+        amd[flip] = direct
+        apd[flip] = -w_sq[flip] / np.where(direct == 0.0, 1.0, direct)
 
     # phi1 = (1 - e^{-dT}) / (2d), Taylor past the d = 0 singularity.
-    small = np.abs(dT) < 1e-5
+    small = _abs_sq(dT) < 1e-10
     phi1 = (1.0 - E) / np.where(small, 1.0, 2.0 * dT / T)
     if small.any():
         ds = dT[small]
         phi1[small] = (T / 2.0) * (1.0 - ds / 2.0 + ds * ds / 6.0)
 
-    # ln(1 + w) accurate for the |w| ~ eps^2 regime hit as eps -> 0.
+    # g = 1 + w, also B's denominator.  log1p keeps ln g accurate in the
+    # |w| ~ eps^2 regime hit as eps -> 0; where 1 + w cancels towards 0
+    # (Re a < 0) g comes from the quotient form instead.
     w = amd * phi1
-    w_small = np.abs(w) < 1e-4
-    log_term = np.log(1.0 + np.where(w_small, 0.0, w))
-    if w_small.any():
-        ws = w[w_small]
-        log_term[w_small] = ws * (1.0 - ws * (0.5 - ws / 3.0))
+    g = 1.0 + w
+    near = _abs_sq(g) < 0.25
+    log_abs = 0.5 * np.log1p(np.where(near, 0.0, 2.0 * w.real + _abs_sq(w)))
+    if near.any():
+        g[near] = (apd[near] - amd[near] * E[near]) / (2.0 * d[near])
+        log_abs[near] = np.log(np.abs(g[near]))
+    log_g = log_abs + 1j * np.arctan2(g.imag, g.real)
 
-    B = -p.beta_sq * psi * phi1 / (a * phi1 + (1.0 + E) / 2.0)
-    A = (p.kappa_star * p.theta_star / p.eps ** 2) * (amd * T - 2.0 * log_term)
+    B = -p.beta_sq * psi * phi1 / g
+    A = (p.kappa_star * p.theta_star / p.eps ** 2) * (amd * T - 2.0 * log_g)
     out = np.exp(A + B * p.v0 - 0.5 * psi * p.gamma_int)
     return out[0] if scalar else out
+
+
+def explosion_margin(p: CharFnParams) -> float:
+    """Width of the strip below the pricing contour where phi is analytic.
+
+    phi(z - i) is the characteristic function under the share measure.
+    When its variance reversion a = kappa* - sigma.beta is negative, the
+    moment E exp((1 + delta) x) explodes by T once delta exceeds about
+    4 a^2 e^{aT} / (|beta|^2 eps^2) (Andersen & Piterbarg 2007), and
+    phi(z - i) varies on that scale near z = 0.  Returns inf for a >= 0.
+    """
+    a = p.kappa_star - p.sigma_beta
+    if a >= 0.0:
+        return float("inf")
+    return 4.0 * a * a * math.exp(a * p.horizon) / (p.beta_sq * p.eps ** 2)
 
 
 def black_cf(z, sigma_b: float, horizon: float):

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
+from .charfn import (black_cf, caplet_cf_params, explosion_margin, heston_cf,
+                     swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
 from .market_data import strip_libors, swap_context
 from .model import build_factorization
@@ -43,10 +44,10 @@ class QuadratureConfig:
     """Graded static half-line quadrature on [0, z_max].
 
     Composite 16-point Gauss-Legendre on n / 16 panels: the first is
-    [0, 1e-4], the next ones are geometric up to z_max / 10 and the last
-    3/8 are uniform on [z_max / 10, z_max].  All n nodes go through one
-    characteristic-function call, and the prices are smooth functions of
-    the model parameters.  The default (1536 nodes) holds wide strikes to
+    [0, INNER_PANEL], the next ones are geometric up to z_max / 10 and
+    the last 3/8 are uniform on [z_max / 10, z_max].  All n nodes go
+    through one characteristic-function call, and the prices are smooth
+    functions of the model parameters.  The default (1536 nodes) holds wide strikes to
     1e-9; the calibration objective uses 768 (``CalibrationOptions.quad``).
     """
 
@@ -63,6 +64,9 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
+# Width of the graded rule's first panel [0, INNER_PANEL].  A characteristic
+# function that varies on a scale under half of it near z = 0 is refused.
+INNER_PANEL = 1e-4
 
 _GRADED_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -128,7 +132,8 @@ def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         uniform = panels * 3 // 8
         knee = z_max / 10.0
         edges = np.concatenate([[0.0],
-                                np.geomspace(1e-4, knee, panels - uniform),
+                                np.geomspace(INNER_PANEL, knee,
+                                             panels - uniform),
                                 np.linspace(knee, z_max, uniform + 1)[1:]])
         half = np.diff(edges) / 2.0
         centers = (edges[:-1] + edges[1:]) / 2.0
@@ -181,7 +186,9 @@ def _fourier_price(cf_params, forward: float, strike: np.ndarray,
 
     ``cf_params`` builds the CharFnParams; it is called only when a strike
     is positive.  A zero strike prices by parity (the call is exercised
-    surely): discount * forward.
+    surely): discount * forward.  Raises QuadratureError when the
+    characteristic function's explosion margin is too narrow for the
+    rule's first panel to resolve.
     """
     scalar = strike.ndim == 0
     K = np.atleast_1d(strike)
@@ -191,6 +198,11 @@ def _fourier_price(cf_params, forward: float, strike: np.ndarray,
     live = ~zero
     if np.any(live):
         cfp = cf_params()
+        margin = explosion_margin(cfp)
+        if margin < INNER_PANEL / 2.0:
+            raise QuadratureError(
+                f"moment explosion margin {margin:.3g} is below half the "
+                f"first quadrature panel ({INNER_PANEL:g})")
         sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
                                 + cfp.gamma_int / cfp.horizon))
         out[live] = carr_madan_cv(lambda z: heston_cf(z, cfp), forward,

@@ -12,19 +12,32 @@ keyed by the seed with the path index in the counter's high bits, so every
 path owns a fixed stream regardless of how paths are grouped into blocks
 or threads.  A block builds one generator and resets its counter for each
 path, and lays the block's normals out step-major, (steps, paths, dim), so
-each step reads one contiguous slice.  Blocks have a fixed size and are
-reduced in index order, which makes results bitwise identical across
-thread counts.
+each step reads one contiguous slice.  Blocks have a fixed size, BLOCK =
+1024 paths, and are reduced in index order, which makes results bitwise
+identical across thread counts.  A worker thread holds one block's normals,
+steps * 1024 * dim * 8 bytes: 26 MB for 152 steps and dim = 21.  Results
+also do not depend on the block size, bitwise, when the path count is a
+multiple of 8 (the kernel width measured with OpenBLAS on x86-64);
+otherwise the BLAS edge kernel that serves a block's ragged last paths may
+round their last bit differently.
 
 Each step is a few BLAS products and in-place elementwise updates on a
 (rows, paths) state: one product of the step's normals with the stacked
 loadings [beta; sigma | sigbar; gamma] gives every noise term, and one
 with the strictly upper coupling matrix G_jk = beta_j . beta_k (k > j)
-gives the drift sums.
+gives the drift sums.  Only live rows are stepped.  Between two tenor
+dates (a segment) the unfixed Libors X_j0..X_{n-1} are a suffix of the
+rows; a fixed Libor keeps its value.  Of the variances, the pricers step
+only the rows a live Libor reads (one row under caplet substitution), and
+``simulate``, which reports variances, steps every row it reports.  The
+row slices of the state, loadings and couplings are taken once per
+segment; each step scales them by its own dt.
 
 Substitution modes reproduce the single-variance comparison models:
 "caplet-j" drives every Libor with v_j; "swap-pq" drives the Libors of the
 leg [p, q-1] with one averaged variance process and leaves the rest alone.
+Variance rows no Libor reads are dropped, and the rest are ordered as the
+Libors read them, so the rows live Libors read are always a suffix too.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ __all__ = [
 ]
 
 # Fixed so the path-to-block assignment never depends on the thread count.
-BLOCK = 4096
+BLOCK = 1024
 CHUNK = 16  # paths drawn before each copy into a block's step-major normals
 
 
@@ -99,9 +112,14 @@ class MCResult:
 
 
 class _Precomp:
-    """Constant arrays shared by all path blocks of one simulation."""
+    """Constant arrays shared by all path blocks of one simulation.
 
-    def __init__(self, tenor, curve, params, fact, horizon: float, cfg: MCConfig):
+    ``variance`` says whether snapshots report the variances; without it
+    only the variance rows that a live Libor reads are stepped.
+    """
+
+    def __init__(self, tenor, curve, params, fact, horizon: float,
+                 cfg: MCConfig, variance: bool = False):
         n = tenor.n
         if params.n != n:
             raise InvariantError("params", "parameter set and tenor disagree on n")
@@ -111,6 +129,7 @@ class _Precomp:
         self.m = fact.m
         self.mh = params.m_hat
         self.dim = self.m + self.mh + 1
+        self.variance = variance
 
         # Neutralize the padding slot so it contributes nothing anywhere.
         def clean(a):
@@ -127,14 +146,14 @@ class _Precomp:
         thet = clean(params.theta)
         sig = fact.sigma
         sigbar = clean(fact.sigma_bar)
-        # vmap[j]: variance row driving X_j; None when that is row j.
-        self.vmap = None
+        # vmap[j]: variance row driving X_j, row j unless substituted.
+        vmap = np.arange(n)
         sub = cfg.substitution
         if sub is not None and sub[0] == "caplet":
             j = int(sub[1])
             if not (1 <= j <= n - 1):
                 raise IndexError(f"substitution expiry {j} outside 1..{n - 1}")
-            self.vmap = np.full(n, j)
+            vmap[:] = j
         elif sub is not None and sub[0] == "swap":
             p, q = int(sub[1]), int(sub[2])
             ctx = swap_context(p, q, curve, tenor)
@@ -143,30 +162,32 @@ class _Precomp:
             thet = np.append(thet, t_pq)
             sig = np.vstack([sig, s_pq])
             sigbar = np.append(sigbar, sb_pq)
-            self.vmap = np.arange(n)
-            self.vmap[p:q] = n  # the appended shared row
-        self.nv = nv = kap.size
+            vmap[p:q] = n  # the appended shared row
+        v0 = thet.copy()
+        v0[0] = 0.0
+        # Keep only the variance rows some Libor reads, in the order the
+        # Libors read them: vmap becomes non-decreasing, so the rows read
+        # by the live Libors j0..n-1 are always a suffix of the rows.
+        first_read = np.concatenate([[True], np.diff(vmap) != 0])
+        keep = vmap[first_read]
+        self.vmap = np.cumsum(first_read) - 1
+        kap, thet, v0 = kap[keep], thet[keep], v0[keep]
+        sig, sigbar = sig[keep], sigbar[keep]
+        self.nv = nv = keep.size
 
         libors = strip_libors(curve, tenor)
         x0 = np.zeros(n)
         x0[1:] = np.log(libors[1:n] + self.alpha[1:])
         self.x0 = x0
-        v0 = thet.copy()
-        v0[0] = 0.0
         self.v0 = v0
 
         self.grid = _time_grid(tenor, horizon, cfg.steps_per_year)
         self.dt = np.diff(self.grid)
+        self.sqrt_dt = np.sqrt(self.dt)
         self.n_steps = self.dt.size
-        # alive[s, j]: X_j still updates on the step starting at grid[s].
-        dates = np.concatenate([[np.inf], tenor.dates[1:n]])
-        alive = dates[None, :] > self.grid[:-1, None] + 1e-12
-        alive[:, 0] = False
 
         # Step coefficients as (rows, 1) columns over the (rows, paths)
-        # state.  drift_dt is -dt while X_j is alive and 0 once it fixed.
-        dt = self.dt[:, None, None]
-        self.drift_dt = -dt * alive[:, :, None]
+        # state, scaled by the step's dt inside the step loop.
         self.half_beta_sq = (0.5 * beta_norm ** 2)[:, None]
         self.half_gam_sq = 0.5 * np.einsum("jf,jf->j", gamma, gamma)[:, None]
         # Strictly upper couplings: row j sums only over k > j.
@@ -177,7 +198,7 @@ class _Precomp:
         self.delta_col = self.delta[:, None]
         self.one_minus_da = (1.0 - self.delta * self.alpha)[:, None]
         self.theta_v = thet[:, None]
-        self.kappa_dt = dt * kap[:, None]
+        self.kappa_dt = self.dt[:, None, None] * kap[:, None]
         # One product load @ Z gives every noise term of a step: rows
         # [0, n) beta_j.dW, [n, n + nv) sigma_i.dW + sigbar_i dWbar and,
         # when m_hat > 0, [n + nv, 2n + nv) gamma_j.dWhat.
@@ -188,12 +209,45 @@ class _Precomp:
         if self.mh:
             load[n + nv:, self.m:-1] = gamma
         self.load = load
-        # Each row's noise scale: sqrt(dt), zero for a fixed Libor.
-        sqdt = np.sqrt(dt)
-        libor_sqdt = sqdt * alive[:, :, None]
-        self.noise_dt = np.concatenate(
-            [libor_sqdt, np.repeat(sqdt, nv, axis=1)]
-            + ([libor_sqdt] if self.mh else []), axis=1)
+
+        # X_j updates on the step starting at grid[s] while T_j > grid[s],
+        # so the live Libors are j0(s)..n-1; steps with one j0 form a
+        # segment.
+        j0 = 1 + np.searchsorted(tenor.dates[1:n], self.grid[:-1] + 1e-12,
+                                 side="right")
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(j0)) + 1,
+                               [self.n_steps]])
+        self.segments = [_Segment(self, int(j0[s0]), range(s0, s1))
+                         for s0, s1 in zip(cuts[:-1], cuts[1:])]
+
+
+class _Segment:
+    """The steps between two fixings and the state rows they update.
+
+    Libor rows j0..n-1 are live; a fixed Libor keeps its value, so its row
+    is not stepped.  Variance rows vlo..nv-1 are stepped: the rows the live
+    Libors read, or every row when snapshots report the variances.
+    ``vsel`` picks each live Libor's variance out of the stepped rows: a
+    slice (one shared row broadcasts) or, under swap substitution, an index
+    array.
+    """
+
+    def __init__(self, pre: _Precomp, j0: int, steps: range):
+        n, nv = pre.n, pre.nv
+        self.j0, self.steps = j0, steps
+        self.vlo = 0 if pre.variance else int(pre.vmap[j0])
+        reads = pre.vmap[j0:] - self.vlo
+        lo, hi = int(reads[0]), int(reads[-1]) + 1
+        if hi == lo + 1 or np.array_equal(reads, np.arange(lo, hi)):
+            self.vsel = slice(lo, hi)
+        else:
+            self.vsel = reads
+        rows = [np.arange(j0, n), np.arange(n + self.vlo, n + nv)]
+        if pre.mh:
+            rows.append(np.arange(n + nv + j0, 2 * n + nv))
+        self.load = pre.load[np.concatenate(rows)]
+        self.G = pre.G[j0:, j0:]
+        self.Ggam = pre.Ggam[j0:, j0:] if pre.mh else None
 
 
 def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
@@ -240,75 +294,83 @@ def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray
 
 
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
-                    record: dict[int, float],
-                    variance: bool = False) -> dict[float, tuple]:
+                    record: dict[int, float]) -> dict[float, tuple]:
     """Snapshots {t: (L, v_used)} of one path block; v_used is None unless
-    ``variance`` is set, because the pricers read only the Libors."""
+    ``pre.variance`` is set, because the pricers read only the Libors."""
     normals = _block_normals(p0, p1, pre, cfg)
     P = p1 - p0
     n, nv = pre.n, pre.nv
     # The state is (rows, paths) so that every elementwise operation runs
-    # over contiguous paths; work arrays are allocated once per block.
+    # over contiguous paths; work arrays are allocated once per block, and
+    # a segment uses their leading rows.
     X = np.repeat(pre.x0[:, None], P, axis=1)
     v = np.repeat(pre.v0[:, None], P, axis=1)
-    vplus, sqrt_v = np.empty((nv, P)), np.empty((nv, P))
-    c, work, dX = np.empty((n, P)), np.empty((n, P)), np.empty((n, P))
-    W = np.empty((pre.load.shape[0], P))
+    vplus_all, sqrt_v_all = np.empty((nv, P)), np.empty((nv, P))
+    c_all, work_all, dX_all = (np.empty((n, P)) for _ in range(3))
+    W_all = np.empty((pre.load.shape[0], P))
 
     def snapshot():
         L = np.ascontiguousarray((np.exp(X) - pre.alpha[:, None]).T)
-        if not variance:
+        if not pre.variance:
             return L, None
-        used = v if pre.vmap is None else v[pre.vmap]
-        return L, np.ascontiguousarray(used.T)
+        return L, np.ascontiguousarray(v[pre.vmap].T)
 
     snaps: dict[float, tuple] = {}
     if 0 in record:
         snaps[record[0]] = snapshot()
-    for s in range(pre.n_steps):
-        np.maximum(v, 0.0, out=vplus)
-        np.sqrt(vplus, out=sqrt_v)
-        if pre.vmap is None:
-            vsel, sqv = vplus, sqrt_v
-        else:
-            vsel, sqv = vplus[pre.vmap], sqrt_v[pre.vmap]
-        np.exp(X, out=c)
-        c *= pre.delta_col
-        np.add(pre.one_minus_da, c, out=work)
-        c /= work
-        np.matmul(pre.load * pre.noise_dt[s], normals[s].T, out=W)
+    for seg in pre.segments:
+        j0, vlo = seg.j0, seg.vlo
+        nl = n - j0
+        # Views of the live rows; slicing leading rows keeps them contiguous.
+        X_live, v_live = X[j0:], v[vlo:]
+        vplus, sqrt_v = vplus_all[:nv - vlo], sqrt_v_all[:nv - vlo]
+        c, work, dX = c_all[:nl], work_all[:nl], dX_all[:nl]
+        W = W_all[:seg.load.shape[0]]
+        delta_col, one_minus_da = pre.delta_col[j0:], pre.one_minus_da[j0:]
+        half_beta_sq, half_gam_sq = pre.half_beta_sq[j0:], pre.half_gam_sq[j0:]
+        theta_v = pre.theta_v[vlo:]
+        for s in seg.steps:
+            np.maximum(v_live, 0.0, out=vplus)
+            np.sqrt(vplus, out=sqrt_v)
+            vsel, sqv = vplus[seg.vsel], sqrt_v[seg.vsel]
+            np.exp(X_live, out=c)
+            c *= delta_col
+            np.add(one_minus_da, c, out=work)
+            c /= work
+            np.matmul(seg.load * pre.sqrt_dt[s], normals[s].T, out=W)
 
-        drift_dt = pre.drift_dt[s]
-        np.multiply(c, sqv, out=work)
-        np.matmul(pre.G * drift_dt, work, out=dX)
-        dX *= sqv
-        np.multiply(vsel, pre.half_beta_sq * drift_dt, out=work)
-        dX += work
-        noise = W[:n]
-        noise *= sqv
-        dX += noise
-        if pre.mh:
-            dX += pre.half_gam_sq * drift_dt
-            np.matmul(pre.Ggam * drift_dt, c, out=work)
+            drift_dt = -pre.dt[s]
+            np.multiply(c, sqv, out=work)
+            np.matmul(seg.G * drift_dt, work, out=dX)
+            dX *= sqv
+            np.multiply(vsel, half_beta_sq * drift_dt, out=work)
             dX += work
-            dX += W[n + nv:]
-        X += dX
+            noise = W[:nl]
+            noise *= sqv
+            dX += noise
+            if pre.mh:
+                dX += half_gam_sq * drift_dt
+                np.matmul(seg.Ggam * drift_dt, c, out=work)
+                dX += work
+                dX += W[-nl:]
+            X_live += dX
 
-        dv = np.subtract(pre.theta_v, vplus, out=vplus)  # v+ is not read again
-        dv *= pre.kappa_dt[s]
-        v_noise = W[n:n + nv]
-        v_noise *= sqrt_v
-        dv += v_noise
-        v += dv
+            dv = np.subtract(theta_v, vplus, out=vplus)  # v+ is not read again
+            dv *= pre.kappa_dt[s, vlo:]
+            v_noise = W[nl:nl + nv - vlo]
+            v_noise *= sqrt_v
+            dv += v_noise
+            v_live += dv
 
-        # Non-finite values stay non-finite, so checking only where the
-        # state is read still catches every overflow.
-        if s + 1 in record or s + 1 == pre.n_steps:
-            if not (np.isfinite(X).all() and np.isfinite(v).all()):
-                raise SimulationError(
-                    f"non-finite state by step {s + 1} (t = {pre.grid[s + 1]:.6g})")
-            if s + 1 in record:
-                snaps[record[s + 1]] = snapshot()
+            # Non-finite values stay non-finite, so checking only where the
+            # state is read still catches every overflow.
+            if s + 1 in record or s + 1 == pre.n_steps:
+                if not (np.isfinite(X).all() and np.isfinite(v).all()):
+                    raise SimulationError(
+                        f"non-finite state by step {s + 1} "
+                        f"(t = {pre.grid[s + 1]:.6g})")
+                if s + 1 in record:
+                    snaps[record[s + 1]] = snapshot()
     return snaps
 
 
@@ -322,18 +384,16 @@ def _record_map(pre: _Precomp, record_times) -> dict[int, float]:
     return record
 
 
-def _run_blocks(pre: _Precomp, cfg: MCConfig, record: dict[int, float],
-                variance: bool = False):
+def _run_blocks(pre: _Precomp, cfg: MCConfig, record: dict[int, float]):
     """Yield per-block snapshot dicts in fixed block order."""
     bounds = [(p0, min(p0 + BLOCK, cfg.paths))
               for p0 in range(0, cfg.paths, BLOCK)]
     if cfg.threads <= 1:
         for p0, p1 in bounds:
-            yield _simulate_block(p0, p1, pre, cfg, record, variance)
+            yield _simulate_block(p0, p1, pre, cfg, record)
         return
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_simulate_block, p0, p1, pre, cfg, record,
-                               variance)
+        futures = [pool.submit(_simulate_block, p0, p1, pre, cfg, record)
                    for p0, p1 in bounds]
         for fut in futures:  # submission order == block order
             yield fut.result()
@@ -347,12 +407,12 @@ def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
     variance actually driving each Libor column (relevant under
     substitution).
     """
-    pre = _Precomp(tenor, curve, params, fact, horizon, cfg)
+    pre = _Precomp(tenor, curve, params, fact, horizon, cfg, variance=True)
     if record_times is None:
         record_times = [t for t in tenor.dates if 0.0 < t <= horizon]
     record = _record_map(pre, record_times)
     merged: dict[float, list] = {t: [] for t in record.values()}
-    for snaps in _run_blocks(pre, cfg, record, variance=True):
+    for snaps in _run_blocks(pre, cfg, record):
         for t, pair in snaps.items():
             merged[t].append(pair)
     return {t: (np.concatenate([L for L, _ in parts]),

@@ -18,8 +18,9 @@ from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
                                CalibrationResult, calibrate_all,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
-from svlibor.errors import InvariantError, SvLiborError
-from svlibor.fourier import DEFAULT_QUAD, caplet_price
+from svlibor.charfn import caplet_cf_params, explosion_margin
+from svlibor.errors import InvariantError, QuadratureError, SvLiborError
+from svlibor.fourier import DEFAULT_QUAD, INNER_PANEL, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, build_loadings, factorize_vols
@@ -86,16 +87,20 @@ class TestObjective:
                         loadings, QUAD, libors)
         assert val == PENALTY
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_pricing_hits_penalty(self, tenor, curve, params,
-                                         loadings, libors):
-        # heston_cf returns nan on this candidate's contour and the pricer
-        # raises a QuadratureError; any typed pricing error must score
+                                         loadings, libors, monkeypatch):
+        # Any typed pricing error, here a QuadratureError, must score
         # PENALTY.
+        import svlibor.calibrate
         j = 17
         strikes = np.linspace(0.6, 1.6, 7) * libors[j]
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
+
+        def failing(*args, **kwargs):
+            raise QuadratureError("non-finite characteristic function")
+
+        monkeypatch.setattr(svlibor.calibrate, "caplet_price", failing)
         val = objective(j, (1.82, 4.48, 5.74, 0.876), strikes, market, tenor,
                         curve, params, loadings, DEFAULT_QUAD, libors)
         assert val == PENALTY
@@ -112,6 +117,8 @@ class TestObjectiveQuadrature:
     # 512-node rule missed the allowance at these two points.
     @example(j=1, beta_norm=2.0, kappa=2.0, eps=3.0, rho=-0.99609375)
     @example(j=1, beta_norm=1.0, kappa=0.5, eps=1.0, rho=0.99609375)
+    # Refused: the rule would price 2.6e-5 off (explosion margin 5.9e-6).
+    @example(j=1, beta_norm=2.0, kappa=1.0, eps=9.0, rho=0.75)
     @settings(max_examples=100, deadline=None)
     def test_static_rule_matches_adaptive_over_box(self, tenor, curve, params,
                                                     loadings, libors, j,
@@ -121,9 +128,21 @@ class TestObjectiveQuadrature:
                                   eps=eps, rho=rho)
         fact = factorize_vols(work, loadings)
         strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+        # The pricer refuses candidates whose share-measure moments explode
+        # too close to the contour for its first panel (see
+        # charfn.explosion_margin); the objective scores them PENALTY.
+        try:
+            cfp = caplet_cf_params(j, work, fact, tenor, libors)
+        except SvLiborError:  # degenerate drift, rejected before pricing
+            assume(False)
+        if explosion_margin(cfp) < INNER_PANEL / 2.0:
+            with pytest.raises(QuadratureError, match="explosion margin"):
+                caplet_price(j, strikes, tenor, curve, work, fact, QUAD,
+                             libors)
+            return
         tol = 1e-12
-        # Where heston_cf loses its normalization the reference raises or
-        # overflows to inf/nan; that defect is tracked on its own.
+        # Where the adaptive reference cannot reach tol it raises; such
+        # candidates have nothing to compare against.
         try:
             ref = oracles.adaptive_caplet_price(j, strikes, tenor, curve,
                                                 work, fact, libors, tol)
@@ -258,7 +277,8 @@ class TestCalibrateMaturity:
     def test_rejected_candidates_are_counted(self, tenor, curve, params,
                                              loadings, libors):
         # A start whose effective reversion speed is negative scores
-        # PENALTY; the fit counts those evals and does not claim success.
+        # PENALTY; the fit counts those evals and does not claim success
+        # from them.
         j = 1
         strikes = libors[j] * np.linspace(0.6, 1.6, 7)
         quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
@@ -268,8 +288,45 @@ class TestCalibrateMaturity:
                                  FAST, libors,
                                  warm_start=(0.15, 1e-3, 10.0, 0.999))
         assert fit.penalties > 0
-        assert fit.objective == PENALTY
-        assert not fit.converged
+        assert fit.objective < PENALTY
+        assert fit.converged == (fit.status > 0)
+
+    def test_rejected_warm_start_falls_back_to_start(self, tenor, curve,
+                                                     params, loadings,
+                                                     libors, monkeypatch):
+        # Every eval near that warm start scores PENALTY (the
+        # finite-difference Jacobian is zero), so the solve stops where it
+        # began; the fit re-solves from START and counts both solves.
+        import svlibor.calibrate
+        j = 1
+        strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+        quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
+                              libors=libors)
+        panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
+        calls = []
+        price = svlibor.calibrate.caplet_price
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(svlibor.calibrate, "caplet_price", counted)
+        warm = (0.15, 1e-3, 10.0, 0.999)
+        fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
+                                 FAST, libors, warm_start=warm)
+        assert fit.converged and fit.objective < 1e-9
+        assert "re-solved from START" in fit.note
+        assert 0 < fit.penalties < fit.iterations == len(calls)
+        truth = (params.beta_norm[j], params.kappa[j], params.eps[j],
+                 params.rho[j])
+        np.testing.assert_allclose((fit.beta_norm, fit.kappa, fit.eps,
+                                    fit.rho), truth, rtol=1e-6)
+        # Both solves share one budget.
+        capped = calibrate_maturity(j, panel, params, tenor, curve, loadings,
+                                    CalibrationOptions(max_evals=30), libors,
+                                    warm_start=warm)
+        assert capped.iterations == 30 and not capped.converged
+        assert "re-solved from START" in capped.note
 
     def test_boundary_note_flags_pinned_parameter(self):
         # A panel priced with rho at the box edge should leave a breadcrumb

@@ -5,19 +5,26 @@ never touches the closed form, so agreement here checks the branch handling
 and the stabilized small-parameter substitutions, not just self-consistency.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svlibor import (
     CharFnParams,
     InvariantError,
+    SvLiborError,
     black_cf,
     caplet_cf_params,
+    factorize_vols,
     heston_cf,
     swaption_cf_params,
 )
+from svlibor.calibrate import BOUNDS, CalibrationOptions
+from svlibor.charfn import explosion_margin
+from svlibor.fourier import _graded_rule
 
 import oracles
 
@@ -200,3 +207,69 @@ def test_martingale_normalization_random(kappa, eps, rho, T):
                      gamma_int=0.0, horizon=T, v0=1.0)
     assert heston_cf(-1.0j, p) == pytest.approx(1.0, abs=1e-9)
     assert heston_cf(0.0, p) == pytest.approx(1.0, abs=1e-12)
+
+
+# Box candidates (j, (|beta|, kappa, eps, rho)) with strong positive vol-rate
+# correlation, where 1 + (a - d) phi1 cancels towards 0 (Re a < 0 at
+# z = -i).  A naive 1 + w lost phi(-i) = 1 at the first three and returned
+# nan on the contour at the last.
+CANCELLING = ((18, (1.46, 3.51, 8.63, 0.999)), (9, (1.70, 2.78, 7.04, 0.999)),
+              (19, (1.0, 0.001, 10.0, 0.999)), (17, (1.82, 4.48, 5.74, 0.876)))
+
+
+def _candidate_cf_params(j, x, params, loadings, tenor, libors):
+    work = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                              rho=x[3])
+    return caplet_cf_params(j, work, factorize_vols(work, loadings), tenor,
+                            libors)
+
+
+@pytest.mark.parametrize("j, x", CANCELLING)
+def test_matches_riccati_where_one_plus_w_cancels(params, loadings, tenor,
+                                                   libors, j, x):
+    p = _candidate_cf_params(j, x, params, loadings, tenor, libors)
+    assert p.kappa_star - p.sigma_beta < 0.0
+    worst = max(abs(heston_cf(z, p) - _riccati(z, p))
+                for z in (-1.0j,) + Z_GRID)
+    assert worst <= 1e-12
+
+
+@given(j=st.integers(1, 19),
+       beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
+       eps=st.floats(*BOUNDS[2]), rho=st.floats(*BOUNDS[3]))
+@example(j=18, beta_norm=1.46, kappa=3.51, eps=8.63, rho=0.999)
+@example(j=9, beta_norm=1.70, kappa=2.78, eps=7.04, rho=0.999)
+@example(j=19, beta_norm=1.0, kappa=0.001, eps=10.0, rho=0.999)
+@settings(max_examples=300, deadline=None)
+def test_normalized_and_finite_over_calibration_box(params, loadings, tenor,
+                                                    libors, j, beta_norm,
+                                                    kappa, eps, rho):
+    """phi(-i) = 1 and a finite contour anywhere the calibration searches."""
+    try:
+        p = _candidate_cf_params(j, (beta_norm, kappa, eps, rho), params,
+                                 loadings, tenor, libors)
+    except SvLiborError:  # degenerate drift: rejected before any CF call
+        assume(False)
+    nodes, _ = _graded_rule(400.0, CalibrationOptions().quad.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = heston_cf(np.append(nodes - 1.0j, -1.0j), p)
+    assert np.all(np.isfinite(values))
+    assert abs(values[-1] - 1.0) <= 1e-10
+
+
+def test_explosion_margin(params, fact, tenor, libors, loadings):
+    # Reversion stays positive under the share measure at the fixture.
+    for j in (1, 10, 19):
+        p = caplet_cf_params(j, params, fact, tenor, libors)
+        assert explosion_margin(p) == np.inf
+    # Where it is negative, phi(z - i) blows up once z reaches the margin
+    # below the contour: at 1/2 and 2 times the estimate, respectively.
+    j, x = 1, (2.0, 1.0, 9.0, 0.75)
+    p = _candidate_cf_params(j, x, params, loadings, tenor, libors)
+    margin = explosion_margin(p)
+    assert 1e-6 < margin < 1e-5
+    assert abs(_riccati(-1.0j * (1.0 + margin / 2.0), p)) < 1e3
+    with np.errstate(over="ignore"):
+        beyond = _riccati(-1.0j * (1.0 + 2.0 * margin), p)
+    assert not np.isfinite(beyond)

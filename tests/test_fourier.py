@@ -73,17 +73,36 @@ def test_cv_rejects_non_martingale_cf():
                       1.0, 1.0, 0.2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_price_raises(tenor, curve, params, libors):
-    # Strong positive vol-rate correlation at a long expiry makes heston_cf
-    # return nan on the contour (phi(-i) included); the pricer must raise,
-    # not price the finite remainder.
+def test_non_finite_price_raises():
+    # A characteristic function that is nan on part of the contour, or at
+    # phi(-i) as well, must raise rather than price the finite remainder.
+    def nan_on_contour(z):
+        out = black_cf(z, 0.2, 1.0)
+        out[:-1:7] = np.nan  # the last value is phi(-i)
+        return out
+
+    def nan_everywhere(z):
+        return np.full(np.shape(z), np.nan + 0.0j)
+
+    strikes = np.linspace(0.6, 1.6, 7) * 0.03
+    for cf in (nan_on_contour, nan_everywhere):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            carr_madan_cv(cf, 0.03, strikes, 1.0, 1.0, 0.2)
+
+
+def test_exploding_share_moment_refused(tenor, curve, params, libors):
+    # Strong positive vol-rate correlation makes E exp((1 + delta) x)
+    # explode for tiny delta, so phi(z - i) varies near z = 0 on a scale
+    # the rule's first panel cannot resolve: it would price 0.0086 where
+    # the true price is 0.0171 (j = 12).  The pricer refuses instead.
     for j, (beta_norm, kappa, eps, rho) in ((17, (1.82, 4.48, 5.74, 0.876)),
-                                            (19, (1.0, 0.001, 10.0, 0.999))):
+                                            (19, (1.0, 0.001, 10.0, 0.999)),
+                                            (12, (1.882, 4.025, 9.882, 0.516)),
+                                            (1, (2.0, 1.0, 9.0, 0.75))):
         work = params.with_expiry(j, beta_norm=beta_norm, kappa=kappa,
                                   eps=eps, rho=rho)
         strikes = np.linspace(0.6, 1.6, 7) * libors[j]
-        with pytest.raises(QuadratureError, match="non-finite"):
+        with pytest.raises(QuadratureError, match="explosion margin"):
             caplet_price(j, strikes, tenor, curve, work, libors=libors)
 
 

@@ -25,6 +25,7 @@ from svlibor import (
     mc_caplet,
     mc_caplets,
     mc_swaption,
+    mc_swaptions,
     montecarlo,
     simulate,
 )
@@ -208,6 +209,63 @@ def test_block_normals_are_per_path_philox_streams(tenor, curve, params,
             if antithetic and path % 2:
                 expected = -expected
             np.testing.assert_array_equal(block[:, i], expected)
+
+
+def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
+                                             monkeypatch):
+    # Every path owns its Philox stream and blocks are reduced in path
+    # order, so the block size, which only bounds memory, must not move a
+    # bit.  5000 paths leave a partial last block at either size.
+    def run():
+        base = dict(paths=5000, steps_per_year=2, seed=4)
+        K = np.array([0.01, 0.02, 0.03])
+        leg = {(2, 6): K}
+        priced = [
+            mc_caplets({3: K, 7: K}, tenor, curve, params, fact,
+                       MCConfig(**base)),
+            mc_caplets({5: K}, tenor, curve, params, fact,
+                       MCConfig(antithetic=True, **base)),
+            mc_swaptions(leg, tenor, curve, params, fact,
+                         MCConfig(substitution=("caplet", 4), **base)),
+            mc_swaptions(leg, tenor, curve, params, fact,
+                         MCConfig(substitution=("swap", 2, 6), **base)),
+        ]
+        out = [[(r.price, r.se) for rows in res.values() for r in rows]
+               for res in priced]
+        for sub in (None, ("caplet", 6), ("swap", 3, 8)):
+            ens = simulate(tenor, curve, params, fact, 4.0,
+                           MCConfig(substitution=sub, **base))
+            out.append({t: (L.tobytes(), v.tobytes())
+                        for t, (L, v) in ens.items()})
+        return out
+
+    assert 5000 % montecarlo.BLOCK and montecarlo.BLOCK < 4096
+    default = run()
+    monkeypatch.setattr(montecarlo, "BLOCK", 4096)
+    assert run() == default
+
+
+@pytest.mark.parametrize("substitution", [None, ("caplet", 6), ("swap", 3, 8)])
+def test_unread_variance_rows_do_not_move_libors(tenor, curve, params, fact,
+                                                 substitution):
+    # The pricers step only the variance rows a live Libor reads; the
+    # Libors must come out bitwise as when every variance row is stepped.
+    # (Bitwise for block sizes that are multiples of 8 paths: the BLAS edge
+    # kernel for a ragged tail of paths may round differently.)
+    cfg = MCConfig(paths=304, steps_per_year=2, seed=2,
+                   substitution=substitution)
+    pruned = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg)
+    full = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg,
+                               variance=True)
+    record = montecarlo._record_map(pruned, [2.0, 4.0, 6.0])
+    a = montecarlo._simulate_block(0, cfg.paths, pruned, cfg, record)
+    b = montecarlo._simulate_block(0, cfg.paths, full, cfg, record)
+    assert a.keys() == b.keys() == {2.0, 4.0, 6.0}
+    for t in a:
+        np.testing.assert_array_equal(a[t][0], b[t][0])
+    # On [T_5, T_6) the live Libors are X_6..X_19.
+    assert pruned.segments[-1].vlo == pruned.vmap[6]
+    assert all(seg.vlo == 0 for seg in full.segments)
 
 
 def _oracle_inputs(tenor, curve, params, fact, libors, substitution):
