@@ -56,8 +56,9 @@ def _add_mc(parser):
     parser.add_argument("--paths", type=int, default=30000)
     parser.add_argument("--steps-per-year", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
+    # A string default is converted only when an MC subcommand is parsed.
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get(THREADS_ENV, "1")))
+                        default=os.environ.get(THREADS_ENV, "1"))
     parser.add_argument("--antithetic", action="store_true")
 
 

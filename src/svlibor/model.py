@@ -179,26 +179,17 @@ class VolFactorization:
         return self.loadings.shape[1]
 
 
-def build_loadings(tenor, decay: float, dim: int | None = None) -> np.ndarray:
+def build_loadings(tenor, decay: float) -> np.ndarray:
     """Unit loading vectors e_j from the exponential correlation matrix.
 
-    Returns the padded (n, m) matrix whose row j (j = 1..n-1) is e_j, the
+    Returns the padded (n, n-1) matrix whose row j (j = 1..n-1) is e_j, the
     j-th row of the lower-triangular Cholesky factor of
     r_ij = exp(-decay |T_i - T_j|), so that e_i . e_j = r_ij.
-
-    ``dim`` may enlarge the factor space beyond the full-rank m = n-1
-    (extra coordinates are zero); it cannot be smaller.
     """
     n = tenor.n
     k = n - 1
     if decay < 0.0:
         raise InvariantError("corr_decay", "decay rate must be >= 0")
-    if dim is None:
-        dim = k
-    if dim < k:
-        raise DecompositionError(
-            f"dimension {dim} below full rank {k}; rank-reduced loadings "
-            "are not supported")
     expiries = tenor.dates[1:n]
     corr = np.exp(-decay * np.abs(expiries[:, None] - expiries[None, :]))
     if decay == 0.0 and k > 1:
@@ -215,8 +206,8 @@ def build_loadings(tenor, decay: float, dim: int | None = None) -> np.ndarray:
             raise DecompositionError(
                 "correlation matrix is not positive definite even after "
                 "1e-12 diagonal jitter") from exc
-    out = np.zeros((n, dim))
-    out[1:, :k] = chol
+    out = np.zeros((n, k))
+    out[1:] = chol
     out.setflags(write=False)
     return out
 
@@ -229,10 +220,9 @@ def factorize_vols(params: ModelParams, loadings: np.ndarray) -> VolFactorizatio
     return VolFactorization(loadings=loadings, sigma=sigma, sigma_bar=sigma_bar)
 
 
-def build_factorization(params: ModelParams, tenor,
-                        dim: int | None = None) -> VolFactorization:
+def build_factorization(params: ModelParams, tenor) -> VolFactorization:
     """Convenience: Cholesky loadings for params.corr_decay, then factorize."""
-    return factorize_vols(params, build_loadings(tenor, params.corr_decay, dim))
+    return factorize_vols(params, build_loadings(tenor, params.corr_decay))
 
 
 def _libor_vol_sq(j: int, v_j: float, params: ModelParams) -> float:

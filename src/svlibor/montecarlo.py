@@ -13,7 +13,7 @@ path owns a fixed stream regardless of how paths are grouped into blocks
 or threads.  A block builds one generator and resets its counter for each
 path, and lays the block's normals out step-major, (steps, paths, dim), so
 each step reads one contiguous slice.  Blocks have a fixed size, BLOCK =
-1024 paths, and are reduced in index order, which makes results bitwise
+1024 paths, and are stacked in index order, which makes results bitwise
 identical across thread counts.  A worker thread holds one block's normals,
 steps * 1024 * dim * 8 bytes: 26 MB for 152 steps and dim = 21.  Results
 also do not depend on the block size, bitwise, when the path count is a
@@ -27,11 +27,17 @@ loadings [beta; sigma | sigbar; gamma] gives every noise term, and one
 with the strictly upper coupling matrix G_jk = beta_j . beta_k (k > j)
 gives the drift sums.  Only live rows are stepped.  Between two tenor
 dates (a segment) the unfixed Libors X_j0..X_{n-1} are a suffix of the
-rows; a fixed Libor keeps its value.  Of the variances, the pricers step
-only the rows a live Libor reads (one row under caplet substitution), and
-``simulate``, which reports variances, steps every row it reports.  The
-row slices of the state, loadings and couplings are taken once per
-segment; each step scales them by its own dt.
+rows; a fixed Libor keeps its value.  Of the variances, the estimators
+step only the rows a live Libor reads (one row under caplet
+substitution), and ``simulate``, which reports variances, steps every row
+it reports.  The row slices of the state, loadings and couplings are taken
+once per segment; each step scales them by its own dt.
+
+One collector, ``_collect``, runs the blocks on ``MCConfig.threads``
+workers, applies a reader to each block's snapshots in the worker thread
+and stacks the results in block order.  The pricers and
+``deflated_bond_means`` read payoffs for ``_estimate``, the one mean and
+standard-error reduction; ``simulate`` reads the snapshots themselves.
 
 Substitution modes reproduce the single-variance comparison models:
 "caplet-j" drives every Libor with v_j; "swap-pq" drives the Libors of the
@@ -83,6 +89,8 @@ class MCConfig:
             raise InvariantError("paths", "need at least one path")
         if self.steps_per_year < 1:
             raise InvariantError("steps_per_year", "need at least one step per year")
+        if self.threads < 1:
+            raise InvariantError("threads", "need at least one worker thread")
         if self.antithetic and self.paths % 2:
             raise InvariantError("paths", "antithetic sampling needs an even count")
         sub = self.substitution
@@ -296,7 +304,7 @@ def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
                     record: dict[int, float]) -> dict[float, tuple]:
     """Snapshots {t: (L, v_used)} of one path block; v_used is None unless
-    ``pre.variance`` is set, because the pricers read only the Libors."""
+    ``pre.variance`` is set, because the estimators read only the Libors."""
     normals = _block_normals(p0, p1, pre, cfg)
     P = p1 - p0
     n, nv = pre.n, pre.nv
@@ -384,19 +392,23 @@ def _record_map(pre: _Precomp, record_times) -> dict[int, float]:
     return record
 
 
-def _run_blocks(pre: _Precomp, cfg: MCConfig, record: dict[int, float]):
-    """Yield per-block snapshot dicts in fixed block order."""
+def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list[np.ndarray]:
+    """``read`` of every block's snapshots {t: (L, v_used)} at ``times``.
+
+    ``read`` returns a list of arrays with paths along axis 0 and runs in
+    the worker, so a finished block keeps only those arrays; they are
+    stacked in block order, whatever order the blocks finish in.
+    """
+    record = _record_map(pre, times)
     bounds = [(p0, min(p0 + BLOCK, cfg.paths))
               for p0 in range(0, cfg.paths, BLOCK)]
-    if cfg.threads <= 1:
-        for p0, p1 in bounds:
-            yield _simulate_block(p0, p1, pre, cfg, record)
-        return
+
+    def run(block):
+        return read(_simulate_block(*block, pre, cfg, record))
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_simulate_block, p0, p1, pre, cfg, record)
-                   for p0, p1 in bounds]
-        for fut in futures:  # submission order == block order
-            yield fut.result()
+        parts = list(pool.map(run, bounds))
+    return [np.concatenate(cols) for cols in zip(*parts)]
 
 
 def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
@@ -410,28 +422,37 @@ def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
     pre = _Precomp(tenor, curve, params, fact, horizon, cfg, variance=True)
     if record_times is None:
         record_times = [t for t in tenor.dates if 0.0 < t <= horizon]
-    record = _record_map(pre, record_times)
-    merged: dict[float, list] = {t: [] for t in record.values()}
-    for snaps in _run_blocks(pre, cfg, record):
-        for t, pair in snaps.items():
-            merged[t].append(pair)
-    return {t: (np.concatenate([L for L, _ in parts]),
-                np.concatenate([w for _, w in parts]))
-            for t, parts in merged.items()}
+    times = list(_record_map(pre, record_times).values())
+    cols = _collect(pre, cfg, times,
+                    lambda snaps: [a for t in times for a in snaps[t]])
+    return dict(zip(times, zip(cols[::2], cols[1::2])))
 
 
-def _stats(payoff: np.ndarray, scale: float, cfg: MCConfig) -> tuple[float, float]:
-    """Mean and standard error of scale * payoff over paths (axis 0)."""
-    if cfg.antithetic:
-        payoff = payoff.reshape(payoff.shape[0] // 2, 2, -1).mean(axis=1)
-    count = payoff.shape[0]
-    mean = payoff.mean(axis=0)
-    if count > 1:
-        var = payoff.var(axis=0, ddof=1)
-        se = np.sqrt(var / count)
-    else:
-        se = np.full_like(mean, np.nan)
-    return scale * mean, scale * se
+def _estimate(tenor, curve, params, fact, cfg: MCConfig, times,
+              payoffs) -> tuple[list[tuple[np.ndarray, np.ndarray]], float, int]:
+    """[(mean, se)] over paths of each (paths, k) array ``payoffs`` reads,
+    with the elapsed seconds and the step count of the one simulation to
+    the last of ``times``.  Antithetic pairs are averaged first."""
+    start = time.perf_counter()
+    pre = _Precomp(tenor, curve, params, fact, max(times), cfg)
+    stats = []
+    for x in _collect(pre, cfg, times, payoffs):
+        if cfg.antithetic:
+            x = x.reshape(x.shape[0] // 2, 2, -1).mean(axis=1)
+        count = x.shape[0]
+        se = (np.sqrt(x.var(axis=0, ddof=1) / count) if count > 1
+              else np.full(x.shape[1], np.nan))
+        stats.append((x.mean(axis=0), se))
+    return stats, time.perf_counter() - start, pre.n_steps
+
+
+def _deflated_bonds(L: np.ndarray, delta: np.ndarray, p: int) -> np.ndarray:
+    """D[:, r-p] = B_r(t)/B_n(t) = prod_{k=r}^{n-1} (1 + delta_k L_k(t)),
+    r = p..n, from the Libors L = L(t) of a block."""
+    growth = 1.0 + delta[p:] * L[:, p:]  # columns k = p..n-1
+    D = np.ones((L.shape[0], growth.shape[1] + 1))
+    D[:, :-1] = np.cumprod(growth[:, ::-1], axis=1)[:, ::-1]
+    return D
 
 
 def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
@@ -446,40 +467,30 @@ def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
     for j in targets:
         if not (1 <= j <= n - 1):
             raise IndexError(f"expiry index {j} outside 1..{n - 1}")
-    start = time.perf_counter()
+    delta = tenor.day_counts
     # For j = n-1 the deflator is the empty product, so the payment date
     # T_n never needs simulating; everything else stops by T_{n-1}.
     times = sorted({float(tenor.dates[j]) for j in targets}
                    | {float(tenor.dates[j + 1]) for j in targets if j + 1 < n})
-    horizon = max(times)
-    pre = _Precomp(tenor, curve, params, fact, horizon, cfg)
-    record = _record_map(pre, times)
-    delta = pre.delta
-    b_n = float(curve.bonds[n])
 
-    blocks: dict[int, list[np.ndarray]] = {j: [] for j in targets}
-    for snaps in _run_blocks(pre, cfg, record):
+    def payoffs(snaps):
+        out = []
         for j, strikes in targets.items():
             L_fix = snaps[float(tenor.dates[j])][0]
-            if j + 1 < n:
-                L_pay = snaps[float(tenor.dates[j + 1])][0]
-                defl = np.prod(1.0 + delta[j + 1:] * L_pay[:, j + 1:], axis=1)
-            else:
-                defl = np.ones(L_fix.shape[0])
-            payoff = (delta[j]
-                      * np.maximum(L_fix[:, j, None]
-                                   - np.asarray(strikes)[None, :], 0.0)
-                      * defl[:, None])
-            blocks[j].append(payoff)
-    elapsed = time.perf_counter() - start
-    out: dict[int, list[MCResult]] = {}
-    for j, strikes in targets.items():
-        payoff = np.concatenate(blocks[j])
-        mean, se = _stats(payoff, b_n, cfg)
-        out[j] = [MCResult(float(mean[i]), float(se[i]), cfg.paths, elapsed,
-                           pre.n_steps)
-                  for i in range(len(np.atleast_1d(strikes)))]
-    return out
+            L_pay = snaps[float(tenor.dates[j + 1])][0] if j + 1 < n else L_fix
+            defl = np.prod(1.0 + delta[j + 1:] * L_pay[:, j + 1:], axis=1)
+            out.append(delta[j]
+                       * np.maximum(L_fix[:, j, None]
+                                    - np.asarray(strikes)[None, :], 0.0)
+                       * defl[:, None])
+        return out
+
+    stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
+                                      payoffs)
+    b_n = float(curve.bonds[n])
+    return {j: [MCResult(float(b_n * m), float(b_n * s), cfg.paths, elapsed,
+                         steps) for m, s in zip(mean, se)]
+            for j, (mean, se) in zip(targets, stats)}
 
 
 def mc_caplet(j: int, strike: float, tenor, curve, params, fact,
@@ -501,35 +512,25 @@ def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
     for (p, q) in legs:
         if not (1 <= p < q <= n):
             raise IndexError(f"need 1 <= p < q <= {n}, got ({p}, {q})")
-    start = time.perf_counter()
-    horizon = max(float(tenor.dates[p]) for p, _ in legs)
-    pre = _Precomp(tenor, curve, params, fact, horizon, cfg)
-    times = sorted({float(tenor.dates[p]) for p, _ in legs})
-    record = _record_map(pre, times)
-    delta = pre.delta
-    b_n = float(curve.bonds[n])
+    delta = tenor.day_counts
 
-    blocks: dict[tuple[int, int], list[np.ndarray]] = {leg: [] for leg in legs}
-    for snaps in _run_blocks(pre, cfg, record):
+    def payoffs(snaps):
+        out = []
         for (p, q), strikes in legs.items():
-            L_p = snaps[float(tenor.dates[p])][0]
-            growth = 1.0 + delta[p:] * L_p[:, p:]  # columns k = p..n-1
-            D = np.ones((L_p.shape[0], n - p + 1))  # D[:, r-p] = D_r, r = p..n
-            D[:, :-1] = np.cumprod(growth[:, ::-1], axis=1)[:, ::-1]
-            annuity = np.einsum("l,pl->p", delta[p:q], D[:, p + 1 - p:q + 1 - p])
-            payoff = np.maximum(D[:, 0, None] - D[:, q - p, None]
-                                - np.asarray(strikes)[None, :] * annuity[:, None],
-                                0.0)
-            blocks[(p, q)].append(payoff)
-    elapsed = time.perf_counter() - start
-    out: dict[tuple[int, int], list[MCResult]] = {}
-    for leg, strikes in legs.items():
-        payoff = np.concatenate(blocks[leg])
-        mean, se = _stats(payoff, b_n, cfg)
-        out[leg] = [MCResult(float(mean[i]), float(se[i]), cfg.paths,
-                             elapsed, pre.n_steps)
-                    for i in range(len(np.atleast_1d(strikes)))]
-    return out
+            D = _deflated_bonds(snaps[float(tenor.dates[p])][0], delta, p)
+            annuity = np.einsum("l,pl->p", delta[p:q], D[:, 1:q + 1 - p])
+            out.append(np.maximum(D[:, 0, None] - D[:, q - p, None]
+                                  - np.asarray(strikes)[None, :]
+                                  * annuity[:, None], 0.0))
+        return out
+
+    times = sorted({float(tenor.dates[p]) for p, _ in legs})
+    stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
+                                      payoffs)
+    b_n = float(curve.bonds[n])
+    return {leg: [MCResult(float(b_n * m), float(b_n * s), cfg.paths, elapsed,
+                           steps) for m, s in zip(mean, se)]
+            for leg, (mean, se) in zip(legs, stats)}
 
 
 def mc_swaption(p: int, q: int, strike: float, tenor, curve, params, fact,
@@ -544,26 +545,19 @@ def deflated_bond_means(tenor, curve, params, fact, cfg: MCConfig,
     """MC means and SEs of B_j(t)/B_n(t) for each j with T_j >= t.
 
     Under the terminal measure these are martingales, so the means should
-    sit within noise of B_j(0)/B_n(0).  Entries for matured bonds are NaN.
+    sit within noise of B_j(0)/B_n(0).  Entries for matured bonds are NaN:
+    they cannot be rebuilt from the live Libors.
     """
-    n = tenor.n
     times = sorted(float(t) for t in times)
-    ensemble = simulate(tenor, curve, params, fact, max(times), cfg,
-                        record_times=times)
-    delta = np.where(np.isnan(tenor.accruals()[:n]), 0.0, tenor.accruals()[:n])
-    out = {}
-    for t in times:
-        L = ensemble[t][0]
-        growth = 1.0 + delta * L  # column k = 1 + delta_k L_k(t)
-        means = np.full(n + 1, np.nan)
-        ses = np.full(n + 1, np.nan)
-        for j in range(1, n + 1):
-            if tenor.dates[j] < t - 1e-12:
-                continue  # matured: not reconstructable from live Libors
-            defl = np.prod(growth[:, j:], axis=1)
-            if cfg.antithetic:
-                defl = defl.reshape(-1, 2).mean(axis=1)
-            means[j] = defl.mean()
-            ses[j] = defl.std(ddof=1) / np.sqrt(defl.size)
-        out[t] = (means, ses)
-    return out
+    delta = tenor.day_counts
+    # First bond still alive at each time (T_j >= t).
+    first = [max(1, int(np.searchsorted(tenor.dates, t - 1e-12)))
+             for t in times]
+
+    def payoffs(snaps):
+        return [_deflated_bonds(snaps[t][0], delta, j)
+                for t, j in zip(times, first)]
+
+    stats, _, _ = _estimate(tenor, curve, params, fact, cfg, times, payoffs)
+    return {t: tuple(np.r_[np.full(j, np.nan), x] for x in ms)
+            for t, j, ms in zip(times, first, stats)}

@@ -162,6 +162,26 @@ class TestMcPrice:
         assert rc == 1
         assert "either --j" in capsys.readouterr().err
 
+    def test_zero_threads_rejected(self, fixtures_dir, capsys):
+        rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--threads", "0"] + self.ARGS)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvariantError")
+
+    def test_malformed_threads_variable_fails_mc_commands_only(
+            self, tmp_path, fixtures_dir, monkeypatch, capsys):
+        monkeypatch.setenv("SVLIBOR_THREADS", "abc")
+        curve = str(fixtures_dir / "curve_table.csv")
+        assert main(["strip", "--curve", curve,
+                     "--out", str(tmp_path / "libors.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-price", "--curve", curve,
+                  "--model", str(fixtures_dir / "model_table.json")]
+                 + self.ARGS)
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
 
 class TestCalibrate:
     @pytest.mark.filterwarnings("ignore:no panel")

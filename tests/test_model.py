@@ -57,14 +57,6 @@ def test_two_period_structure_single_unit_vector():
     assert E[1, 0] == 1.0
 
 
-def test_dim_can_enlarge_but_not_shrink(tenor):
-    E = build_loadings(tenor, 0.073, dim=25)
-    assert E.shape == (20, 25)
-    assert np.all(E[:, 19:] == 0.0)
-    with pytest.raises(DecompositionError):
-        build_loadings(tenor, 0.073, dim=10)
-
-
 def test_decay_zero_is_singular(tenor):
     with pytest.raises(DecompositionError):
         build_loadings(tenor, 0.0)

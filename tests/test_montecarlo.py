@@ -21,6 +21,7 @@ from svlibor import (
     SimulationError,
     build_factorization,
     caplet_price,
+    deflated_bond_means,
     factorize_vols,
     mc_caplet,
     mc_caplets,
@@ -72,6 +73,50 @@ def test_seed_and_thread_determinism(tenor, curve, params, fact):
     other = mc_caplet(2, 0.02, tenor, curve, params, fact,
                       MCConfig(paths=8192, steps_per_year=4, seed=8))
     assert other.price != first.price
+
+
+def test_estimators_do_not_depend_on_thread_count(tenor, curve, params, fact):
+    # Every estimator stacks its blocks in block order, so the worker count
+    # must not move a bit of a price, an SE or a deflated-bond mean.
+    def run(threads):
+        base = dict(paths=4096, steps_per_year=2, seed=9, threads=threads)
+        K = np.array([0.01, 0.02, 0.03])
+        caplets = mc_caplets({3: K, 19: K}, tenor, curve, params, fact,
+                             MCConfig(antithetic=True, **base))
+        swaptions = mc_swaptions({(2, 6): K}, tenor, curve, params, fact,
+                                 MCConfig(substitution=("swap", 2, 6), **base))
+        bonds = deflated_bond_means(tenor, curve, params, fact,
+                                    MCConfig(**base), (1.0, 4.0))
+        return ([(r.price, r.se) for res in (caplets, swaptions)
+                 for rows in res.values() for r in rows],
+                {t: (m.tobytes(), s.tobytes()) for t, (m, s) in bonds.items()})
+
+    assert run(1) == run(3)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_deflated_bond_means_match_simulated_ensemble(tenor, curve, params,
+                                                      fact, antithetic):
+    # B_j(t)/B_n(t) = prod_{k >= j} (1 + delta_k L_k(t)) from the ensemble
+    # `simulate` reports; matured bonds (T_j < t) are NaN.
+    cfg = MCConfig(paths=2048, steps_per_year=2, seed=6, antithetic=antithetic)
+    times = (1.0, 4.0, 6.0)
+    got = deflated_bond_means(tenor, curve, params, fact, cfg, times)
+    ens = simulate(tenor, curve, params, fact, 6.0, cfg, record_times=times)
+    n = tenor.n
+    for t in times:
+        growth = 1.0 + tenor.day_counts * ens[t][0]
+        means, ses = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+        for j in range(1, n + 1):
+            if tenor.dates[j] >= t:
+                defl = np.prod(growth[:, j:], axis=1)
+                if antithetic:
+                    defl = defl.reshape(-1, 2).mean(axis=1)
+                means[j] = defl.mean()
+                ses[j] = defl.std(ddof=1) / np.sqrt(defl.size)
+        assert np.isnan(means).sum() == int(np.sum(tenor.dates < t))
+        np.testing.assert_allclose(got[t][0], means, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got[t][1], ses, rtol=1e-14, atol=0)
 
 
 def test_caplet_zero_strike_parity(tenor, curve, params, fact, libors):
@@ -159,6 +204,9 @@ def test_config_validation():
         MCConfig(substitution=("caplet",))
     with pytest.raises(InvariantError, match="substitution"):
         MCConfig(substitution=("basket", 1, 2))
+    for threads in (0, -3):
+        with pytest.raises(InvariantError, match="threads"):
+            MCConfig(threads=threads)
 
 
 def test_horizon_and_recording_guards(tenor, curve, params, fact):
@@ -237,6 +285,10 @@ def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
                            MCConfig(substitution=sub, **base))
             out.append({t: (L.tobytes(), v.tobytes())
                         for t, (L, v) in ens.items()})
+        bonds = deflated_bond_means(tenor, curve, params, fact,
+                                    MCConfig(**base), (1.0, 4.0))
+        out.append({t: (m.tobytes(), s.tobytes())
+                    for t, (m, s) in bonds.items()})
         return out
 
     assert 5000 % montecarlo.BLOCK and montecarlo.BLOCK < 4096
