@@ -74,7 +74,7 @@ class SwapEffectiveParams:
 def _drift_loads(params: ModelParams, libors: np.ndarray,
                  tenor: TenorStructure) -> np.ndarray:
     """Frozen drift couplings c_k = [delta_k (L_k + alpha_k)/(1 + delta_k L_k)](0)."""
-    delta = tenor.accruals()
+    delta = tenor.day_counts
     n = tenor.n
     c = np.zeros(n + 1)
     body = slice(1, n)
@@ -96,7 +96,7 @@ def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
     if not (1 <= j <= n - 1):
         raise IndexError(f"expiry index {j} outside 1..{n - 1}")
     c = _drift_loads(params, libors, tenor)
-    tail = np.arange(j + 1, n)
+    tail = slice(j + 1, n)
     sigma_beta_k = fact.sigma[j] @ (params.beta_norm[tail, None]
                                     * fact.loadings[tail]).T
     correction = float(np.sum(np.sqrt(params.theta[tail] / params.theta[j])

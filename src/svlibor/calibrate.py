@@ -9,9 +9,12 @@ from the neighbouring maturity's fit.
 
 The residuals price each candidate's strike row with the package's graded
 static quadrature at half the default node count (``CalibrationOptions.quad``,
-768 nodes): one vectorized characteristic-function call per candidate, and
-prices that move smoothly with the candidate, which the finite-difference
-Jacobian needs.  Over the whole search box, for strikes 0.6-1.6 times the
+768 nodes).  The strike row (phases, displaced strikes, forward, discount)
+is built once per maturity and each candidate re-validates and
+refactorizes only its own slot, so a candidate costs one vectorized
+characteristic-function call and one matrix-vector product; the prices
+move smoothly with the candidate, which the finite-difference Jacobian
+needs.  Over the whole search box, for strikes 0.6-1.6 times the
 forward, it agrees with an adaptive reference at ``tol=1e-12`` to 1e-8
 relative, down to that reference's own absolute error (checked by test).
 Wider strikes need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which
@@ -20,15 +23,17 @@ fit reports use.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from .charfn import caplet_cf_params
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
-                      implied_vol)
+                      caplet_row, implied_vol, price_row)
 from .market_data import CapletPanel, strip_libors
 from .model import ModelParams, build_loadings, factorize_vols
 
@@ -52,7 +57,8 @@ PENALTY = 1e6
 
 @dataclass(frozen=True)
 class CalibrationOptions:
-    # Graded static rule: one CF call per candidate, smooth in the candidate.
+    # Graded static rule: strike rows built once per maturity, then one CF
+    # call per candidate, smooth in the candidate.
     quad: QuadratureConfig = QuadratureConfig(n=768)
     # Objective evals per maturity, finite-difference Jacobian columns
     # included.
@@ -73,6 +79,7 @@ class MaturityFit:
     status: int | None = None  # least_squares status; None if not fitted
     message: str = ""  # the optimizer's stop reason
     penalties: int = 0  # evals that scored PENALTY
+    seconds: float = 0.0  # wall time of the solves; 0 if not fitted
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ class CalibrationResult:
                 "objective": f.objective, "iterations": f.iterations,
                 "converged": f.converged, "note": f.note,
                 "status": f.status, "message": f.message,
-                "penalties": f.penalties,
+                "penalties": f.penalties, "seconds": f.seconds,
             } for f in self.fits],
         }
 
@@ -129,6 +136,55 @@ def panel_market_prices(panel: CapletPanel, tenor, curve, params,
                      for k, vol in zip(panel.strikes, panel.quotes)])
 
 
+class _CapletPricer:
+    """Caplet prices of one maturity's strike row, candidate by candidate.
+
+    ``calibrate_maturity`` builds one and prices every candidate with it.
+    The strike row (phases, displaced strikes, forward, discount) is built
+    on the first candidate that gets that far and kept; the factorization
+    of ``params`` is kept too, so a candidate (|beta|, kappa, eps, rho)
+    re-validates and refactorizes only slot j, then costs one
+    characteristic-function call.  Prices are bitwise those of a fresh
+    ``caplet_price`` call with the candidate in slot j.
+    """
+
+    def __init__(self, j: int, strikes, tenor, curve, params: ModelParams,
+                 loadings, quad: QuadratureConfig, libors=None):
+        if libors is None:
+            libors = strip_libors(curve, tenor)
+        self.j, self.tenor, self.curve = j, tenor, curve
+        self.strikes = np.asarray(strikes)
+        self.params, self.quad, self.libors = params, quad, libors
+        self.fact = factorize_vols(params, loadings)
+        self.row = None
+
+    def candidate(self, candidate):
+        """Parameters and factorization with the candidate in slot j."""
+        beta_norm, kappa, eps, rho = candidate
+        work = self.params.with_expiry(self.j, beta_norm=beta_norm, rho=rho,
+                                       kappa=kappa, eps=eps)
+        return work, self.fact.with_expiry(self.j, work)
+
+    def price(self, work: ModelParams, fact) -> np.ndarray:
+        """Prices of the strike row; raises what ``caplet_price`` raises."""
+        j, tenor, libors = self.j, self.tenor, self.libors
+        if self.row is None:
+            self.row = caplet_row(j, self.strikes, tenor, self.curve,
+                                  self.params, self.quad, libors)
+        return price_row(self.row, lambda: caplet_cf_params(j, work, fact,
+                                                            tenor, libors))
+
+    def residuals(self, candidate, market_prices) -> np.ndarray:
+        """Relative price residuals; PENALTY at every strike when the
+        pricer rejects the candidate with any SvLiborError."""
+        work, fact = self.candidate(candidate)
+        try:
+            model = self.price(work, fact)
+        except SvLiborError:
+            return np.full(len(market_prices), PENALTY)
+        return (model - market_prices) / market_prices
+
+
 def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
               params: ModelParams, loadings, quad: QuadratureConfig,
               libors=None) -> np.ndarray:
@@ -138,16 +194,9 @@ def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
     SvLiborError (degenerate drift, a lost normalization, a non-finite
     price) gets PENALTY at every strike.
     """
-    beta_norm, kappa, eps, rho = candidate
-    work = params.with_expiry(j, beta_norm=beta_norm, rho=rho,
-                              kappa=kappa, eps=eps)
-    fact = factorize_vols(work, loadings)
-    try:
-        model = caplet_price(j, np.asarray(strikes), tenor, curve, work,
-                             fact, quad, libors)
-    except SvLiborError:
-        return np.full(len(market_prices), PENALTY)
-    return (model - market_prices) / market_prices
+    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, quad,
+                           libors)
+    return pricer.residuals(candidate, market_prices)
 
 
 def objective(j: int, candidate, strikes, market_prices, tenor, curve,
@@ -194,6 +243,8 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
         libors = strip_libors(curve, tenor)
     market = panel_market_prices(panel, tenor, curve, params, libors)
     strikes = np.asarray(panel.strikes, dtype=float)
+    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings,
+                           options.quad, libors)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = 0
     best = (np.inf, None, None)  # (cost, x, residuals) of the best eval
@@ -205,8 +256,7 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
         if evals == options.max_evals:
             raise _BudgetSpent
         evals += 1
-        r = residuals(j, x, strikes, market, tenor, curve, params, loadings,
-                      options.quad, libors)
+        r = pricer.residuals(x, market)
         penalties += bool(np.all(r == PENALTY))
         cost = float(r @ r)
         if cost < best[0]:
@@ -224,6 +274,7 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
             return (x, r, 0,
                     f"objective-eval budget of {options.max_evals} spent")
 
+    start = time.perf_counter()
     x, r, status, message = solve(START if warm_start is None else warm_start)
     # A warm start the pricer rejects leaves a zero finite-difference
     # Jacobian, so the solve stops where it began; start once more from
@@ -234,6 +285,7 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
         fallback = (f"warm start scored PENALTY at all {evals} evals; "
                     "re-solved from START")
         x, r, status, message = solve(START)
+    seconds = time.perf_counter() - start
     value = float(np.mean(np.abs(r)))
     note = "; ".join(n for n in (_boundary_note(x), fallback) if n)
     return MaturityFit(expiry=j, beta_norm=float(x[0]), kappa=float(x[1]),
@@ -241,7 +293,7 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                        iterations=evals,
                        converged=status > 0 and value < PENALTY,
                        note=note, status=int(status), message=message,
-                       penalties=penalties)
+                       penalties=penalties, seconds=seconds)
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,

@@ -112,11 +112,19 @@ def _abs_sq(x: np.ndarray) -> np.ndarray:
     return x.real * x.real + x.imag * x.imag
 
 
-def heston_cf(z, p: CharFnParams):
+def _safe(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` with 1 where ``mask`` holds, a denominator safe to divide by;
+    ``x`` itself when the mask is empty, as it almost always is."""
+    return np.where(mask, 1.0, x) if mask.any() else x
+
+
+def heston_cf(z, p: CharFnParams, psi=None):
     """Characteristic function E exp(izx) of the affine log-return.
 
     Vectorized over complex ``z``; the Carr-Madan contour evaluates it at
-    z - i for real z.  Principal-branch sqrt and log throughout.
+    z - i for real z.  Principal-branch sqrt and log throughout.  ``psi``
+    is iz + z^2 at ``z`` when the caller has it at hand (the quadrature
+    rule caches it for its contour).
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -125,8 +133,9 @@ def heston_cf(z, p: CharFnParams):
         out = _deterministic_cf(z, p)
         return out[0] if scalar else out
 
-    psi = 1j * z + z * z
-    a = p.kappa_star - 1j * z * p.sigma_beta
+    if psi is None:
+        psi = 1j * z + z * z
+    a = p.kappa_star - z * (1j * p.sigma_beta)
     w_sq = p.beta_sq * psi * p.eps ** 2
     d = np.sqrt(a * a + w_sq)
     T = p.horizon
@@ -139,16 +148,16 @@ def heston_cf(z, p: CharFnParams):
     # mask holds instead of being evaluated over every node.
     apd = a + d
     amd = a - d
-    flip = _abs_sq(apd) <= _abs_sq(amd)  # Re a < 0, or a = d = 0
+    flip = np.abs(apd) <= np.abs(amd)  # Re a < 0, or a = d = 0
     direct = amd[flip]
-    amd = -w_sq / np.where(flip, 1.0, apd)
-    if flip.any():
+    amd = -w_sq / _safe(flip, apd)
+    if direct.size:
         amd[flip] = direct
         apd[flip] = -w_sq[flip] / np.where(direct == 0.0, 1.0, direct)
 
     # phi1 = (1 - e^{-dT}) / (2d), Taylor past the d = 0 singularity.
-    small = _abs_sq(dT) < 1e-10
-    phi1 = (1.0 - E) / np.where(small, 1.0, 2.0 * dT / T)
+    small = np.abs(dT) < 1e-5
+    phi1 = (1.0 - E) / _safe(small, 2.0 * dT / T)
     if small.any():
         ds = dT[small]
         phi1[small] = (T / 2.0) * (1.0 - ds / 2.0 + ds * ds / 6.0)
@@ -158,7 +167,7 @@ def heston_cf(z, p: CharFnParams):
     # (Re a < 0) g comes from the quotient form instead.
     w = amd * phi1
     g = 1.0 + w
-    near = _abs_sq(g) < 0.25
+    near = np.abs(g) < 0.5
     log_abs = 0.5 * np.log1p(np.where(near, 0.0, 2.0 * w.real + _abs_sq(w)))
     if near.any():
         g[near] = (apd[near] - amd[near] * E[near]) / (2.0 * d[near])
@@ -167,7 +176,10 @@ def heston_cf(z, p: CharFnParams):
 
     B = -p.beta_sq * psi * phi1 / g
     A = (p.kappa_star * p.theta_star / p.eps ** 2) * (amd * T - 2.0 * log_g)
-    out = np.exp(A + B * p.v0 - 0.5 * psi * p.gamma_int)
+    exponent = A + B * p.v0
+    if p.gamma_int:
+        exponent -= 0.5 * psi * p.gamma_int
+    out = np.exp(exponent)
     return out[0] if scalar else out
 
 

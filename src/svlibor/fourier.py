@@ -12,18 +12,26 @@ the analytically invertible Black term makes the integrand decay fast,
 and by Hermitian symmetry (phi(-conj(z)) = conj(phi(z))) the integral
 equals twice the real part over the half line z > 0, which is what the
 quadrature below evaluates.
+
+Every price goes through two steps.  A ``StrikeRow`` (``caplet_row``,
+``swaption_row``) holds what no characteristic function changes: forward,
+discount, strikes and the phase rows cos/sin(z ln(K/F)) over the rule's
+nodes, whose node-only contour terms the rule caches.  ``price_row`` then
+costs one CF call on the contour and one matrix-vector product, so a
+calibration builds its row once and prices every candidate against it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .charfn import (black_cf, caplet_cf_params, explosion_margin, heston_cf,
+from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
                      swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
 from .market_data import strip_libors, swap_context
@@ -31,8 +39,12 @@ from .model import build_factorization
 
 __all__ = [
     "QuadratureConfig",
+    "StrikeRow",
     "black76",
     "carr_madan_cv",
+    "caplet_row",
+    "swaption_row",
+    "price_row",
     "caplet_price",
     "swaption_price",
     "implied_vol",
@@ -68,7 +80,7 @@ DEFAULT_QUAD = QuadratureConfig()
 # function that varies on a scale under half of it near z = 0 is refused.
 INNER_PANEL = 1e-4
 
-_GRADED_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+_GRADED_CACHE: dict[tuple[float, int], "_Rule"] = {}
 
 
 def black76(forward, expiry, vol, strike):
@@ -104,20 +116,19 @@ def black76(forward, expiry, vol, strike):
     return float(out[0]) if scalar else out
 
 
-def _cv_rows(z: np.ndarray, cf_values: np.ndarray, sigma_b: float,
-             expiry: float, log_k: np.ndarray) -> np.ndarray:
-    """Real half-line integrand rows per strike; columns per z node.
+class _Rule(NamedTuple):
+    """A graded rule's nodes and weights with its node-only contour terms."""
 
-    ``cf_values`` holds the characteristic function at z - i.
-    """
-    zi = z - 1j
-    base = (black_cf(zi, sigma_b, expiry) - cf_values) / (z * zi)
-    # Re(exp(-i k z) base) without forming the complex phase matrix.
-    arg = np.outer(log_k, z)
-    return np.cos(arg) * base.real + np.sin(arg) * base.imag
+    nodes: np.ndarray
+    weights: np.ndarray
+    contour: np.ndarray  # z - i at every node, then -i for the phi(-i) check
+    denom: np.ndarray  # z (z - i)
+    # iz + z^2 at the contour: the exponent of the Black CF (up to its
+    # factor) and the Heston CF's psi.
+    psi: np.ndarray
 
 
-def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _graded_rule(z_max: float, n: int) -> _Rule:
     """Nodes and weights of the composite 16-point rule on graded panels.
 
     The geometric panels resolve the control-variate integrand where large
@@ -139,8 +150,108 @@ def _graded_rule(z_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         centers = (edges[:-1] + edges[1:]) / 2.0
         nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
         weights = (half[:, None] * w[None, :]).ravel()
-        _GRADED_CACHE[key] = (nodes, weights)
+        zi = nodes - 1j
+        contour = np.append(zi, -1j)
+        rule = _Rule(nodes, weights, contour, nodes * zi,
+                     contour * contour + 1j * contour)
+        for arr in rule:
+            arr.setflags(write=False)
+        _GRADED_CACHE[key] = rule
     return _GRADED_CACHE[key]
+
+
+@dataclass(frozen=True, eq=False)
+class StrikeRow:
+    """The part of a Carr-Madan price row that no characteristic function
+    changes: forward, discount, strikes and the phase rows.
+
+    Built once per strike vector (``caplet_row``, ``swaption_row``) and
+    priced for any number of characteristic functions (``price_row``).
+    Zero strikes price by parity, discount * forward; the live (positive)
+    ones carry ln(F/K) for Black-76 and a phase row over the rule's nodes:
+    w cos(z ln(K/F)) and w sin(z ln(K/F)) interleaved per node (w the
+    node's weight), the layout of a complex array's (real, imaginary)
+    pairs.
+    """
+
+    forward: float
+    discount: float
+    shape: tuple  # () for a scalar strike
+    live: np.ndarray  # mask of the positive strikes
+    strikes: np.ndarray  # the live strikes
+    log_fk: np.ndarray  # ln(F/K) of the live strikes
+    phases: np.ndarray  # (live strikes, 2 * nodes)
+    rule: _Rule
+
+
+def _strike_row(forward: float, strike: np.ndarray, discount: float,
+                quad: QuadratureConfig) -> StrikeRow:
+    """Row of non-negative strikes; live ones need a positive forward."""
+    K = np.atleast_1d(strike)
+    live = K != 0.0
+    K_live = K[live]
+    rule = _graded_rule(quad.z_max, quad.n)
+    if K_live.size and forward <= 0.0:
+        raise StrikeError("Carr-Madan needs positive forward and strikes")
+    arg = np.outer(np.log(K_live / forward), rule.nodes)
+    phases = np.empty((K_live.size, 2 * rule.nodes.size))
+    phases[:, 0::2] = np.cos(arg) * rule.weights
+    phases[:, 1::2] = np.sin(arg) * rule.weights
+    return StrikeRow(forward=forward, discount=discount,
+                     shape=np.shape(strike), live=live, strikes=K_live,
+                     log_fk=np.log(forward / K_live), phases=phases,
+                     rule=rule)
+
+
+def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
+            expiry: float):
+    """Prices of a row's strikes from CF values at ``row.rule.contour``.
+
+    The Black control variate with volatility ``sigma_b`` over ``expiry``
+    is inverted in closed form; the correction integral is one
+    matrix-vector product of the row's phases with the integrand's (real,
+    imaginary) pairs.  Raises QuadratureError when a CF value or a price
+    is inf or nan, and InvariantError unless phi(-i) = 1.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise QuadratureError(f"non-finite characteristic function at "
+                              f"{finite.size - finite.sum()} of "
+                              f"{finite.size} contour points")
+    check = values[-1]
+    if not abs(check - 1.0) <= 1e-8:
+        raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
+    rule = row.rule
+    black_values = np.exp(-0.5 * sigma_b ** 2 * expiry * rule.psi[:-1])
+    base = (black_values - values[:-1]) / rule.denom
+    # Re(exp(-i k z) base) @ weights = phases @ (Re base, Im base) pairs.
+    corr = row.phases @ base.view(np.float64)
+    # Black-76 on the live strikes (forward and strikes are positive).
+    F, K = row.forward, row.strikes
+    total = sigma_b * np.sqrt(expiry)
+    if total <= 0.0:
+        black = np.maximum(F - K, 0.0)
+    else:
+        d_plus = row.log_fk / total + 0.5 * total
+        black = F * ndtr(d_plus) - K * ndtr(d_plus - total)
+    # Half-line real part carries the factor 2 / (2 pi).
+    price = row.discount * (black + F * corr / np.pi)
+    finite = np.isfinite(price)
+    if not finite.all():
+        raise QuadratureError(f"non-finite price at "
+                              f"{finite.size - finite.sum()} of {finite.size} "
+                              "strikes: the integrand overflowed")
+    return _assemble(row, price)
+
+
+def _assemble(row: StrikeRow, price: np.ndarray):
+    """Live prices in strike order, with parity at the zero strikes."""
+    if price.size == row.live.size:
+        out = price
+    else:
+        out = np.full(row.live.shape, row.discount * row.forward)
+        out[row.live] = price
+    return float(out[0]) if row.shape == () else out
 
 
 def carr_madan_cv(cf, forward: float, strike, expiry: float,
@@ -154,61 +265,65 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     out inf or nan.
     """
     K = np.asarray(strike, dtype=float)
-    scalar = K.ndim == 0
-    K = np.atleast_1d(K)
     if np.any(K <= 0.0) or forward <= 0.0:
         raise StrikeError("Carr-Madan needs positive forward and strikes")
-    nodes, weights = _graded_rule(quad.z_max, quad.n)
-    # One CF call serves the static nodes and the phi(-i) check.
-    values = cf(np.append(nodes - 1j, -1j))
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise QuadratureError(f"non-finite characteristic function at "
-                              f"{bad.sum()} of {bad.size} contour points")
-    check = values[-1]
-    if not abs(check - 1.0) <= 1e-8:
-        raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
-    log_k = np.log(K / forward)
-    corr = _cv_rows(nodes, values[:-1], sigma_b, expiry, log_k) @ weights
-    black = black76(forward, expiry, sigma_b, K)
-    # Half-line real part carries the factor 2 / (2 pi).
-    price = discount_times_accrual * (black + forward * corr / np.pi)
-    bad = ~np.isfinite(price)
-    if bad.any():
-        raise QuadratureError(f"non-finite price at {bad.sum()} of {bad.size} "
-                              "strikes: the integrand overflowed")
-    return float(price[0]) if scalar else price
+    row = _strike_row(forward, K, discount_times_accrual, quad)
+    return _invert(row, cf(row.rule.contour), sigma_b, expiry)
 
 
-def _fourier_price(cf_params, forward: float, strike: np.ndarray,
-                   discount: float, quad: QuadratureConfig):
-    """Discounted calls on an underlying with characteristic function params.
+def price_row(row: StrikeRow, cf_params):
+    """Discounted calls of a strike row under the Heston-type CF.
 
     ``cf_params`` builds the CharFnParams; it is called only when a strike
-    is positive.  A zero strike prices by parity (the call is exercised
-    surely): discount * forward.  Raises QuadratureError when the
-    characteristic function's explosion margin is too narrow for the
-    rule's first panel to resolve.
+    is positive.  Raises QuadratureError when the characteristic
+    function's explosion margin is too narrow for the rule's first panel
+    to resolve, and whatever ``_invert`` raises.
     """
-    scalar = strike.ndim == 0
-    K = np.atleast_1d(strike)
-    out = np.empty(K.shape)
-    zero = K == 0.0
-    out[zero] = discount * forward
-    live = ~zero
-    if np.any(live):
-        cfp = cf_params()
-        margin = explosion_margin(cfp)
-        if margin < INNER_PANEL / 2.0:
-            raise QuadratureError(
-                f"moment explosion margin {margin:.3g} is below half the "
-                f"first quadrature panel ({INNER_PANEL:g})")
-        sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
-                                + cfp.gamma_int / cfp.horizon))
-        out[live] = carr_madan_cv(lambda z: heston_cf(z, cfp), forward,
-                                  K[live], cfp.horizon, discount, sigma_b,
-                                  quad)
-    return float(out[0]) if scalar else out
+    if not row.strikes.size:
+        return _assemble(row, row.strikes)
+    cfp = cf_params()
+    margin = explosion_margin(cfp)
+    if margin < INNER_PANEL / 2.0:
+        raise QuadratureError(
+            f"moment explosion margin {margin:.3g} is below half the "
+            f"first quadrature panel ({INNER_PANEL:g})")
+    sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
+                            + cfp.gamma_int / cfp.horizon))
+    rule = row.rule
+    return _invert(row, heston_cf(rule.contour, cfp, psi=rule.psi), sigma_b,
+                   cfp.horizon)
+
+
+def caplet_row(j: int, strike, tenor, curve, params,
+               quad: QuadratureConfig = DEFAULT_QUAD, libors=None) -> StrikeRow:
+    """Strike row of the caplets on L_j (displaced forward and strikes).
+
+    K + alpha_j = 0 prices by zero-strike parity, K + alpha_j < 0 is
+    rejected.
+    """
+    if libors is None:
+        libors = strip_libors(curve, tenor)
+    disp_k = np.asarray(strike, dtype=float) + params.alpha[j]
+    if np.any(disp_k < 0.0):
+        raise StrikeError(
+            f"strike plus displacement is negative for expiry {j}")
+    discount = float(tenor.accruals()[j] * curve.bonds[j + 1])
+    return _strike_row(float(libors[j] + params.alpha[j]), disp_k, discount,
+                       quad)
+
+
+def swaption_row(p: int, q: int, strike, tenor, curve,
+                 quad: QuadratureConfig = DEFAULT_QUAD) -> StrikeRow:
+    """Strike row of the payer swaptions on S_{p,q}.
+
+    No displacement applies to the swap rate; K = 0 prices by parity to
+    B_p(0) - B_q(0).
+    """
+    K = np.asarray(strike, dtype=float)
+    if np.any(K < 0.0):
+        raise StrikeError("negative swaption strikes are not supported")
+    ctx = swap_context(p, q, curve, tenor)
+    return _strike_row(ctx.swap_rate, K, ctx.annuity, quad)
 
 
 def caplet_price(j: int, strike, tenor, curve, params, fact=None,
@@ -222,14 +337,9 @@ def caplet_price(j: int, strike, tenor, curve, params, fact=None,
         fact = build_factorization(params, tenor)
     if libors is None:
         libors = strip_libors(curve, tenor)
-    disp_k = np.asarray(strike, dtype=float) + params.alpha[j]
-    if np.any(disp_k < 0.0):
-        raise StrikeError(
-            f"strike plus displacement is negative for expiry {j}")
-    discount = float(tenor.accruals()[j] * curve.bonds[j + 1])
-    return _fourier_price(
-        lambda: caplet_cf_params(j, params, fact, tenor, libors),
-        float(libors[j] + params.alpha[j]), disp_k, discount, quad)
+    row = caplet_row(j, strike, tenor, curve, params, quad, libors)
+    return price_row(row, lambda: caplet_cf_params(j, params, fact, tenor,
+                                                   libors))
 
 
 def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
@@ -243,13 +353,9 @@ def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
         fact = build_factorization(params, tenor)
     if libors is None:
         libors = strip_libors(curve, tenor)
-    K = np.asarray(strike, dtype=float)
-    if np.any(K < 0.0):
-        raise StrikeError("negative swaption strikes are not supported")
-    ctx = swap_context(p, q, curve, tenor)
-    return _fourier_price(
-        lambda: swaption_cf_params(p, q, params, fact, tenor, curve, libors),
-        ctx.swap_rate, K, ctx.annuity, quad)
+    row = swaption_row(p, q, strike, tenor, curve, quad)
+    return price_row(row, lambda: swaption_cf_params(p, q, params, fact,
+                                                     tenor, curve, libors))
 
 
 def implied_vol(target_price: float, forward: float, strike: float,

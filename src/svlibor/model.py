@@ -26,7 +26,8 @@ the quantity for expiry j, entry 0 is NaN (scalars) or a zero row (vectors).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +45,27 @@ __all__ = [
 ]
 
 _SCALAR_FIELDS = ("alpha", "beta_norm", "rho", "kappa", "theta", "eps")
+
+# field: (test that flags an invalid entry, message), for expiries 1..n-1.
+_CHECKS = {
+    "kappa": (lambda x: x <= 0.0, "mean-reversion speed must be positive"),
+    "theta": (lambda x: x <= 0.0, "mean-reversion level must be positive"),
+    "eps": (lambda x: x < 0.0, "vol of vol must be non-negative"),
+    "rho": (lambda x: np.abs(x) > 1.0, "correlation must lie in [-1, 1]"),
+    "beta_norm": (lambda x: x < 0.0, "loading norm must be non-negative"),
+}
+
+
+def _with_arrays(obj, **arrays):
+    """Copy of a frozen dataclass with some array fields replaced, made
+    read-only; the other fields are shared and ``__post_init__`` is not
+    run."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__)
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        out.__dict__[name] = arr
+    return out
 
 
 def _pad_scalar(raw, n: int, name: str) -> np.ndarray:
@@ -100,17 +122,9 @@ class ModelParams:
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
-        body = slice(1, None)
-        if np.any(self.kappa[body] <= 0.0):
-            raise InvariantError("kappa", "mean-reversion speed must be positive")
-        if np.any(self.theta[body] <= 0.0):
-            raise InvariantError("theta", "mean-reversion level must be positive")
-        if np.any(self.eps[body] < 0.0):
-            raise InvariantError("eps", "vol of vol must be non-negative")
-        if np.any(np.abs(self.rho[body]) > 1.0):
-            raise InvariantError("rho", "correlation must lie in [-1, 1]")
-        if np.any(self.beta_norm[body] < 0.0):
-            raise InvariantError("beta_norm", "loading norm must be non-negative")
+        for name, (bad, message) in _CHECKS.items():
+            if np.any(bad(getattr(self, name)[1:])):
+                raise InvariantError(name, message)
         if self.corr_decay < 0.0:
             raise InvariantError("corr_decay", "decay rate must be >= 0")
 
@@ -125,15 +139,23 @@ class ModelParams:
 
     def with_expiry(self, j: int, *, beta_norm=None, rho=None, kappa=None,
                     eps=None) -> "ModelParams":
-        """Copy of the parameter set with expiry j's entries replaced."""
+        """Copy of the parameter set with expiry j's entries replaced.
+
+        Only the replaced entries are validated; the other arrays are
+        shared, read-only, with this set.
+        """
         updates = {}
         for name, value in (("beta_norm", beta_norm), ("rho", rho),
                             ("kappa", kappa), ("eps", eps)):
             if value is not None:
                 arr = getattr(self, name).copy()
                 arr[j] = value
+                bad, message = _CHECKS[name]
+                # Entry 0 is padding, which validation skips.
+                if range(self.n)[j] and bad(arr[j]):
+                    raise InvariantError(name, message)
                 updates[name] = arr
-        return replace(self, **updates)
+        return _with_arrays(self, **updates)
 
     @classmethod
     def from_arrays(cls, *, alpha, beta_norm, rho, kappa, theta, eps,
@@ -177,6 +199,19 @@ class VolFactorization:
     @property
     def m(self) -> int:
         return self.loadings.shape[1]
+
+    def with_expiry(self, j: int, params: ModelParams) -> "VolFactorization":
+        """Copy with row j refactorized from ``params``, the rest shared.
+
+        Row j comes out bitwise as ``factorize_vols`` would compute it.
+        """
+        rho, eps = params.rho[j], params.eps[j]
+        rho_eps = rho * eps
+        sigma = self.sigma.copy()
+        sigma[j] = (0.0 if math.isnan(rho_eps) else rho_eps) * self.loadings[j]
+        sigma_bar = self.sigma_bar.copy()
+        sigma_bar[j] = np.sqrt(max(1.0 - rho * rho, 0.0)) * eps
+        return _with_arrays(self, sigma=sigma, sigma_bar=sigma_bar)
 
 
 def build_loadings(tenor, decay: float) -> np.ndarray:

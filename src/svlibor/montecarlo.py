@@ -16,10 +16,13 @@ each step reads one contiguous slice.  Blocks have a fixed size, BLOCK =
 1024 paths, and are stacked in index order, which makes results bitwise
 identical across thread counts.  A worker thread holds one block's normals,
 steps * 1024 * dim * 8 bytes: 26 MB for 152 steps and dim = 21.  Results
-also do not depend on the block size, bitwise, when the path count is a
-multiple of 8 (the kernel width measured with OpenBLAS on x86-64);
-otherwise the BLAS edge kernel that serves a block's ragged last paths may
-round their last bit differently.
+also do not depend on the block size, bitwise, for any path count: a block
+whose path count is not a multiple of PAD = 8 (the kernel width measured
+with OpenBLAS on x86-64) is padded up to one with the next paths' own
+streams, and the padded paths are dropped before anything reads the
+snapshots.  Unpadded, the BLAS edge kernel that serves a block's ragged
+last paths may round their last bit differently for other block sizes or
+row counts.
 
 Each step is a few BLAS products and in-place elementwise updates on a
 (rows, paths) state: one product of the step's normals with the stacked
@@ -72,6 +75,9 @@ __all__ = [
 
 # Fixed so the path-to-block assignment never depends on the thread count.
 BLOCK = 1024
+# Blocks simulate a multiple of PAD paths, so that every path goes through
+# the BLAS kernel's full-width columns.
+PAD = 8
 CHUNK = 16  # paths drawn before each copy into a block's step-major normals
 
 
@@ -303,10 +309,14 @@ def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray
 
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
                     record: dict[int, float]) -> dict[float, tuple]:
-    """Snapshots {t: (L, v_used)} of one path block; v_used is None unless
-    ``pre.variance`` is set, because the estimators read only the Libors."""
-    normals = _block_normals(p0, p1, pre, cfg)
-    P = p1 - p0
+    """Snapshots {t: (L, v_used)} of paths p0..p1-1; v_used is None unless
+    ``pre.variance`` is set, because the estimators read only the Libors.
+
+    The block is padded up to a multiple of PAD paths, which are simulated
+    but neither checked nor reported."""
+    keep = p1 - p0
+    P = -(-keep // PAD) * PAD
+    normals = _block_normals(p0, p0 + P, pre, cfg)
     n, nv = pre.n, pre.nv
     # The state is (rows, paths) so that every elementwise operation runs
     # over contiguous paths; work arrays are allocated once per block, and
@@ -318,10 +328,10 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
     W_all = np.empty((pre.load.shape[0], P))
 
     def snapshot():
-        L = np.ascontiguousarray((np.exp(X) - pre.alpha[:, None]).T)
+        L = np.ascontiguousarray((np.exp(X[:, :keep]) - pre.alpha[:, None]).T)
         if not pre.variance:
             return L, None
-        return L, np.ascontiguousarray(v[pre.vmap].T)
+        return L, np.ascontiguousarray(v[pre.vmap, :keep].T)
 
     snaps: dict[float, tuple] = {}
     if 0 in record:
@@ -371,9 +381,11 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
             v_live += dv
 
             # Non-finite values stay non-finite, so checking only where the
-            # state is read still catches every overflow.
+            # state is read still catches every overflow.  Padded paths are
+            # never read, so they cannot raise.
             if s + 1 in record or s + 1 == pre.n_steps:
-                if not (np.isfinite(X).all() and np.isfinite(v).all()):
+                if not (np.isfinite(X[:, :keep]).all()
+                        and np.isfinite(v[:, :keep]).all()):
                     raise SimulationError(
                         f"non-finite state by step {s + 1} "
                         f"(t = {pre.grid[s + 1]:.6g})")

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import oracles
 from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
-                               CalibrationResult, calibrate_all,
+                               CalibrationResult, _CapletPricer, calibrate_all,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.charfn import caplet_cf_params, explosion_margin
-from svlibor.errors import InvariantError, QuadratureError, SvLiborError
+from svlibor.errors import (DegenerateDriftError, InvariantError,
+                            QuadratureError, StrikeError, SvLiborError)
 from svlibor.fourier import DEFAULT_QUAD, INNER_PANEL, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
@@ -89,8 +90,8 @@ class TestObjective:
 
     def test_failed_pricing_hits_penalty(self, tenor, curve, params,
                                          loadings, libors, monkeypatch):
-        # Any typed pricing error, here a QuadratureError, must score
-        # PENALTY.
+        # Any typed pricing error, here a QuadratureError from the per-eval
+        # entry point price_row, must score PENALTY.
         import svlibor.calibrate
         j = 17
         strikes = np.linspace(0.6, 1.6, 7) * libors[j]
@@ -100,7 +101,7 @@ class TestObjective:
         def failing(*args, **kwargs):
             raise QuadratureError("non-finite characteristic function")
 
-        monkeypatch.setattr(svlibor.calibrate, "caplet_price", failing)
+        monkeypatch.setattr(svlibor.calibrate, "price_row", failing)
         val = objective(j, (1.82, 4.48, 5.74, 0.876), strikes, market, tenor,
                         curve, params, loadings, DEFAULT_QUAD, libors)
         assert val == PENALTY
@@ -159,6 +160,88 @@ class TestObjectiveQuadrature:
         np.testing.assert_allclose(static, ref, rtol=1e-8, atol=floor)
 
 
+class TestCapletPricer:
+    # calibrate_maturity builds one _CapletPricer per maturity and prices
+    # every candidate with it; its prices must be bitwise those of a fresh
+    # caplet_price call, and it must reject the same candidates.  One
+    # pricer per expiry is kept across examples, so it really is reused.
+    PRICERS: dict = {}
+
+    def pricer(self, j, tenor, curve, params, loadings, libors):
+        if j not in self.PRICERS:
+            strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+            market = caplet_price(j, strikes, tenor, curve, params,
+                                  quad=QUAD, libors=libors)
+            self.PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params,
+                                             loadings, QUAD, libors), market)
+        return self.PRICERS[j]
+
+    @given(j=st.integers(1, 19),
+           beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
+           eps=st.floats(*BOUNDS[2]), rho=st.floats(*BOUNDS[3]))
+    # Refused by the explosion-margin guard.
+    @example(j=1, beta_norm=2.0, kappa=1.0, eps=9.0, rho=0.75)
+    # Degenerate drift: the effective reversion speed is negative.
+    @example(j=1, beta_norm=0.15, kappa=1e-3, eps=10.0, rho=0.999)
+    @settings(max_examples=150, deadline=None)
+    def test_reused_pricer_matches_fresh_caplet_price(self, tenor, curve,
+                                                      params, loadings,
+                                                      libors, j, beta_norm,
+                                                      kappa, eps, rho):
+        pricer, market = self.pricer(j, tenor, curve, params, loadings,
+                                     libors)
+        x = (beta_norm, kappa, eps, rho)
+        work, fact = pricer.candidate(x)
+        try:
+            fresh = caplet_price(j, pricer.strikes, tenor, curve, work,
+                                 quad=QUAD, libors=libors)
+        except SvLiborError as exc:
+            with pytest.raises(type(exc)):
+                pricer.price(work, fact)
+            assert np.all(pricer.residuals(x, market) == PENALTY)
+            return
+        assert pricer.price(work, fact).tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(pricer.residuals(x, market),
+                                      (fresh - market) / market)
+
+    @pytest.mark.parametrize("x, error, match", [
+        ((2.0, 1.0, 9.0, 0.75), QuadratureError, "explosion margin"),
+        ((0.15, 1e-3, 10.0, 0.999), DegenerateDriftError, "kappa_eff"),
+    ], ids=["explosion-margin", "degenerate-drift"])
+    def test_reused_pricer_keeps_guards(self, tenor, curve, params, loadings,
+                                        libors, x, error, match):
+        pricer, market = self.pricer(1, tenor, curve, params, loadings,
+                                     libors)
+        with pytest.raises(error, match=match):
+            pricer.price(*pricer.candidate(x))
+        assert np.all(pricer.residuals(x, market) == PENALTY)
+
+    def test_zero_displaced_strike_prices_by_parity(self, tenor, curve,
+                                                    params, loadings,
+                                                    libors):
+        # K + alpha_j = 0 prices by parity, discount * (L_j + alpha_j); a
+        # negative displaced strike is a StrikeError, which scores PENALTY.
+        j = 6
+        shifted = dataclasses.replace(
+            params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.01))
+        strikes = np.array([-0.01, 0.6 * libors[j], libors[j]])
+        pricer = _CapletPricer(j, strikes, tenor, curve, shifted, loadings,
+                               QUAD, libors)
+        x = (0.2, 1.5, 0.8, -0.4)
+        work, fact = pricer.candidate(x)
+        got = pricer.price(work, fact)
+        fresh = caplet_price(j, strikes, tenor, curve, work, quad=QUAD,
+                             libors=libors)
+        assert got.tobytes() == fresh.tobytes()
+        discount = tenor.accruals()[j] * curve.bonds[j + 1]
+        assert got[0] == discount * (libors[j] + 0.01)
+        below = _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted,
+                              loadings, QUAD, libors)
+        with pytest.raises(StrikeError, match="displacement"):
+            below.price(*below.candidate(x))
+        assert np.all(below.residuals(x, np.ones(3)) == PENALTY)
+
+
 class TestPanelMarketPrices:
     def test_price_kind_passthrough(self, tenor, curve, params):
         panel = CapletPanel(expiry=3, strikes=np.array([0.01, 0.02]),
@@ -215,18 +298,19 @@ class TestCalibrateMaturity:
     def test_iterations_count_every_objective_call(self, start, monkeypatch):
         # scipy's nfev leaves out the finite-difference Jacobian columns;
         # the fit must count them, because the budget and evals/s use it.
+        # Every eval prices the maturity's strike row once via price_row.
         import svlibor.calibrate
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         loadings = build_loadings(tenor, params.corr_decay)
         calls = []
-        price = svlibor.calibrate.caplet_price
+        price = svlibor.calibrate.price_row
 
         def counted(*args, **kwargs):
             calls.append(1)
             return price(*args, **kwargs)
 
-        monkeypatch.setattr(svlibor.calibrate, "caplet_price", counted)
+        monkeypatch.setattr(svlibor.calibrate, "price_row", counted)
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
                                  FAST, warm_start=start)
         assert fit.penalties == 0
@@ -273,6 +357,7 @@ class TestCalibrateMaturity:
         assert blob["fits"][0]["message"] == fit.message
         assert blob["fits"][0]["status"] == fit.status
         assert blob["fits"][0]["penalties"] == fit.penalties
+        assert blob["fits"][0]["seconds"] == fit.seconds > 0.0
 
     def test_rejected_candidates_are_counted(self, tenor, curve, params,
                                              loadings, libors):
@@ -304,13 +389,13 @@ class TestCalibrateMaturity:
                               libors=libors)
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
         calls = []
-        price = svlibor.calibrate.caplet_price
+        price = svlibor.calibrate.price_row
 
         def counted(*args, **kwargs):
             calls.append(1)
             return price(*args, **kwargs)
 
-        monkeypatch.setattr(svlibor.calibrate, "caplet_price", counted)
+        monkeypatch.setattr(svlibor.calibrate, "price_row", counted)
         warm = (0.15, 1e-3, 10.0, 0.999)
         fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
                                  FAST, libors, warm_start=warm)
@@ -350,6 +435,7 @@ class TestCalibrateAll:
             assert not f.converged
             assert math.isnan(f.objective)
             assert f.kappa == 1.0 and f.beta_norm == 0.15
+            assert f.seconds == 0.0
 
     def test_first_fit_matches_direct_call(self):
         tenor, curve, params = small_market()

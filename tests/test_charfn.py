@@ -250,10 +250,10 @@ def test_normalized_and_finite_over_calibration_box(params, loadings, tenor,
                                  loadings, tenor, libors)
     except SvLiborError:  # degenerate drift: rejected before any CF call
         assume(False)
-    nodes, _ = _graded_rule(400.0, CalibrationOptions().quad.n)
+    contour = _graded_rule(400.0, CalibrationOptions().quad.n).contour
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values = heston_cf(np.append(nodes - 1.0j, -1.0j), p)
+        values = heston_cf(contour, p)
     assert np.all(np.isfinite(values))
     assert abs(values[-1] - 1.0) <= 1e-10
 

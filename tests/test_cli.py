@@ -258,6 +258,8 @@ class TestCalibrate:
         assert fit["iterations"] > 0
         assert isinstance(fit["status"], int) and fit["message"]
         assert fit["penalties"] == 0
+        # Wall time of the maturity's solves.
+        assert fit["seconds"] > 0.0
 
 
 class TestImpliedVol:

@@ -26,9 +26,12 @@ from svlibor import (
     build_factorization,
     caplet_price,
     carr_madan_cv,
+    heston_cf,
     implied_vol,
+    swaption_cf_params,
     swaption_price,
 )
+from svlibor.fourier import price_row, swaption_row
 
 import oracles
 
@@ -152,6 +155,38 @@ def test_caplet_negative_strike_rejected(tenor, curve, params, fact):
 def test_swaption_zero_strike_parity(tenor, curve, params, fact):
     price = swaption_price(2, 10, 0.0, tenor, curve, params, fact)
     assert abs(price - (curve.bonds[2] - curve.bonds[10])) <= 1e-9
+
+
+def test_swaption_row_goes_through_the_split(tenor, curve, params, fact,
+                                             libors):
+    # A swaption row built once prices every CF through price_row, bitwise
+    # as swaption_price and, on the live strikes, as the generic
+    # carr_madan_cv with the same CF; the zero strike prices by parity.
+    strikes = np.array([0.0, 0.01, 0.02, 0.03])
+    row = swaption_row(4, 10, strikes, tenor, curve)
+    assert np.array_equal(row.live, strikes > 0.0)
+    for bump in (1.0, 1.3):
+        work = params.with_expiry(6, beta_norm=bump * params.beta_norm[6])
+        wfact = fact.with_expiry(6, work)
+        cfp = swaption_cf_params(4, 10, work, wfact, tenor, curve, libors)
+        got = price_row(row, lambda: cfp)
+        fresh = swaption_price(4, 10, strikes, tenor, curve, work,
+                               libors=libors)
+        assert got.tobytes() == fresh.tobytes()
+        sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
+                                + cfp.gamma_int / cfp.horizon))
+        generic = carr_madan_cv(lambda z: heston_cf(z, cfp), row.forward,
+                                strikes[1:], cfp.horizon, row.discount,
+                                sigma_b)
+        assert got[1:].tobytes() == generic.tobytes()
+        assert got[0] == row.discount * row.forward
+    # A row of zero strikes only never builds the CF parameters.
+    zeros = swaption_row(4, 10, [0.0, 0.0], tenor, curve)
+    np.testing.assert_array_equal(
+        price_row(zeros, lambda: pytest.fail("CF params built")),
+        2 * [zeros.discount * zeros.forward])
+    with pytest.raises(StrikeError, match="negative"):
+        swaption_row(4, 10, [-0.01, 0.02], tenor, curve)
 
 
 def test_swaption_published_spot_value(tenor, curve, params, fact, libors):

@@ -161,6 +161,47 @@ def test_with_expiry_replaces_one_slot(params):
     assert bumped.eps[5] == params.eps[5]
 
 
+def test_with_expiry_validates_replaced_slot(params):
+    # with_expiry checks only the replaced entries, so each invalid value
+    # must still raise there, and a valid copy must leave every other slot
+    # (and the original set) as it was.
+    for field, bad in (("kappa", 0.0), ("kappa", -1.0), ("eps", -0.5),
+                       ("rho", 1.5), ("rho", -1.01), ("beta_norm", -0.1)):
+        with pytest.raises(InvariantError, match=field):
+            params.with_expiry(7, **{field: bad})
+    before = {name: params.__dict__[name].copy()
+              for name in ("beta_norm", "kappa", "eps", "rho", "theta")}
+    bumped = params.with_expiry(7, beta_norm=0.2, kappa=3.0, eps=0.0,
+                                rho=-1.0)
+    others = np.arange(params.n) != 7
+    for name, old in before.items():
+        np.testing.assert_array_equal(getattr(params, name), old)
+        np.testing.assert_array_equal(getattr(bumped, name)[others],
+                                      old[others])
+        assert not getattr(bumped, name).flags.writeable
+    assert (bumped.beta_norm[7], bumped.kappa[7], bumped.eps[7],
+            bumped.rho[7]) == (0.2, 3.0, 0.0, -1.0)
+    # The replaced set is as valid as a fully validated copy of it.
+    ModelParams(alpha=bumped.alpha, beta_norm=bumped.beta_norm,
+                rho=bumped.rho, kappa=bumped.kappa, theta=bumped.theta,
+                eps=bumped.eps, gamma=bumped.gamma,
+                corr_decay=bumped.corr_decay)
+
+
+def test_factorization_with_expiry_matches_full_refactorization(params,
+                                                                 loadings,
+                                                                 fact):
+    # Refactorizing only row j must give bitwise the full factorization.
+    for j, rho, eps in ((1, 0.999, 10.0), (12, -0.3, 0.7), (19, 0.0, 0.0),
+                        (5, -1.0, 2.5)):
+        work = params.with_expiry(j, rho=rho, eps=eps)
+        full = factorize_vols(work, loadings)
+        row = fact.with_expiry(j, work)
+        np.testing.assert_array_equal(row.sigma, full.sigma)
+        np.testing.assert_array_equal(row.sigma_bar, full.sigma_bar)
+        assert row.loadings is fact.loadings
+
+
 def test_gamma_defaults_to_empty(params):
     assert params.m_hat == 0
     assert params.gamma.shape == (20, 0)

@@ -263,16 +263,19 @@ def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
                                              monkeypatch):
     # Every path owns its Philox stream and blocks are reduced in path
     # order, so the block size, which only bounds memory, must not move a
-    # bit.  5000 paths leave a partial last block at either size.
-    def run():
-        base = dict(paths=5000, steps_per_year=2, seed=4)
+    # bit.  Both counts leave a partial last block at either size; 3003
+    # leaves one of 955 or 3003 paths (954 or 3002 antithetic), none a
+    # multiple of PAD.
+    def run(paths):
+        base = dict(paths=paths, steps_per_year=2, seed=4)
         K = np.array([0.01, 0.02, 0.03])
         leg = {(2, 6): K}
         priced = [
             mc_caplets({3: K, 7: K}, tenor, curve, params, fact,
                        MCConfig(**base)),
             mc_caplets({5: K}, tenor, curve, params, fact,
-                       MCConfig(antithetic=True, **base)),
+                       MCConfig(**dict(base, paths=paths // 2 * 2),
+                                antithetic=True)),
             mc_swaptions(leg, tenor, curve, params, fact,
                          MCConfig(substitution=("caplet", 4), **base)),
             mc_swaptions(leg, tenor, curve, params, fact,
@@ -291,30 +294,33 @@ def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
                     for t, (m, s) in bonds.items()})
         return out
 
-    assert 5000 % montecarlo.BLOCK and montecarlo.BLOCK < 4096
-    default = run()
+    counts = (5000, 3003)
+    assert all(paths % montecarlo.BLOCK for paths in counts)
+    assert montecarlo.BLOCK < 4096
+    default = [run(paths) for paths in counts]
     monkeypatch.setattr(montecarlo, "BLOCK", 4096)
-    assert run() == default
+    assert [run(paths) for paths in counts] == default
 
 
 @pytest.mark.parametrize("substitution", [None, ("caplet", 6), ("swap", 3, 8)])
 def test_unread_variance_rows_do_not_move_libors(tenor, curve, params, fact,
                                                  substitution):
     # The pricers step only the variance rows a live Libor reads; the
-    # Libors must come out bitwise as when every variance row is stepped.
-    # (Bitwise for block sizes that are multiples of 8 paths: the BLAS edge
-    # kernel for a ragged tail of paths may round differently.)
-    cfg = MCConfig(paths=304, steps_per_year=2, seed=2,
-                   substitution=substitution)
+    # Libors must come out bitwise as when every variance row is stepped,
+    # also for a ragged block (1003 paths), which is padded to a multiple
+    # of PAD paths so that the BLAS edge kernel never serves a path.
+    cfg = MCConfig(steps_per_year=2, seed=2, substitution=substitution)
     pruned = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg)
     full = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg,
                                variance=True)
     record = montecarlo._record_map(pruned, [2.0, 4.0, 6.0])
-    a = montecarlo._simulate_block(0, cfg.paths, pruned, cfg, record)
-    b = montecarlo._simulate_block(0, cfg.paths, full, cfg, record)
-    assert a.keys() == b.keys() == {2.0, 4.0, 6.0}
-    for t in a:
-        np.testing.assert_array_equal(a[t][0], b[t][0])
+    for paths in (304, 1003):
+        a = montecarlo._simulate_block(0, paths, pruned, cfg, record)
+        b = montecarlo._simulate_block(0, paths, full, cfg, record)
+        assert a.keys() == b.keys() == {2.0, 4.0, 6.0}
+        for t in a:
+            assert a[t][0].shape[0] == b[t][1].shape[0] == paths
+            np.testing.assert_array_equal(a[t][0], b[t][0])
     # On [T_5, T_6) the live Libors are X_6..X_19.
     assert pruned.segments[-1].vlo == pruned.vmap[6]
     assert all(seg.vlo == 0 for seg in full.segments)
