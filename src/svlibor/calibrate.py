@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .charfn import caplet_cf_params
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
@@ -237,6 +236,9 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     again from ``START``; ``iterations`` and ``max_evals`` count both
     solves, and ``note`` says so.
     """
+    # Imported here so that pricing-only processes never load scipy.optimize.
+    from scipy.optimize import least_squares
+
     if panel.expiry != j:
         raise InvariantError("expiry", f"panel is for {panel.expiry}, not {j}")
     if libors is None:

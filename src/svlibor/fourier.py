@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
@@ -365,6 +364,9 @@ def implied_vol(target_price: float, forward: float, strike: float,
     Prices at the intrinsic lower bound report vol 0 with a warning;
     targets outside the static no-arbitrage band raise.
     """
+    # Imported here so that pricing-only processes never load scipy.optimize.
+    from scipy.optimize import brentq
+
     D = discount_times_accrual
     lower = D * max(forward - strike, 0.0)
     upper = D * forward

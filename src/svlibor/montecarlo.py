@@ -97,6 +97,8 @@ class MCConfig:
             raise InvariantError("steps_per_year", "need at least one step per year")
         if self.threads < 1:
             raise InvariantError("threads", "need at least one worker thread")
+        if not 0 <= self.seed < 2**128:
+            raise InvariantError("seed", "Philox keys lie in [0, 2**128)")
         if self.antithetic and self.paths % 2:
             raise InvariantError("paths", "antithetic sampling needs an even count")
         sub = self.substitution

@@ -169,6 +169,16 @@ class TestMcPrice:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: InvariantError")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_keys_rejected(self, fixtures_dir, capsys,
+                                               seed):
+        rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json")]
+                  + self.ARGS + ["--seed", seed])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvariantError") and "seed" in err
+
     def test_malformed_threads_variable_fails_mc_commands_only(
             self, tmp_path, fixtures_dir, monkeypatch, capsys):
         monkeypatch.setenv("SVLIBOR_THREADS", "abc")

@@ -1,0 +1,90 @@
+"""Pricing and Monte Carlo never load scipy.optimize; the solvers still do.
+
+Only ``calibrate_maturity`` (least squares) and ``implied_vol`` (Brent) need
+scipy.optimize, and loading it costs a large share of the package's import
+time, so both import it when called.  The check runs in a fresh
+interpreter, because this test process has long since loaded it.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+
+import numpy as np
+
+import svlibor
+import svlibor.cli
+from svlibor import (CalibrationOptions, CapletPanel, MCConfig, black76,
+                     build_factorization, build_loadings, calibrate_maturity,
+                     caplet_price, implied_vol, load_curve, load_params,
+                     mc_caplets, strip_libors, swaption_price)
+
+
+def optimize_loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy.optimize" or m.startswith("scipy.optimize."))
+
+
+tenor, curve = load_curve("fixtures/curve_table.csv")
+params = load_params("fixtures/model_table.json")
+fact = build_factorization(params, tenor)
+libors = strip_libors(curve, tenor)
+out = {"after_import": optimize_loaded()}
+
+strikes = np.array([0.8, 1.0, 1.2]) * libors[5]
+caplets = caplet_price(5, strikes, tenor, curve, params, fact)
+swaptions = swaption_price(2, 6, np.array([0.02, 0.03]), tenor, curve, params,
+                           fact)
+mc = mc_caplets({3: np.array([0.01])}, tenor, curve, params, fact,
+                MCConfig(paths=64, steps_per_year=2))
+black = black76(0.03, 2.0, 0.2, 0.03)
+out["prices_finite"] = bool(np.all(np.isfinite(caplets))
+                            and np.all(np.isfinite(swaptions))
+                            and np.isfinite(mc[3][0].price)
+                            and np.isfinite(black))
+out["after_pricing"] = optimize_loaded()
+out["special_loaded"] = "scipy.special" in sys.modules
+
+out["implied_vol"] = implied_vol(black, 0.03, 0.03, 2.0, 1.0)
+j = 5
+truth = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
+panel = CapletPanel(expiry=j, strikes=strikes, quotes=caplets)
+fit = calibrate_maturity(j, panel, params, tenor, curve,
+                         build_loadings(tenor, params.corr_decay),
+                         CalibrationOptions(max_evals=60), libors=libors,
+                         warm_start=tuple(float(x) for x in truth))
+out["fit_objective"] = fit.objective
+out["fit_iterations"] = fit.iterations
+out["after_solvers"] = optimize_loaded()
+print(json.dumps(out))
+"""
+
+
+def run_fresh(script: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_pricing_paths_leave_scipy_optimize_unloaded():
+    out = run_fresh(SCRIPT)
+    assert out["after_import"] == []
+    assert out["prices_finite"]
+    assert out["after_pricing"] == []
+    # Black-76 still prices through scipy.special.ndtr.
+    assert out["special_loaded"]
+    assert abs(out["implied_vol"] - 0.2) < 1e-10
+    assert 0 < out["fit_iterations"] <= 60
+    assert out["fit_objective"] < 1e-7
+    assert "scipy.optimize" in out["after_solvers"]

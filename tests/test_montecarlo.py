@@ -207,6 +207,10 @@ def test_config_validation():
     for threads in (0, -3):
         with pytest.raises(InvariantError, match="threads"):
             MCConfig(threads=threads)
+    for seed in (-1, 2**128):
+        with pytest.raises(InvariantError, match="seed"):
+            MCConfig(seed=seed)
+    MCConfig(seed=2**128 - 1)
 
 
 def test_horizon_and_recording_guards(tenor, curve, params, fact):
