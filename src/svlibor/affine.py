@@ -19,7 +19,9 @@ from .model import ModelParams, VolFactorization
 __all__ = [
     "EffectiveCapletParams",
     "SwapEffectiveParams",
+    "caplet_drift_slope",
     "effective_caplet_params",
+    "effective_caplet_partials",
     "swap_averaged_vol_params",
     "swap_effective_params",
 ]
@@ -115,6 +117,56 @@ def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
         expiry=float(tenor.dates[j]),
         v0=float(params.theta[j]),
     )
+
+
+def caplet_drift_slope(j: int, params: ModelParams, fact: VolFactorization,
+                       tenor: TenorStructure, libors: np.ndarray) -> float:
+    """C_j in kappa_eff = kappa_j - rho_j eps_j C_j (sigma_j = rho_j eps_j e_j).
+
+    C_j = sum_{k>j} sqrt(theta_k/theta_j) c_k (e_j . beta_k) holds no
+    parameter that the calibration of expiry j moves.
+    """
+    n = params.n
+    if not (1 <= j <= n - 1):
+        raise IndexError(f"expiry index {j} outside 1..{n - 1}")
+    c = _drift_loads(params, libors, tenor)
+    tail = slice(j + 1, n)
+    return float(np.sum(np.sqrt(params.theta[tail] / params.theta[j])
+                        * c[tail] * params.beta_norm[tail]
+                        * (fact.loadings[tail] @ fact.loadings[j])))
+
+
+def effective_caplet_partials(j: int, params: ModelParams,
+                              fact: VolFactorization,
+                              slope: float) -> np.ndarray:
+    """Partials of the caplet CF inputs in expiry j's calibrated parameters.
+
+    Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the order
+    of ``charfn.TANGENT_FIELDS``; columns are (|beta_j|, kappa_j, eps_j,
+    rho_j).  With ``slope`` = ``caplet_drift_slope``,
+
+        kappa_eff = kappa_j - rho_j eps_j C_j,
+        theta_eff = kappa_j theta_j / kappa_eff,
+        sigma . beta = rho_j eps_j |beta_j| (e_j . e_j).
+    """
+    beta, kappa = params.beta_norm[j], params.kappa[j]
+    eps, rho, theta = params.eps[j], params.rho[j], params.theta[j]
+    kappa_eff = kappa - rho * eps * slope
+    if kappa_eff <= 0.0:
+        raise DegenerateDriftError(f"kappa_eff(j={j})", kappa_eff)
+    d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
+    # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
+    #               / kappa_eff.
+    d_theta = -(theta * kappa / kappa_eff ** 2) * d_kappa
+    d_theta[1] += theta / kappa_eff
+    ee = float(fact.loadings[j] @ fact.loadings[j])
+    return np.array([
+        d_kappa,
+        d_theta,
+        [0.0, 0.0, 1.0, 0.0],
+        [rho * eps * ee, 0.0, rho * beta * ee, eps * beta * ee],
+        [2.0 * beta, 0.0, 0.0, 0.0],
+    ])
 
 
 def swap_averaged_vol_params(ctx: SwapContext, params: ModelParams,

@@ -3,9 +3,12 @@
 Maturities are processed in decreasing order: the measure change for expiry
 j sums over all k > j, so later maturities must be fixed first.  Each
 subproblem is one bounded least-squares solve (scipy's trust-region
-reflective method inside ``BOUNDS``, finite-difference Jacobian) on the
-per-strike relative price residuals against the Fourier pricer, started
-from the neighbouring maturity's fit.
+reflective method inside ``BOUNDS``) on the per-strike relative price
+residuals against the Fourier pricer, started from the neighbouring
+maturity's fit.  Its Jacobian is exact: one tangent characteristic-function
+call carries the derivatives in (|beta|, kappa, eps, rho) through the
+discrete price the residuals compute, instead of four re-pricings of
+finite differences.
 
 The residuals price each candidate's strike row with the package's graded
 static quadrature at half the default node count (``CalibrationOptions.quad``,
@@ -13,8 +16,8 @@ static quadrature at half the default node count (``CalibrationOptions.quad``,
 is built once per maturity and each candidate re-validates and
 refactorizes only its own slot, so a candidate costs one vectorized
 characteristic-function call and one matrix-vector product; the prices
-move smoothly with the candidate, which the finite-difference Jacobian
-needs.  Over the whole search box, for strikes 0.6-1.6 times the
+move smoothly with the candidate, which the least-squares solve needs.
+Over the whole search box, for strikes 0.6-1.6 times the
 forward, it agrees with an adaptive reference at ``tol=1e-12`` to 1e-8
 relative, down to that reference's own absolute error (checked by test).
 Wider strikes need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which
@@ -23,12 +26,14 @@ fit reports use.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import caplet_drift_slope, effective_caplet_partials
 from .charfn import caplet_cf_params
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
@@ -59,12 +64,14 @@ class CalibrationOptions:
     # Graded static rule: strike rows built once per maturity, then one CF
     # call per candidate, smooth in the candidate.
     quad: QuadratureConfig = QuadratureConfig(n=768)
-    # Objective evals per maturity, finite-difference Jacobian columns
-    # included.
+    # Objective evals per maturity: residual evals plus one per Jacobian
+    # column, so 4 per Jacobian (the cost of a finite-difference one).
     max_evals: int = 1200
 
 
-@dataclass(frozen=True)
+# Slotted, to keep each fit small: a sweep returns one per maturity, most of
+# them held guesses, and a caller may keep many sweeps' results.
+@dataclass(frozen=True, slots=True)
 class MaturityFit:
     expiry: int
     beta_norm: float
@@ -79,9 +86,10 @@ class MaturityFit:
     message: str = ""  # the optimizer's stop reason
     penalties: int = 0  # evals that scored PENALTY
     seconds: float = 0.0  # wall time of the solves; 0 if not fitted
+    jacobians: int = 0  # Jacobian evaluations, 4 evals each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibrationResult:
     fits: tuple
     theta: np.ndarray
@@ -115,6 +123,7 @@ class CalibrationResult:
                 "converged": f.converged, "note": f.note,
                 "status": f.status, "message": f.message,
                 "penalties": f.penalties, "seconds": f.seconds,
+                "jacobians": f.jacobians,
             } for f in self.fits],
         }
 
@@ -155,6 +164,7 @@ class _CapletPricer:
         self.strikes = np.asarray(strikes)
         self.params, self.quad, self.libors = params, quad, libors
         self.fact = factorize_vols(params, loadings)
+        self.slope = caplet_drift_slope(j, params, self.fact, tenor, libors)
         self.row = None
 
     def candidate(self, candidate):
@@ -164,14 +174,24 @@ class _CapletPricer:
                                        kappa=kappa, eps=eps)
         return work, self.fact.with_expiry(self.j, work)
 
-    def price(self, work: ModelParams, fact) -> np.ndarray:
-        """Prices of the strike row; raises what ``caplet_price`` raises."""
+    def price(self, work: ModelParams, fact, jacobian=False):
+        """Prices of the strike row; raises what ``caplet_price`` raises.
+
+        With ``jacobian``, returns (prices, partials), the partials of the
+        prices in (|beta|, kappa, eps, rho), one row per strike.
+        """
         j, tenor, libors = self.j, self.tenor, self.libors
         if self.row is None:
             self.row = caplet_row(j, self.strikes, tenor, self.curve,
                                   self.params, self.quad, libors)
-        return price_row(self.row, lambda: caplet_cf_params(j, work, fact,
-                                                            tenor, libors))
+
+        def cf_params():
+            return caplet_cf_params(j, work, fact, tenor, libors)
+
+        if not jacobian:
+            return price_row(self.row, cf_params)
+        partials = effective_caplet_partials(j, work, fact, self.slope)
+        return price_row(self.row, cf_params, tangents=partials.T)
 
     def residuals(self, candidate, market_prices) -> np.ndarray:
         """Relative price residuals; PENALTY at every strike when the
@@ -182,6 +202,24 @@ class _CapletPricer:
         except SvLiborError:
             return np.full(len(market_prices), PENALTY)
         return (model - market_prices) / market_prices
+
+    def residuals_and_jacobian(self, candidate, market_prices):
+        """``residuals`` and their exact partials in (|beta|, kappa, eps,
+        rho), one row per strike, from one tangent pricing pass.
+
+        The residuals are bitwise those of ``residuals``.  The Jacobian is
+        all zeros where the pricer rejects the candidate.
+        """
+        work, fact = self.candidate(candidate)
+        try:
+            model, partials = self.price(work, fact, jacobian=True)
+        except SvLiborError:
+            # Only a non-finite derivative fails here and not in
+            # ``residuals``; the residuals stay those of ``residuals``.
+            return (self.residuals(candidate, market_prices),
+                    np.zeros((len(market_prices), 4)))
+        return ((model - market_prices) / market_prices,
+                partials / market_prices[:, None])
 
 
 def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
@@ -234,7 +272,9 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     along the price-equivalent (kappa, eps) ridge between maturities.  When
     every eval of the warm-started solve scores PENALTY, the fit is solved
     again from ``START``; ``iterations`` and ``max_evals`` count both
-    solves, and ``note`` says so.
+    solves, and ``note`` says so.  The solve's Jacobian is exact
+    (``_CapletPricer.residuals_and_jacobian``); each counts as 4 evals, one
+    per column, and one at a rejected candidate as 4 penalties.
     """
     # Imported here so that pricing-only processes never load scipy.optimize.
     from scipy.optimize import least_squares
@@ -248,26 +288,44 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings,
                            options.quad, libors)
     lower, upper = np.array(BOUNDS).T
-    evals = penalties = 0
+    evals = penalties = jacobians = 0
     best = (np.inf, None, None)  # (cost, x, residuals) of the best eval
+    # TRF asks for the Jacobian at nearly every point it evaluates, right
+    # after the residuals, so both come from one tangent pass and the
+    # Jacobian is kept for that request.
+    last = (None, None)  # (x, Jacobian) of the latest residual eval
 
-    # scipy's nfev leaves out the finite-difference Jacobian columns, so
-    # the budget is counted, and enforced, here.
+    # scipy's nfev leaves out the Jacobians, so the budget is counted, and
+    # enforced, here.
     def fun(x: np.ndarray) -> np.ndarray:
-        nonlocal evals, penalties, best
+        nonlocal evals, penalties, best, last
         if evals == options.max_evals:
             raise _BudgetSpent
         evals += 1
-        r = pricer.residuals(x, market)
+        r, J = pricer.residuals_and_jacobian(x, market)
+        last = (x.copy(), J)
         penalties += bool(np.all(r == PENALTY))
         cost = float(r @ r)
         if cost < best[0]:
             best = (cost, x.copy(), r)
         return r
 
+    def jac(x: np.ndarray) -> np.ndarray:
+        nonlocal evals, penalties, jacobians
+        if evals + 4 > options.max_evals:
+            raise _BudgetSpent
+        evals += 4
+        jacobians += 1
+        x_last, J = last
+        if not np.array_equal(x, x_last):
+            J = pricer.residuals_and_jacobian(x, market)[1]
+        # An exact Jacobian is never all zeros: the price rises with |beta|.
+        penalties += 4 * (not J.any())
+        return J
+
     def solve(start):
         try:
-            res = least_squares(fun, np.clip(start, lower, upper),
+            res = least_squares(fun, np.clip(start, lower, upper), jac=jac,
                                 bounds=(lower, upper), method="trf",
                                 x_scale="jac", max_nfev=options.max_evals)
             return res.x, res.fun, res.status, res.message
@@ -278,9 +336,9 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
 
     start = time.perf_counter()
     x, r, status, message = solve(START if warm_start is None else warm_start)
-    # A warm start the pricer rejects leaves a zero finite-difference
-    # Jacobian, so the solve stops where it began; start once more from
-    # START, within the same eval budget.
+    # A warm start the pricer rejects has a zero Jacobian, so the solve
+    # stops where it began; start once more from START, within the same
+    # eval budget.
     fallback = ""
     if (warm_start is not None and penalties == evals
             and evals < options.max_evals):
@@ -295,7 +353,8 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                        iterations=evals,
                        converged=status > 0 and value < PENALTY,
                        note=note, status=int(status), message=message,
-                       penalties=penalties, seconds=seconds)
+                       penalties=penalties, seconds=seconds,
+                       jacobians=jacobians)
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
@@ -324,7 +383,7 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
             fits[j] = MaturityFit(
                 expiry=j, beta_norm=float(work.beta_norm[j]),
                 kappa=float(work.kappa[j]), eps=float(work.eps[j]),
-                rho=float(work.rho[j]), objective=float("nan"),
+                rho=float(work.rho[j]), objective=math.nan,
                 iterations=0, converged=False, note="no panel")
             continue
         fit = calibrate_maturity(j, panel, work, tenor, curve, loadings,

@@ -33,6 +33,11 @@ which removes the d = 0 removable singularity.
 The same formula serves caplets (measure-changed parameters of expiry j)
 and swaptions (annuity-averaged parameters of the leg [p, q]); only the
 parameter bundle differs.
+
+``heston_cf`` also returns forward-mode derivatives of phi along given
+directions in (kappa*, theta*, eps, sigma . beta, |beta|^2), computed on
+the same guarded branches as the value; the calibration's Jacobian is
+built from them.
 """
 
 from __future__ import annotations
@@ -54,6 +59,14 @@ __all__ = [
     "caplet_cf_params",
     "swaption_cf_params",
 ]
+
+# The CharFnParams fields a ``heston_cf`` tangent row moves, in order.
+TANGENT_FIELDS = ("kappa_star", "theta_star", "eps", "sigma_beta", "beta_sq")
+
+# Where |dT| is below P_SERIES the tangents take dphi1/dd from the series
+# of (e^x - 1 - x) / x^2 = sum_k x^k / (k + 2)!, cut after x^(P_TERMS - 1).
+P_SERIES = 1e-2
+P_TERMS = 7
 
 # Below this vol of vol the Riccati solution is evaluated in its
 # deterministic-variance limit; the formula above degenerates to 0/0.
@@ -118,18 +131,26 @@ def _safe(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(mask, 1.0, x) if mask.any() else x
 
 
-def heston_cf(z, p: CharFnParams, psi=None):
+def heston_cf(z, p: CharFnParams, psi=None, tangents=None):
     """Characteristic function E exp(izx) of the affine log-return.
 
     Vectorized over complex ``z``; the Carr-Madan contour evaluates it at
     z - i for real z.  Principal-branch sqrt and log throughout.  ``psi``
     is iz + z^2 at ``z`` when the caller has it at hand (the quadrature
     rule caches it for its contour).
+
+    ``tangents``, a (k, 5) array whose rows are directions in the fields
+    ``TANGENT_FIELDS``, asks for the forward-mode derivatives as well: the
+    call then returns (phi, dphi) with dphi of shape (k,) + z.shape, the
+    derivative of phi along each row.  The deterministic-variance limit
+    (eps below EPS_DETERMINISTIC) has no tangents.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if p.eps < EPS_DETERMINISTIC:
+        if tangents is not None:
+            raise NotImplementedError("no tangents below EPS_DETERMINISTIC")
         out = _deterministic_cf(z, p)
         return out[0] if scalar else out
 
@@ -180,7 +201,74 @@ def heston_cf(z, p: CharFnParams, psi=None):
     if p.gamma_int:
         exponent -= 0.5 * psi * p.gamma_int
     out = np.exp(exponent)
-    return out[0] if scalar else out
+    if tangents is None:
+        return out[0] if scalar else out
+
+    # Forward-mode tangents.  At every node phi depends on the fields only
+    # through a, w_sq and scalar factors, so the derivatives of the
+    # exponent by a and by w_sq are formed once, in stable forms on the
+    # same branches as the values, and each tangent row is a combination
+    # of five node arrays.  With r = 1/d and P = dphi1/dd:
+    #   d(a +- d)/da = +-(a +- d) r,  d(a +- d)/dw_sq = +-r/2,
+    #   dd/da = a r,  dd/dw_sq = r/2,  P = (T E/2 - phi1) r
+    #   = -(T^2/2) E (e^{dT} - 1 - dT) / (dT)^2,
+    # and, writing the exponent as K (amd T - 2 ln g) - v0 |beta|^2 psi
+    # phi1 / g with K = kappa* theta* / eps^2, its derivative along any
+    # seed is K T d(amd) - c1 dg - c2 dphi1 with c2 = v0 |beta|^2 psi / g
+    # and c1 = (2K - c2 phi1) / g.
+    # d = 0 needs a = 0 and psi = 0: z = 0, or phi(-i) if kappa* = sigma.beta.
+    r = 1.0 / _safe(d == 0.0, d)
+    # The derivative of the exponent by d vanishes as d -> 0 (phi is even
+    # in d) and is divided by d again, so P needs full accuracy there: its
+    # series where the closed form cancels.
+    P = (0.5 * T * E - phi1) * r
+    series = np.abs(dT) < P_SERIES
+    if series.any():
+        x = dT[series]
+        h = np.full(x.shape, 1.0 / math.factorial(P_TERMS + 1), dtype=complex)
+        for k in range(P_TERMS, 1, -1):
+            h = h * x + 1.0 / math.factorial(k)
+        P[series] = (-0.5 * T * T) * E[series] * h
+    half_r = 0.5 * r
+    aP = a * P
+    dg_a = (aP - phi1) * amd * r
+    dg_w = (amd * P - phi1) * half_r
+    if near.any():
+        # The quotient form: 1 + w cancels, so its derivative would too.
+        rn, gn, En = r[near], g[near], E[near]
+        tail = amd[near] * T * En - 2.0 * gn
+        dg_a[near] = (0.5 * rn * rn) * (apd[near] + amd[near] * En
+                                        + a[near] * tail)
+        dg_w[near] = (0.25 * rn * rn) * (1.0 + En + tail)
+    K = p.kappa_star * p.theta_star / p.eps ** 2
+    inv_g = 1.0 / g
+    c2 = (p.v0 * p.beta_sq) * psi * inv_g
+    c1 = (2.0 * K - c2 * phi1) * inv_g
+    # A tangent row moves a by dk - iz dsb, w_sq by psi (2 eps |beta|^2 de
+    # + eps^2 db), K by (theta* dk + kappa* dth) / eps^2 - 2 K de / eps and
+    # the B term by -v0 psi (phi1 / g) db.  Node rows: minus the exponent's
+    # derivative by a, that times iz, psi times minus its derivative by
+    # w_sq, A / K, and psi phi1 / g.
+    nodes = np.empty((5, z.size), dtype=complex)
+    np.multiply(K * T, amd, out=nodes[0])
+    nodes[0] += c2 * aP
+    nodes[0] *= r
+    nodes[0] += c1 * dg_a
+    np.multiply(1j * z, nodes[0], out=nodes[1])
+    np.multiply(K * T + c2 * P, half_r, out=nodes[2])
+    nodes[2] += c1 * dg_w
+    nodes[2] *= psi
+    np.subtract(amd * T, 2.0 * log_g, out=nodes[3])
+    np.multiply(psi * phi1, inv_g, out=nodes[4])
+    dk, dth, de, dsb, db = np.asarray(tangents, dtype=float).T
+    coef = np.stack([-dk, dsb,
+                     -2.0 * p.eps * p.beta_sq * de - p.eps ** 2 * db,
+                     (p.theta_star * dk + p.kappa_star * dth) / p.eps ** 2
+                     - 2.0 * K * de / p.eps,
+                     -p.v0 * db], axis=1)
+    d_exponent = (coef @ nodes.view(np.float64)).view(complex)
+    d_out = out * d_exponent
+    return (out[0], d_out[:, 0]) if scalar else (out, d_out)
 
 
 def explosion_margin(p: CharFnParams) -> float:

@@ -203,7 +203,7 @@ def _strike_row(forward: float, strike: np.ndarray, discount: float,
 
 
 def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
-            expiry: float):
+            expiry: float, tangents=None):
     """Prices of a row's strikes from CF values at ``row.rule.contour``.
 
     The Black control variate with volatility ``sigma_b`` over ``expiry``
@@ -211,6 +211,12 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     matrix-vector product of the row's phases with the integrand's (real,
     imaginary) pairs.  Raises QuadratureError when a CF value or a price
     is inf or nan, and InvariantError unless phi(-i) = 1.
+
+    ``tangents`` = (d_values, d_sigma_b), the derivatives of the CF values
+    (k, contour) and of sigma_b (k,) along k directions, asks for the
+    derivatives of the prices as well, returned with them as
+    (prices, (strikes..., k)).  They are those of this discrete price, so
+    the control variate's part does not cancel.
     """
     finite = np.isfinite(values)
     if not finite.all():
@@ -240,17 +246,41 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
         raise QuadratureError(f"non-finite price at "
                               f"{finite.size - finite.sum()} of {finite.size} "
                               "strikes: the integrand overflowed")
-    return _assemble(row, price)
+    if tangents is None:
+        return _assemble(row, price)
+    d_values, d_sigma_b = tangents
+    # d phi_B = -sigma_b T psi phi_B d sigma_b; one product of the phases
+    # with every direction's interleaved (real, imaginary) pairs.
+    d_black_values = np.outer(d_sigma_b, -sigma_b * expiry * rule.psi[:-1]
+                              * black_values)
+    d_base = (d_black_values - d_values[:, :-1]) / rule.denom
+    d_corr = row.phases @ d_base.view(np.float64).T
+    if total <= 0.0:
+        d_black = np.zeros(d_corr.shape)
+    else:
+        # Vega F n(d+) sqrt(T) per strike, times d sigma_b per direction.
+        vega = F * np.exp(-0.5 * d_plus * d_plus) * np.sqrt(
+            expiry / (2.0 * np.pi))
+        d_black = np.outer(vega, d_sigma_b)
+    d_price = row.discount * (d_black + F * d_corr / np.pi)
+    if not np.isfinite(d_price).all():
+        raise QuadratureError("non-finite price derivative: the tangent "
+                              "integrand overflowed")
+    return _assemble(row, price), _assemble(row, d_price, 0.0)
 
 
-def _assemble(row: StrikeRow, price: np.ndarray):
-    """Live prices in strike order, with parity at the zero strikes."""
-    if price.size == row.live.size:
+def _assemble(row: StrikeRow, price: np.ndarray, parity=None):
+    """Live rows in strike order, with ``parity`` (by default the parity
+    price) at the zero strikes; extra axes of ``price`` ride along."""
+    if len(price) == row.live.size:
         out = price
     else:
-        out = np.full(row.live.shape, row.discount * row.forward)
+        fill = row.discount * row.forward if parity is None else parity
+        out = np.full(row.live.shape + price.shape[1:], fill)
         out[row.live] = price
-    return float(out[0]) if row.shape == () else out
+    if row.shape == ():
+        return float(out[0]) if out.ndim == 1 else out[0]
+    return out
 
 
 def carr_madan_cv(cf, forward: float, strike, expiry: float,
@@ -270,16 +300,24 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     return _invert(row, cf(row.rule.contour), sigma_b, expiry)
 
 
-def price_row(row: StrikeRow, cf_params):
+def price_row(row: StrikeRow, cf_params, tangents=None):
     """Discounted calls of a strike row under the Heston-type CF.
 
     ``cf_params`` builds the CharFnParams; it is called only when a strike
     is positive.  Raises QuadratureError when the characteristic
     function's explosion margin is too narrow for the rule's first panel
     to resolve, and whatever ``_invert`` raises.
+
+    ``tangents``, a (k, 5) array of directions in ``charfn.TANGENT_FIELDS``,
+    asks for the exact derivatives of the prices along them as well: the
+    call returns (prices, derivatives) with derivatives of shape
+    (strikes..., k), from one tangent characteristic-function call.
     """
     if not row.strikes.size:
-        return _assemble(row, row.strikes)
+        prices = _assemble(row, row.strikes)
+        if tangents is None:
+            return prices
+        return prices, np.zeros(np.shape(prices) + (len(tangents),))
     cfp = cf_params()
     margin = explosion_margin(cfp)
     if margin < INNER_PANEL / 2.0:
@@ -289,8 +327,14 @@ def price_row(row: StrikeRow, cf_params):
     sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
                             + cfp.gamma_int / cfp.horizon))
     rule = row.rule
-    return _invert(row, heston_cf(rule.contour, cfp, psi=rule.psi), sigma_b,
-                   cfp.horizon)
+    if tangents is None:
+        return _invert(row, heston_cf(rule.contour, cfp, psi=rule.psi),
+                       sigma_b, cfp.horizon)
+    values, d_values = heston_cf(rule.contour, cfp, psi=rule.psi,
+                                 tangents=tangents)
+    # sigma_b^2 = |beta|^2 v0 + gamma_int / T moves with beta_sq only.
+    d_sigma_b = cfp.v0 * np.asarray(tangents)[:, 4] / (2.0 * sigma_b)
+    return _invert(row, values, sigma_b, cfp.horizon, (d_values, d_sigma_b))
 
 
 def caplet_row(j: int, strike, tenor, curve, params,
@@ -298,8 +342,10 @@ def caplet_row(j: int, strike, tenor, curve, params,
     """Strike row of the caplets on L_j (displaced forward and strikes).
 
     K + alpha_j = 0 prices by zero-strike parity, K + alpha_j < 0 is
-    rejected.
+    rejected, and so is an expiry index outside 1..n-1 (IndexError).
     """
+    if not (1 <= j <= params.n - 1):
+        raise IndexError(f"expiry index {j} outside 1..{params.n - 1}")
     if libors is None:
         libors = strip_libors(curve, tenor)
     disp_k = np.asarray(strike, dtype=float) + params.alpha[j]

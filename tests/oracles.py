@@ -352,3 +352,31 @@ def euler_libor_paths(normals, grid, dates, libors, alpha, delta, beta_norm,
             trajectory.append(record())
         out.append(trajectory)
     return out
+
+
+def cf_guard_counts(p, z):
+    """Points of ``z`` on each guarded branch of ``heston_cf``: (flip, near,
+    small) counts, from its branch conditions recomputed here: |a + d| <=
+    |a - d|, |g| < 1/2 and |d T| < 1e-5."""
+    psi = 1j * z + z * z
+    a = p.kappa_star - z * (1j * p.sigma_beta)
+    w_sq = p.beta_sq * psi * p.eps ** 2
+    d = np.sqrt(a * a + w_sq)
+    flip = np.abs(a + d) <= np.abs(a - d)
+    big = np.where(flip, a - d, a + d)
+    small_root = -w_sq / np.where(big == 0.0, 1.0, big)
+    apd, amd = np.where(flip, small_root, big), np.where(flip, big, small_root)
+    g = (apd - amd * np.exp(-d * p.horizon)) / (2.0 * d)
+    return (int(flip.sum()), int((np.abs(g) < 0.5).sum()),
+            int((np.abs(d * p.horizon) < 1e-5).sum()))
+
+
+def central_derivative(f, h: float):
+    """Derivative at 0 of ``f`` (a function of a signed step) by central
+    differences at steps h/2 and h, Richardson-extrapolated so that the
+    h^2 error term cancels: (4 D(h/2) - D(h)) / 3, D(s) = (f(s) - f(-s))
+    / (2 s)."""
+    def quotient(s):
+        return (np.asarray(f(s)) - np.asarray(f(-s))) / (2.0 * s)
+
+    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0

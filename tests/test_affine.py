@@ -22,6 +22,8 @@ from svlibor import (
     swap_context,
     swap_effective_params,
 )
+from svlibor.affine import caplet_drift_slope, effective_caplet_partials
+from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
 
 import oracles
 
@@ -140,6 +142,67 @@ def test_single_period_swap_matches_caplet(params, fact, tenor, curve, libors):
                                params.beta_norm[p] * fact.loadings[p],
                                rtol=0, atol=1e-12)
     assert swap.expiry == cap.expiry
+
+
+def test_drift_slope_gives_effective_kappa(params, fact, tenor, libors):
+    # kappa_eff = kappa_j - rho_j eps_j C_j, and C_j does not move with
+    # expiry j's own parameters.
+    for j in (1, 5, 18, 19):
+        eff = effective_caplet_params(j, params, fact, tenor, libors)
+        slope = caplet_drift_slope(j, params, fact, tenor, libors)
+        assert eff.kappa_eff == pytest.approx(
+            params.kappa[j] - params.rho[j] * params.eps[j] * slope,
+            rel=1e-14)
+        moved = params.with_expiry(j, beta_norm=0.9, kappa=7.0, eps=0.4,
+                                   rho=0.3)
+        assert caplet_drift_slope(j, moved, fact.with_expiry(j, moved),
+                                  tenor, libors) == slope
+    with pytest.raises(IndexError, match="outside 1..19"):
+        caplet_drift_slope(20, params, fact, tenor, libors)
+
+
+@pytest.mark.parametrize("j, x", [
+    (5, None), (19, None), (1, (0.4, 0.2, 6.0, 0.9)),
+    (12, (1.3, 15.0, 0.05, -0.998)), (8, (1e-3, 2.0, 3.0, 0.0)),
+])
+def test_caplet_partials_match_central_differences(params, loadings, tenor,
+                                                   libors, j, x):
+    """Closed-form partials of the CharFnParams fields a tangent moves, in
+    (|beta_j|, kappa_j, eps_j, rho_j), against caplet_cf_params."""
+    if x is not None:
+        params = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                                    rho=x[3])
+    fact = factorize_vols(params, loadings)
+    slope = caplet_drift_slope(j, params, fact, tenor, libors)
+    partials = effective_caplet_partials(j, params, fact, slope)
+    assert partials.shape == (len(TANGENT_FIELDS), 4)
+    x0 = np.array([params.beta_norm[j], params.kappa[j], params.eps[j],
+                   params.rho[j]])
+
+    def fields(x):
+        work = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                                  rho=x[3])
+        cfp = caplet_cf_params(j, work, fact.with_expiry(j, work), tenor,
+                               libors)
+        return np.array([getattr(cfp, name) for name in TANGENT_FIELDS])
+
+    for col in range(4):
+        # Steps inside the valid region: rho within [-1, 1], the rest > 0.
+        room = 1.0 - abs(x0[col]) if col == 3 else x0[col]
+        unit = np.eye(4)[col]
+        central = oracles.central_derivative(
+            lambda s: fields(x0 + s * unit), 1e-4 * min(1.0, room))
+        # Difference quotients lose about 1e-16 |field| / h to round-off.
+        np.testing.assert_allclose(partials[:, col], central, rtol=1e-7,
+                                   atol=1e-6 * np.max(np.abs(central)))
+
+
+def test_partials_refuse_degenerate_drift(params, tenor, libors):
+    broken = params.with_expiry(1, kappa=1e-3, rho=0.999, eps=10.0)
+    fact = build_factorization(broken, tenor)
+    slope = caplet_drift_slope(1, broken, fact, tenor, libors)
+    with pytest.raises(DegenerateDriftError):
+        effective_caplet_partials(1, broken, fact, slope)
 
 
 def test_degenerate_drift_raises(params, tenor, libors):

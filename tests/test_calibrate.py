@@ -21,7 +21,8 @@ from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
 from svlibor.charfn import caplet_cf_params, explosion_margin
 from svlibor.errors import (DegenerateDriftError, InvariantError,
                             QuadratureError, StrikeError, SvLiborError)
-from svlibor.fourier import DEFAULT_QUAD, INNER_PANEL, caplet_price
+from svlibor.fourier import (DEFAULT_QUAD, INNER_PANEL, _graded_rule,
+                             caplet_price)
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, build_loadings, factorize_vols
@@ -34,6 +35,31 @@ FAST = CalibrationOptions(max_evals=600)
 
 # A start far from the small market's truth at START.
 AWAY = (0.05, 0.2, 0.3, -0.9)
+
+
+def count_evals(monkeypatch) -> list:
+    """Wrap the solver's residual and Jacobian callbacks so that each one
+    that returns appends the evals it stands for to the returned list: 1
+    per residual eval, 4 (one per column) per Jacobian."""
+    import scipy.optimize
+    calls = []
+    solve = scipy.optimize.least_squares
+
+    def counted(fun, x0, jac, **kwargs):
+        def counted_fun(x):
+            out = fun(x)
+            calls.append(1)
+            return out
+
+        def counted_jac(x):
+            out = jac(x)
+            calls.append(4)
+            return out
+
+        return solve(counted_fun, x0, jac=counted_jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    return calls
 
 
 def small_market():
@@ -160,21 +186,25 @@ class TestObjectiveQuadrature:
         np.testing.assert_allclose(static, ref, rtol=1e-8, atol=floor)
 
 
+_PRICERS: dict = {}
+
+
+def shared_pricer(j, tenor, curve, params, loadings, libors):
+    """One _CapletPricer per expiry, kept across examples so that it really
+    is reused, with the fixture's prices on its 7 strikes as the market."""
+    if j not in _PRICERS:
+        strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+        market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
+                              libors=libors)
+        _PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params,
+                                     loadings, QUAD, libors), market)
+    return _PRICERS[j]
+
+
 class TestCapletPricer:
     # calibrate_maturity builds one _CapletPricer per maturity and prices
     # every candidate with it; its prices must be bitwise those of a fresh
-    # caplet_price call, and it must reject the same candidates.  One
-    # pricer per expiry is kept across examples, so it really is reused.
-    PRICERS: dict = {}
-
-    def pricer(self, j, tenor, curve, params, loadings, libors):
-        if j not in self.PRICERS:
-            strikes = libors[j] * np.linspace(0.6, 1.6, 7)
-            market = caplet_price(j, strikes, tenor, curve, params,
-                                  quad=QUAD, libors=libors)
-            self.PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params,
-                                             loadings, QUAD, libors), market)
-        return self.PRICERS[j]
+    # caplet_price call, and it must reject the same candidates.
 
     @given(j=st.integers(1, 19),
            beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
@@ -188,8 +218,8 @@ class TestCapletPricer:
                                                       params, loadings,
                                                       libors, j, beta_norm,
                                                       kappa, eps, rho):
-        pricer, market = self.pricer(j, tenor, curve, params, loadings,
-                                     libors)
+        pricer, market = shared_pricer(j, tenor, curve, params, loadings,
+                                       libors)
         x = (beta_norm, kappa, eps, rho)
         work, fact = pricer.candidate(x)
         try:
@@ -210,8 +240,8 @@ class TestCapletPricer:
     ], ids=["explosion-margin", "degenerate-drift"])
     def test_reused_pricer_keeps_guards(self, tenor, curve, params, loadings,
                                         libors, x, error, match):
-        pricer, market = self.pricer(1, tenor, curve, params, loadings,
-                                     libors)
+        pricer, market = shared_pricer(1, tenor, curve, params, loadings,
+                                       libors)
         with pytest.raises(error, match=match):
             pricer.price(*pricer.candidate(x))
         assert np.all(pricer.residuals(x, market) == PENALTY)
@@ -240,6 +270,108 @@ class TestCapletPricer:
         with pytest.raises(StrikeError, match="displacement"):
             below.price(*below.candidate(x))
         assert np.all(below.residuals(x, np.ones(3)) == PENALTY)
+
+
+class _Refused(Exception):
+    """A difference stencil reached a candidate the pricer rejects."""
+
+
+def central_column(pricer, x, market, col, frac):
+    """Central difference of ``pricer.residuals`` in parameter ``col`` and
+    its step; None when a stencil point is rejected.  The step is ``frac``
+    of the box width or of the room to the edge of the valid region (rho
+    in [-1, 1], the rest positive), whichever is smaller."""
+    lower, upper = np.array(BOUNDS).T
+    x = np.asarray(x, dtype=float)
+    room = 1.0 - abs(x[col]) if col == 3 else x[col]
+    h = frac * min(upper[col] - lower[col], room)
+    unit = np.eye(4)[col]
+
+    def residuals(s):
+        r = pricer.residuals(x + s * unit, market)
+        if np.all(r == PENALTY):
+            raise _Refused
+        return r
+
+    try:
+        return oracles.central_derivative(residuals, 2.0 * h), h
+    except _Refused:
+        return None
+
+
+# Box candidates where the Jacobian passes heston_cf's guarded branches:
+# Re a < 0 (a +- d flipped) and |g| < 1/2 (g from the quotient form).
+GUARDED = ((1, (1.6661, 7.1499, 9.449, 0.6243)),
+           (2, (0.5299, 0.3982, 2.8883, 0.5609)))
+
+
+class TestResidualJacobian:
+    # calibrate_maturity takes the solver's Jacobian from
+    # _CapletPricer.residuals_and_jacobian; it must be the derivative of
+    # the residuals the solver sees, anywhere in the search box, and zero
+    # where the pricer rejects the candidate.
+
+    @given(j=st.integers(1, 19),
+           beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
+           eps=st.floats(*BOUNDS[2]), rho=st.floats(*BOUNDS[3]))
+    @example(j=GUARDED[0][0], beta_norm=GUARDED[0][1][0],
+             kappa=GUARDED[0][1][1], eps=GUARDED[0][1][2],
+             rho=GUARDED[0][1][3])
+    @example(j=GUARDED[1][0], beta_norm=GUARDED[1][1][0],
+             kappa=GUARDED[1][1][1], eps=GUARDED[1][1][2],
+             rho=GUARDED[1][1][3])
+    # Refused by the explosion-margin guard.
+    @example(j=1, beta_norm=2.0, kappa=1.0, eps=9.0, rho=0.75)
+    # Degenerate drift: the effective reversion speed is negative.
+    @example(j=1, beta_norm=0.15, kappa=1e-3, eps=10.0, rho=0.999)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_central_differences_over_box(self, tenor, curve, params,
+                                                  loadings, libors, j,
+                                                  beta_norm, kappa, eps, rho):
+        pricer, market = shared_pricer(j, tenor, curve, params, loadings,
+                                       libors)
+        x = (beta_norm, kappa, eps, rho)
+        r, jac = pricer.residuals_and_jacobian(x, market)
+        assert r.tobytes() == pricer.residuals(x, market).tobytes()
+        assert jac.shape == (len(market), 4)
+        if np.all(r == PENALTY):
+            assert not jac.any()
+            return
+        # A difference quotient errs by truncation at large steps and by
+        # round-off at small ones, so each column must agree at one of five
+        # steps; over 1,400 box candidates the worst agreement was 3e-7.
+        # A price sums hundreds of terms of size D F, so residual i carries
+        # round-off of about 1e-15 D F / market_i, which a step h turns
+        # into that over h.  It matters only where a column is that small:
+        # far out of the money at small |beta|, or along eps as eps -> 0
+        # at rho = 0, where prices move with eps^2.
+        row = pricer.row
+        noise = 1e-15 * row.discount * row.forward / market
+        for col in range(4):
+            allowed = 1e-5 * np.max(np.abs(jac[:, col]))
+            verdicts = []  # per step; none when a stencil is refused
+            for frac in (3e-3, 1e-2, 3e-2, 1e-3, 3e-4):
+                ref = central_column(pricer, x, market, col, frac)
+                if ref is not None:
+                    diff, h = ref
+                    verdicts.append(bool(np.all(np.abs(jac[:, col] - diff)
+                                                <= allowed + noise / h)))
+                    if verdicts[-1]:
+                        break
+            assume(verdicts)  # every stencil reaches a refused candidate
+            assert verdicts[-1], col
+
+    @pytest.mark.parametrize("j, x", GUARDED)
+    def test_guarded_examples_reach_the_branches(self, tenor, params,
+                                                 loadings, libors, j, x):
+        work = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                                  rho=x[3])
+        cfp = caplet_cf_params(j, work, factorize_vols(work, loadings),
+                               tenor, libors)
+        assert explosion_margin(cfp) >= INNER_PANEL / 2.0  # priced
+        flip, near, _ = oracles.cf_guard_counts(cfp, _graded_rule(
+            QUAD.z_max, QUAD.n).contour)
+        assert flip > 0 and near > 0
 
 
 class TestPanelMarketPrices:
@@ -296,25 +428,17 @@ class TestCalibrateMaturity:
 
     @pytest.mark.parametrize("start", [None, AWAY])
     def test_iterations_count_every_objective_call(self, start, monkeypatch):
-        # scipy's nfev leaves out the finite-difference Jacobian columns;
-        # the fit must count them, because the budget and evals/s use it.
-        # Every eval prices the maturity's strike row once via price_row.
-        import svlibor.calibrate
+        # scipy's nfev leaves out the Jacobians; the fit must count each as
+        # its 4 columns, because the budget and evals/s use it.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         loadings = build_loadings(tenor, params.corr_decay)
-        calls = []
-        price = svlibor.calibrate.price_row
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return price(*args, **kwargs)
-
-        monkeypatch.setattr(svlibor.calibrate, "price_row", counted)
+        calls = count_evals(monkeypatch)
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
                                  FAST, warm_start=start)
         assert fit.penalties == 0
-        assert fit.iterations == len(calls) > 0
+        assert fit.jacobians == calls.count(4) > 0
+        assert fit.iterations == sum(calls)
 
     def test_cold_start_away_from_truth_converges(self):
         tenor, curve, params = small_market()
@@ -327,14 +451,18 @@ class TestCalibrateMaturity:
         # 240 evals measured; the bound is twice that.
         assert fit.iterations <= 480
 
-    def test_budget_caps_every_eval(self):
+    def test_budget_caps_every_eval(self, monkeypatch):
+        # The solve stops once the next eval, or the next Jacobian's 4,
+        # would pass the budget: every eval is counted, none is over it.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         loadings = build_loadings(tenor, params.corr_decay)
+        calls = count_evals(monkeypatch)
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
                                  CalibrationOptions(max_evals=20),
                                  warm_start=AWAY)
-        assert fit.iterations == 20
+        assert fit.iterations == sum(calls)
+        assert 20 - 4 < fit.iterations <= 20
         assert not fit.converged and fit.status == 0
         assert "budget" in fit.message
         assert math.isfinite(fit.objective)
@@ -358,6 +486,7 @@ class TestCalibrateMaturity:
         assert blob["fits"][0]["status"] == fit.status
         assert blob["fits"][0]["penalties"] == fit.penalties
         assert blob["fits"][0]["seconds"] == fit.seconds > 0.0
+        assert blob["fits"][0]["jacobians"] == fit.jacobians > 0
 
     def test_rejected_candidates_are_counted(self, tenor, curve, params,
                                              loadings, libors):
@@ -379,29 +508,22 @@ class TestCalibrateMaturity:
     def test_rejected_warm_start_falls_back_to_start(self, tenor, curve,
                                                      params, loadings,
                                                      libors, monkeypatch):
-        # Every eval near that warm start scores PENALTY (the
-        # finite-difference Jacobian is zero), so the solve stops where it
-        # began; the fit re-solves from START and counts both solves.
-        import svlibor.calibrate
+        # The warm start scores PENALTY and its Jacobian is zero (4 more
+        # penalties), so the solve stops where it began; the fit re-solves
+        # from START and counts both solves.
         j = 1
         strikes = libors[j] * np.linspace(0.6, 1.6, 7)
         quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
-        calls = []
-        price = svlibor.calibrate.price_row
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return price(*args, **kwargs)
-
-        monkeypatch.setattr(svlibor.calibrate, "price_row", counted)
+        calls = count_evals(monkeypatch)
         warm = (0.15, 1e-3, 10.0, 0.999)
         fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
                                  FAST, libors, warm_start=warm)
         assert fit.converged and fit.objective < 1e-9
         assert "re-solved from START" in fit.note
-        assert 0 < fit.penalties < fit.iterations == len(calls)
+        assert calls[:2] == [1, 4]  # the warm start and its zero Jacobian
+        assert 5 <= fit.penalties < fit.iterations == sum(calls)
         truth = (params.beta_norm[j], params.kappa[j], params.eps[j],
                  params.rho[j])
         np.testing.assert_allclose((fit.beta_norm, fit.kappa, fit.eps,

@@ -5,6 +5,7 @@ never touches the closed form, so agreement here checks the branch handling
 and the stabilized small-parameter substitutions, not just self-consistency.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from svlibor import (
     swaption_cf_params,
 )
 from svlibor.calibrate import BOUNDS, CalibrationOptions
-from svlibor.charfn import explosion_margin
+from svlibor.charfn import TANGENT_FIELDS, explosion_margin
 from svlibor.fourier import _graded_rule
 
 import oracles
@@ -273,3 +274,97 @@ def test_explosion_margin(params, fact, tenor, libors, loadings):
     with np.errstate(over="ignore"):
         beyond = _riccati(-1.0j * (1.0 + 2.0 * margin), p)
     assert not np.isfinite(beyond)
+
+
+def central_tangents(z, p):
+    """Central differences of heston_cf in each of TANGENT_FIELDS, one row
+    per field."""
+    return np.array([oracles.central_derivative(
+        lambda s: heston_cf(z, dataclasses.replace(
+            p, **{name: getattr(p, name) + s})),
+        1e-5 * max(abs(getattr(p, name)), 1e-3)) for name in TANGENT_FIELDS])
+
+
+CONTOUR = _graded_rule(400.0, CalibrationOptions().quad.n)
+
+
+@pytest.mark.parametrize("j, x", [(5, None), (19, None)] + list(CANCELLING),
+                         ids=["fixture-5", "fixture-19", "cancel-18",
+                              "cancel-9", "cancel-19", "cancel-17"])
+def test_tangents_match_central_differences(params, fact, loadings, tenor,
+                                            libors, j, x):
+    """Forward-mode tangents on the pricing contour, the guarded branches
+    (Re a < 0 flips a +- d; |g| < 1/2 takes the quotient form) included."""
+    if x is None:
+        p = caplet_cf_params(j, params, fact, tenor, libors)
+    else:
+        p = _candidate_cf_params(j, x, params, loadings, tenor, libors)
+        flip, near, _ = oracles.cf_guard_counts(p, CONTOUR.contour)
+        assert flip and near
+    plain = heston_cf(CONTOUR.contour, p, psi=CONTOUR.psi)
+    values, tangents = heston_cf(CONTOUR.contour, p, psi=CONTOUR.psi,
+                                 tangents=np.eye(5))
+    assert values.tobytes() == plain.tobytes()
+    assert tangents.shape == (5, CONTOUR.contour.size)
+    # phi(-i) = 1 whatever the parameters, so its tangent vanishes.
+    assert np.max(np.abs(tangents[:, -1])) <= 1e-12
+    expected = central_tangents(CONTOUR.contour, p)
+    for name, got, ref in zip(TANGENT_FIELDS, tangents, expected):
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(got - ref)) <= 1e-6 * scale, name
+
+
+def test_tangent_rows_combine_linearly(params, fact, tenor, libors):
+    p = caplet_cf_params(11, params, fact, tenor, libors)
+    z = np.array([0.3 - 1.0j, 4.0, 12.0 - 1.0j])
+    rows = np.array([[1.0, -2.0, 0.5, 0.0, 3.0], [0.0, 0.0, 0.0, 1.0, 0.0]])
+    _, basis = heston_cf(z, p, tangents=np.eye(5))
+    _, combined = heston_cf(z, p, tangents=rows)
+    np.testing.assert_allclose(combined, rows @ basis, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(basis)))
+    value, scalar = heston_cf(z[0], p, tangents=rows)
+    assert value == heston_cf(z[0], p)
+    np.testing.assert_array_equal(scalar, combined[:, 0])
+
+
+def test_tangents_on_phi1_series(params, fact, tenor, libors):
+    """Tangents next to d = 0, where phi1 takes its Taylor series
+    (|d T| < 1e-5) and dphi1/dd its own (|d T| < 1e-2).
+
+    The pricing contour stays clear of d = 0, but on the imaginary axis
+    z = iy the root of d^2 = a^2 + |beta|^2 psi eps^2 is real: bisect for
+    it, then compare at points next to it, on the series and off it, with
+    central differences (the CF is even in d, so smooth through d = 0).
+    """
+    p = caplet_cf_params(5, params, fact, tenor, libors)
+
+    def d_sq(y):
+        z = 1j * y
+        a = p.kappa_star - z * (1j * p.sigma_beta)
+        return (a * a + p.beta_sq * (1j * z + z * z) * p.eps ** 2).real
+
+    lo, hi = 0.0, 1.0
+    while d_sq(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if d_sq(mid) > 0.0 else (lo, mid)
+    offsets = np.array([-1e-6, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-6])
+    z = 1j * (lo + offsets * lo)
+    _, _, small = oracles.cf_guard_counts(p, z)
+    assert 0 < small < z.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, tangents = heston_cf(z, p, tangents=np.eye(5))
+    expected = central_tangents(z, p)
+    for name, got, ref in zip(TANGENT_FIELDS, tangents, expected):
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(got)), name
+
+
+def test_no_tangents_in_deterministic_limit(params, fact, tenor, libors):
+    p = dataclasses.replace(caplet_cf_params(5, params, fact, tenor, libors),
+                            eps=0.0, sigma_beta=0.0)
+    with pytest.raises(NotImplementedError):
+        heston_cf(1.0 - 1.0j, p, tangents=np.eye(5))

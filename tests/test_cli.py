@@ -106,6 +106,16 @@ class TestPriceCaplet:
         assert rc == 1
         assert "error: SvLiborError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("j", ["0", "-1", "20", "25"])
+    def test_expiry_out_of_range_reported(self, fixtures_dir, capsys, j):
+        rc = main(["price-caplet",
+                   "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--j", j, "--strike", "0.02", "--no-mc"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: IndexError: expiry index {j} outside 1..19\n")
+
     def test_bad_strike_list_rejected_by_parser(self, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
             main(["price-caplet",
@@ -270,6 +280,8 @@ class TestCalibrate:
         assert fit["penalties"] == 0
         # Wall time of the maturity's solves.
         assert fit["seconds"] > 0.0
+        # Each Jacobian counts as 4 evals, one per column.
+        assert 0 < 4 * fit["jacobians"] < fit["iterations"]
 
 
 class TestImpliedVol:

@@ -31,7 +31,8 @@ from svlibor import (
     swaption_cf_params,
     swaption_price,
 )
-from svlibor.fourier import price_row, swaption_row
+from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
+from svlibor.fourier import caplet_row, price_row, swaption_row
 
 import oracles
 
@@ -150,6 +151,44 @@ def test_caplet_monotone_convex_in_strike(tenor, curve, params, fact):
 def test_caplet_negative_strike_rejected(tenor, curve, params, fact):
     with pytest.raises(StrikeError):
         caplet_price(5, -0.01, tenor, curve, params, fact)
+
+
+@pytest.mark.parametrize("j", [0, -1, 20])
+def test_caplet_expiry_index_checked_first(tenor, curve, params, fact, j):
+    # Before the check, j = 20 raised numpy's own IndexError and j = -1
+    # built a row for expiry 19.
+    with pytest.raises(IndexError, match=f"expiry index {j} outside 1..19"):
+        caplet_row(j, [0.02], tenor, curve, params)
+    with pytest.raises(IndexError, match=f"expiry index {j} outside 1..19"):
+        caplet_price(j, [0.02], tenor, curve, params, fact)
+
+
+@pytest.mark.parametrize("strike", [[0.0, 0.012, 0.02, 0.035], 0.02, [0.0]],
+                         ids=["with-parity", "scalar", "parity-only"])
+def test_price_row_tangents_match_central_differences(tenor, curve, params,
+                                                      fact, libors, strike):
+    """Derivatives of the discrete price, the Black control variate's
+    sigma_b(|beta|^2) included; zero strikes price by parity, which no
+    field moves."""
+    j = 7
+    shifted = dataclasses.replace(
+        params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.0))
+    row = caplet_row(j, strike, tenor, curve, shifted, libors=libors)
+    cfp = caplet_cf_params(j, params, fact, tenor, libors)
+    prices, tangents = price_row(row, lambda: cfp, tangents=np.eye(5))
+    plain = price_row(row, lambda: cfp)
+    assert np.asarray(prices).tobytes() == np.asarray(plain).tobytes()
+    assert tangents.shape == np.shape(plain) + (5,)
+    for col, name in enumerate(TANGENT_FIELDS):
+        value = getattr(cfp, name)
+        central = oracles.central_derivative(
+            lambda s: price_row(row, lambda: dataclasses.replace(
+                cfp, **{name: value + s})), 1e-5 * abs(value))
+        got = np.asarray(tangents)[..., col]
+        np.testing.assert_allclose(got, central, rtol=1e-6,
+                                   atol=1e-7 * np.max(np.abs(central)) + 1e-15)
+    zero = np.atleast_1d(strike) == 0.0
+    assert np.all(np.atleast_2d(tangents)[zero] == 0.0)
 
 
 def test_swaption_zero_strike_parity(tenor, curve, params, fact):
