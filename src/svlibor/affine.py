@@ -137,13 +137,15 @@ def caplet_drift_slope(j: int, params: ModelParams, fact: VolFactorization,
 
 
 def effective_caplet_partials(j: int, params: ModelParams,
-                              fact: VolFactorization,
-                              slope: float) -> np.ndarray:
+                              fact: VolFactorization, slope: float,
+                              kappa_eff: float) -> np.ndarray:
     """Partials of the caplet CF inputs in expiry j's calibrated parameters.
 
     Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the order
     of ``charfn.TANGENT_FIELDS``; columns are (|beta_j|, kappa_j, eps_j,
-    rho_j).  With ``slope`` = ``caplet_drift_slope``,
+    rho_j).  ``kappa_eff`` is that of ``effective_caplet_params``, which
+    has already refused a non-positive one; with ``slope`` =
+    ``caplet_drift_slope``,
 
         kappa_eff = kappa_j - rho_j eps_j C_j,
         theta_eff = kappa_j theta_j / kappa_eff,
@@ -151,9 +153,6 @@ def effective_caplet_partials(j: int, params: ModelParams,
     """
     beta, kappa = params.beta_norm[j], params.kappa[j]
     eps, rho, theta = params.eps[j], params.rho[j], params.theta[j]
-    kappa_eff = kappa - rho * eps * slope
-    if kappa_eff <= 0.0:
-        raise DegenerateDriftError(f"kappa_eff(j={j})", kappa_eff)
     d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
     # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
     #               / kappa_eff.

@@ -26,7 +26,6 @@ fit reports use.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -69,9 +68,7 @@ class CalibrationOptions:
     max_evals: int = 1200
 
 
-# Slotted, to keep each fit small: a sweep returns one per maturity, most of
-# them held guesses, and a caller may keep many sweeps' results.
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MaturityFit:
     expiry: int
     beta_norm: float
@@ -89,7 +86,7 @@ class MaturityFit:
     jacobians: int = 0  # Jacobian evaluations, 4 evals each
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CalibrationResult:
     fits: tuple
     theta: np.ndarray
@@ -185,13 +182,13 @@ class _CapletPricer:
             self.row = caplet_row(j, self.strikes, tenor, self.curve,
                                   self.params, self.quad, libors)
 
-        def cf_params():
-            return caplet_cf_params(j, work, fact, tenor, libors)
-
         if not jacobian:
-            return price_row(self.row, cf_params)
-        partials = effective_caplet_partials(j, work, fact, self.slope)
-        return price_row(self.row, cf_params, tangents=partials.T)
+            return price_row(self.row, lambda: caplet_cf_params(
+                j, work, fact, tenor, libors))
+        cfp = caplet_cf_params(j, work, fact, tenor, libors)
+        partials = effective_caplet_partials(j, work, fact, self.slope,
+                                             cfp.kappa_star)
+        return price_row(self.row, lambda: cfp, tangents=partials.T)
 
     def residuals(self, candidate, market_prices) -> np.ndarray:
         """Relative price residuals; PENALTY at every strike when the
@@ -208,16 +205,18 @@ class _CapletPricer:
         rho), one row per strike, from one tangent pricing pass.
 
         The residuals are bitwise those of ``residuals``.  The Jacobian is
-        all zeros where the pricer rejects the candidate.
+        all zeros where the pricer rejects the candidate (the residuals
+        score PENALTY), and None where it prices the candidate but the
+        tangent pass fails, e.g. on a non-finite derivative.
         """
         work, fact = self.candidate(candidate)
         try:
             model, partials = self.price(work, fact, jacobian=True)
         except SvLiborError:
-            # Only a non-finite derivative fails here and not in
-            # ``residuals``; the residuals stay those of ``residuals``.
-            return (self.residuals(candidate, market_prices),
-                    np.zeros((len(market_prices), 4)))
+            r = self.residuals(candidate, market_prices)
+            if np.all(r == PENALTY):
+                return r, np.zeros((len(market_prices), 4))
+            return r, None
         return ((model - market_prices) / market_prices,
                 partials / market_prices[:, None])
 
@@ -256,8 +255,18 @@ def _boundary_note(x) -> str:
     return "; ".join(hits)
 
 
-class _BudgetSpent(Exception):
-    """Raised by the residual function once ``max_evals`` calls are made."""
+class _SolveStopped(Exception):
+    """Ends a solve at its best eval: the eval budget is spent, or the
+    Jacobian failed where the residuals did not."""
+
+
+def _coordinate_step(x: np.ndarray, i: int, upper) -> np.ndarray:
+    """x moved along coordinate i by a forward-difference step, turned
+    back where it would leave the box."""
+    h = np.sqrt(np.finfo(float).eps) * max(1.0, abs(x[i]))
+    step = x.copy()
+    step[i] += h if x[i] + h <= upper[i] else -h
+    return step
 
 
 def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
@@ -274,7 +283,11 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     again from ``START``; ``iterations`` and ``max_evals`` count both
     solves, and ``note`` says so.  The solve's Jacobian is exact
     (``_CapletPricer.residuals_and_jacobian``); each counts as 4 evals, one
-    per column, and one at a rejected candidate as 4 penalties.
+    per column, and one at a rejected candidate as 4 penalties.  When fewer
+    than 4 evals are left for a Jacobian, they are spent on residual evals
+    and the solve stops at its best eval, ``max_evals`` spent.  A Jacobian
+    that fails where the residuals are priced also stops the solve there,
+    not converged.
     """
     # Imported here so that pricing-only processes never load scipy.optimize.
     from scipy.optimize import least_squares
@@ -293,17 +306,18 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     # TRF asks for the Jacobian at nearly every point it evaluates, right
     # after the residuals, so both come from one tangent pass and the
     # Jacobian is kept for that request.
-    last = (None, None)  # (x, Jacobian) of the latest residual eval
+    last = (None, None, None)  # (x, residuals, Jacobian) of the latest eval
 
     # scipy's nfev leaves out the Jacobians, so the budget is counted, and
     # enforced, here.
     def fun(x: np.ndarray) -> np.ndarray:
         nonlocal evals, penalties, best, last
         if evals == options.max_evals:
-            raise _BudgetSpent
+            raise _SolveStopped(
+                f"objective-eval budget of {options.max_evals} spent")
         evals += 1
         r, J = pricer.residuals_and_jacobian(x, market)
-        last = (x.copy(), J)
+        last = (x.copy(), r, J)
         penalties += bool(np.all(r == PENALTY))
         cost = float(r @ r)
         if cost < best[0]:
@@ -313,14 +327,21 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     def jac(x: np.ndarray) -> np.ndarray:
         nonlocal evals, penalties, jacobians
         if evals + 4 > options.max_evals:
-            raise _BudgetSpent
+            # Too few evals left for a Jacobian: spend them on residual
+            # evals at the coordinate steps a forward difference would take,
+            # which may still lower the best eval; ``fun`` then stops the
+            # solve, with every eval of the budget spent.
+            for i in range(options.max_evals - evals + 1):
+                fun(_coordinate_step(x, i, upper))
         evals += 4
         jacobians += 1
-        x_last, J = last
+        x_last, r, J = last
         if not np.array_equal(x, x_last):
-            J = pricer.residuals_and_jacobian(x, market)[1]
-        # An exact Jacobian is never all zeros: the price rises with |beta|.
-        penalties += 4 * (not J.any())
+            r, J = pricer.residuals_and_jacobian(x, market)
+        penalties += 4 * bool(np.all(r == PENALTY))
+        if J is None:
+            raise _SolveStopped("residual Jacobian not finite at a priced "
+                                "candidate")
         return J
 
     def solve(start):
@@ -329,10 +350,9 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                                 bounds=(lower, upper), method="trf",
                                 x_scale="jac", max_nfev=options.max_evals)
             return res.x, res.fun, res.status, res.message
-        except _BudgetSpent:
+        except _SolveStopped as stop:
             _, x, r = best
-            return (x, r, 0,
-                    f"objective-eval budget of {options.max_evals} spent")
+            return x, r, 0, str(stop)
 
     start = time.perf_counter()
     x, r, status, message = solve(START if warm_start is None else warm_start)
@@ -383,7 +403,7 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
             fits[j] = MaturityFit(
                 expiry=j, beta_norm=float(work.beta_norm[j]),
                 kappa=float(work.kappa[j]), eps=float(work.eps[j]),
-                rho=float(work.rho[j]), objective=math.nan,
+                rho=float(work.rho[j]), objective=float("nan"),
                 iterations=0, converged=False, note="no panel")
             continue
         fit = calibrate_maturity(j, panel, work, tenor, curve, loadings,

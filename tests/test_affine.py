@@ -174,7 +174,9 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
                                     rho=x[3])
     fact = factorize_vols(params, loadings)
     slope = caplet_drift_slope(j, params, fact, tenor, libors)
-    partials = effective_caplet_partials(j, params, fact, slope)
+    eff = effective_caplet_params(j, params, fact, tenor, libors)
+    partials = effective_caplet_partials(j, params, fact, slope,
+                                         eff.kappa_eff)
     assert partials.shape == (len(TANGENT_FIELDS), 4)
     x0 = np.array([params.beta_norm[j], params.kappa[j], params.eps[j],
                    params.rho[j]])
@@ -195,14 +197,6 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
         # Difference quotients lose about 1e-16 |field| / h to round-off.
         np.testing.assert_allclose(partials[:, col], central, rtol=1e-7,
                                    atol=1e-6 * np.max(np.abs(central)))
-
-
-def test_partials_refuse_degenerate_drift(params, tenor, libors):
-    broken = params.with_expiry(1, kappa=1e-3, rho=0.999, eps=10.0)
-    fact = build_factorization(broken, tenor)
-    slope = caplet_drift_slope(1, broken, fact, tenor, libors)
-    with pytest.raises(DegenerateDriftError):
-        effective_caplet_partials(1, broken, fact, slope)
 
 
 def test_degenerate_drift_raises(params, tenor, libors):

@@ -38,26 +38,28 @@ AWAY = (0.05, 0.2, 0.3, -0.9)
 
 
 def count_evals(monkeypatch) -> list:
-    """Wrap the solver's residual and Jacobian callbacks so that each one
-    that returns appends the evals it stands for to the returned list: 1
-    per residual eval, 4 (one per column) per Jacobian."""
+    """Record, in order, the evals a fit spends: 1 per residual pricing
+    pass of the maturity's pricer, 4 (one per column) per Jacobian the
+    solver receives."""
     import scipy.optimize
     calls = []
     solve = scipy.optimize.least_squares
+    priced = _CapletPricer.residuals_and_jacobian
+
+    def counted_pass(self, *args):
+        calls.append(1)
+        return priced(self, *args)
 
     def counted(fun, x0, jac, **kwargs):
-        def counted_fun(x):
-            out = fun(x)
-            calls.append(1)
-            return out
-
         def counted_jac(x):
             out = jac(x)
             calls.append(4)
             return out
 
-        return solve(counted_fun, x0, jac=counted_jac, **kwargs)
+        return solve(fun, x0, jac=counted_jac, **kwargs)
 
+    monkeypatch.setattr(_CapletPricer, "residuals_and_jacobian",
+                        counted_pass)
     monkeypatch.setattr(scipy.optimize, "least_squares", counted)
     return calls
 
@@ -452,8 +454,9 @@ class TestCalibrateMaturity:
         assert fit.iterations <= 480
 
     def test_budget_caps_every_eval(self, monkeypatch):
-        # The solve stops once the next eval, or the next Jacobian's 4,
-        # would pass the budget: every eval is counted, none is over it.
+        # The solve stops once the budget is spent, the evals left over when
+        # a Jacobian's 4 do not fit included: every eval is counted, none is
+        # over it.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         loadings = build_loadings(tenor, params.corr_decay)
@@ -461,11 +464,51 @@ class TestCalibrateMaturity:
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
                                  CalibrationOptions(max_evals=20),
                                  warm_start=AWAY)
-        assert fit.iterations == sum(calls)
-        assert 20 - 4 < fit.iterations <= 20
+        assert fit.iterations == sum(calls) == 20
         assert not fit.converged and fit.status == 0
         assert "budget" in fit.message
         assert math.isfinite(fit.objective)
+
+    def test_budget_spent_whatever_the_remainder(self, monkeypatch):
+        # Budgets that leave 0-3 evals when the next Jacobian does not fit;
+        # the leftover evals are residual evals, so every budget is spent.
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        loadings = build_loadings(tenor, params.corr_decay)
+        calls = count_evals(monkeypatch)
+        for budget in range(18, 22):
+            calls.clear()
+            fit = calibrate_maturity(5, panel, params, tenor, curve,
+                                     loadings,
+                                     CalibrationOptions(max_evals=budget),
+                                     warm_start=AWAY)
+            assert fit.iterations == sum(calls) == budget
+            assert fit.status == 0 and "budget" in fit.message
+            assert fit.jacobians == calls.count(4)
+
+    def test_failed_jacobian_at_priced_candidate_stops_unconverged(
+            self, monkeypatch):
+        # A tangent pass that fails where the residuals are priced must
+        # neither pass for convergence nor count as penalties.
+        import svlibor.calibrate
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        loadings = build_loadings(tenor, params.corr_decay)
+        price = svlibor.calibrate.price_row
+
+        def no_tangents(row, cf_params, tangents=None):
+            if tangents is not None:
+                raise QuadratureError("non-finite price derivative")
+            return price(row, cf_params)
+
+        monkeypatch.setattr(svlibor.calibrate, "price_row", no_tangents)
+        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+                                 FAST, warm_start=AWAY)
+        assert not fit.converged and fit.status == 0
+        assert "Jacobian not finite" in fit.message
+        assert fit.penalties == 0
+        assert (fit.iterations, fit.jacobians) == (5, 1)
+        assert (fit.beta_norm, fit.kappa, fit.eps, fit.rho) == AWAY
 
     def test_boundary_hits_reported_with_stop_reason(self):
         # Quotes three times the model's reach push the fit into corners of
