@@ -20,6 +20,7 @@ __all__ = [
     "EffectiveCapletParams",
     "SwapEffectiveParams",
     "caplet_drift_slope",
+    "effective_caplet_map",
     "effective_caplet_params",
     "effective_caplet_partials",
     "swap_averaged_vol_params",
@@ -85,46 +86,13 @@ def _drift_loads(params: ModelParams, libors: np.ndarray,
     return c
 
 
-def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
-                            tenor: TenorStructure,
-                            libors: np.ndarray) -> EffectiveCapletParams:
-    """Variance parameters of v_j under the T_{j+1}-forward measure.
-
-    kappa_eff = kappa_j - sum_{k=j+1}^{n-1} sqrt(theta_k/theta_j) c_k
-                                            (sigma_j . beta_k),
-    theta_eff = kappa_j theta_j / kappa_eff.
-    """
-    n = params.n
-    if not (1 <= j <= n - 1):
-        raise IndexError(f"expiry index {j} outside 1..{n - 1}")
-    c = _drift_loads(params, libors, tenor)
-    tail = slice(j + 1, n)
-    sigma_beta_k = fact.sigma[j] @ (params.beta_norm[tail, None]
-                                    * fact.loadings[tail]).T
-    correction = float(np.sum(np.sqrt(params.theta[tail] / params.theta[j])
-                              * c[tail] * sigma_beta_k))
-    kappa_eff = float(params.kappa[j] - correction)
-    if kappa_eff <= 0.0:
-        raise DegenerateDriftError(f"kappa_eff(j={j})", kappa_eff)
-    theta_eff = float(params.kappa[j] * params.theta[j] / kappa_eff)
-    return EffectiveCapletParams(
-        kappa_eff=kappa_eff,
-        theta_eff=theta_eff,
-        beta_norm=float(params.beta_norm[j]),
-        gamma=params.gamma[j].copy(),
-        eps=float(params.eps[j]),
-        sigma_beta=float(fact.sigma[j] @ (params.beta_norm[j] * fact.loadings[j])),
-        expiry=float(tenor.dates[j]),
-        v0=float(params.theta[j]),
-    )
-
-
 def caplet_drift_slope(j: int, params: ModelParams, fact: VolFactorization,
                        tenor: TenorStructure, libors: np.ndarray) -> float:
-    """C_j in kappa_eff = kappa_j - rho_j eps_j C_j (sigma_j = rho_j eps_j e_j).
+    """Drift slope C_j of expiry j, the input of ``effective_caplet_map``.
 
-    C_j = sum_{k>j} sqrt(theta_k/theta_j) c_k (e_j . beta_k) holds no
-    parameter that the calibration of expiry j moves.
+    C_j = sum_{k>j} sqrt(theta_k/theta_j) c_k (e_j . beta_k) is the frozen
+    drift's tail sum over k > j with sigma_j = rho_j eps_j e_j factored out.
+    It holds no parameter that the calibration of expiry j moves.
     """
     n = params.n
     if not (1 <= j <= n - 1):
@@ -136,29 +104,43 @@ def caplet_drift_slope(j: int, params: ModelParams, fact: VolFactorization,
                         * (fact.loadings[tail] @ fact.loadings[j])))
 
 
-def effective_caplet_partials(j: int, params: ModelParams,
-                              fact: VolFactorization, slope: float,
-                              kappa_eff: float) -> np.ndarray:
-    """Partials of the caplet CF inputs in expiry j's calibrated parameters.
+def effective_caplet_map(j: int, x, slope: float, ee: float,
+                         theta: float) -> tuple[float, float, float]:
+    """(kappa_eff, theta_eff, sigma . beta) of expiry j at its parameters
+    x = (|beta_j|, kappa_j, eps_j, rho_j).
 
-    Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the order
-    of ``charfn.TANGENT_FIELDS``; columns are (|beta_j|, kappa_j, eps_j,
-    rho_j).  ``kappa_eff`` is that of ``effective_caplet_params``, which
-    has already refused a non-positive one; with ``slope`` =
-    ``caplet_drift_slope``,
+    The other inputs are constants of the maturity: ``slope`` =
+    ``caplet_drift_slope``, ``ee`` = e_j . e_j and ``theta`` = theta_j.
 
         kappa_eff = kappa_j - rho_j eps_j C_j,
         theta_eff = kappa_j theta_j / kappa_eff,
         sigma . beta = rho_j eps_j |beta_j| (e_j . e_j).
+
+    Raises DegenerateDriftError for a non-positive kappa_eff.
     """
-    beta, kappa = params.beta_norm[j], params.kappa[j]
-    eps, rho, theta = params.eps[j], params.rho[j], params.theta[j]
+    beta, kappa, eps, rho = x
+    kappa_eff = float(kappa - rho * eps * slope)
+    if kappa_eff <= 0.0:
+        raise DegenerateDriftError(f"kappa_eff(j={j})", kappa_eff)
+    return (kappa_eff, float(kappa * theta / kappa_eff),
+            float(rho * eps * beta * ee))
+
+
+def effective_caplet_partials(x, slope: float, ee: float, theta: float,
+                              kappa_eff: float) -> np.ndarray:
+    """Partials of the caplet CF inputs in expiry j's calibrated parameters.
+
+    Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the order
+    of ``charfn.TANGENT_FIELDS``; columns are x = (|beta_j|, kappa_j,
+    eps_j, rho_j).  The inputs are those of ``effective_caplet_map``, and
+    ``kappa_eff`` is its (positive) output at x.
+    """
+    beta, kappa, eps, rho = x
     d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
     # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
     #               / kappa_eff.
     d_theta = -(theta * kappa / kappa_eff ** 2) * d_kappa
     d_theta[1] += theta / kappa_eff
-    ee = float(fact.loadings[j] @ fact.loadings[j])
     return np.array([
         d_kappa,
         d_theta,
@@ -166,6 +148,28 @@ def effective_caplet_partials(j: int, params: ModelParams,
         [rho * eps * ee, 0.0, rho * beta * ee, eps * beta * ee],
         [2.0 * beta, 0.0, 0.0, 0.0],
     ])
+
+
+def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
+                            tenor: TenorStructure,
+                            libors: np.ndarray) -> EffectiveCapletParams:
+    """Variance parameters of v_j under the T_{j+1}-forward measure:
+    ``effective_caplet_map`` at expiry j's entries of ``params``."""
+    slope = caplet_drift_slope(j, params, fact, tenor, libors)
+    e_j = fact.loadings[j]
+    x = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
+    kappa_eff, theta_eff, sigma_beta = effective_caplet_map(
+        j, x, slope, float(e_j @ e_j), params.theta[j])
+    return EffectiveCapletParams(
+        kappa_eff=kappa_eff,
+        theta_eff=theta_eff,
+        beta_norm=float(params.beta_norm[j]),
+        gamma=params.gamma[j].copy(),
+        eps=float(params.eps[j]),
+        sigma_beta=sigma_beta,
+        expiry=float(tenor.dates[j]),
+        v0=float(params.theta[j]),
+    )
 
 
 def swap_averaged_vol_params(ctx: SwapContext, params: ModelParams,

@@ -5,23 +5,22 @@ j sums over all k > j, so later maturities must be fixed first.  Each
 subproblem is one bounded least-squares solve (scipy's trust-region
 reflective method inside ``BOUNDS``) on the per-strike relative price
 residuals against the Fourier pricer, started from the neighbouring
-maturity's fit.  Its Jacobian is exact: one tangent characteristic-function
-call carries the derivatives in (|beta|, kappa, eps, rho) through the
-discrete price the residuals compute, instead of four re-pricings of
-finite differences.
+maturity's fit.
 
 The residuals price each candidate's strike row with the package's graded
-static quadrature at half the default node count (``CalibrationOptions.quad``,
-768 nodes).  The strike row (phases, displaced strikes, forward, discount)
-is built once per maturity and each candidate re-validates and
-refactorizes only its own slot, so a candidate costs one vectorized
-characteristic-function call and one matrix-vector product; the prices
-move smoothly with the candidate, which the least-squares solve needs.
-Over the whole search box, for strikes 0.6-1.6 times the
-forward, it agrees with an adaptive reference at ``tol=1e-12`` to 1e-8
-relative, down to that reference's own absolute error (checked by test).
-Wider strikes need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which
-fit reports use.
+static quadrature at half the default node count (``QUAD``, 768 nodes).
+The strike row (phases, displaced strikes, forward, discount) and the
+drift slope C_j are built once per maturity.  A candidate maps through
+``affine.effective_caplet_map`` straight to its characteristic-function
+inputs and their partials, then costs one tangent characteristic-function
+call and one matrix-vector product, which give the residuals and their
+exact Jacobian in (|beta|, kappa, eps, rho) together.  The prices move
+smoothly with the candidate, which the least-squares solve needs.  Over
+the whole search box, for strikes 0.6-1.6 times the forward, the rule
+agrees with an adaptive reference at ``tol=1e-12`` to 1e-8 relative, down
+to that reference's own absolute error (checked by test).  Wider strikes
+need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which fit reports
+use.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import caplet_drift_slope, effective_caplet_partials
-from .charfn import caplet_cf_params
+from .affine import (caplet_drift_slope, effective_caplet_map,
+                     effective_caplet_partials)
+from .charfn import CharFnParams
 from .errors import ArbitrageBoundError, InvariantError, SvLiborError
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
                       caplet_row, implied_vol, price_row)
@@ -56,15 +56,16 @@ __all__ = [
 BOUNDS = ((1e-4, 2.0), (1e-3, 20.0), (1e-3, 10.0), (-0.999, 0.999))
 START = (0.15, 1.0, 1.0, -0.5)
 PENALTY = 1e6
+# Graded static rule of the residuals: strike rows built once per maturity,
+# then one CF call per candidate, smooth in the candidate.
+QUAD = QuadratureConfig(n=768)
 
 
 @dataclass(frozen=True)
 class CalibrationOptions:
-    # Graded static rule: strike rows built once per maturity, then one CF
-    # call per candidate, smooth in the candidate.
-    quad: QuadratureConfig = QuadratureConfig(n=768)
-    # Objective evals per maturity: residual evals plus one per Jacobian
-    # column, so 4 per Jacobian (the cost of a finite-difference one).
+    # Objective evals per maturity: residual evals plus 4 per Jacobian, one
+    # per column.  The exact Jacobian comes from the residuals' own tangent
+    # pass; the count keeps a column's unit so budgets stay comparable.
     max_evals: int = 1200
 
 
@@ -142,106 +143,95 @@ def panel_market_prices(panel: CapletPanel, tenor, curve, params,
 
 
 class _CapletPricer:
-    """Caplet prices of one maturity's strike row, candidate by candidate.
+    """Caplet prices of one maturity's strike row and their partials,
+    candidate by candidate.
 
-    ``calibrate_maturity`` builds one and prices every candidate with it.
-    The strike row (phases, displaced strikes, forward, discount) is built
-    on the first candidate that gets that far and kept; the factorization
-    of ``params`` is kept too, so a candidate (|beta|, kappa, eps, rho)
-    re-validates and refactorizes only slot j, then costs one
+    ``calibrate_maturity`` builds one and prices every candidate
+    (|beta_j|, kappa_j, eps_j, rho_j) with it.  It keeps what no candidate
+    moves: the drift slope C_j, e_j . e_j, theta_j, T_j and Gamma_j, and the
+    strike row, built on the first candidate that gets that far.  A
+    candidate maps through ``effective_caplet_map`` straight to its
+    CharFnParams and their partials, then costs one tangent
     characteristic-function call.  Prices are bitwise those of a fresh
     ``caplet_price`` call with the candidate in slot j.
     """
 
     def __init__(self, j: int, strikes, tenor, curve, params: ModelParams,
-                 loadings, quad: QuadratureConfig, libors=None):
+                 loadings, libors=None):
         if libors is None:
             libors = strip_libors(curve, tenor)
         self.j, self.tenor, self.curve = j, tenor, curve
         self.strikes = np.asarray(strikes)
-        self.params, self.quad, self.libors = params, quad, libors
-        self.fact = factorize_vols(params, loadings)
-        self.slope = caplet_drift_slope(j, params, self.fact, tenor, libors)
+        self.params, self.libors = params, libors
+        fact = factorize_vols(params, loadings)
+        self.slope = caplet_drift_slope(j, params, fact, tenor, libors)
+        self.ee = float(loadings[j] @ loadings[j])
+        self.theta = float(params.theta[j])
+        self.horizon = float(tenor.dates[j])
+        gamma = params.gamma[j]
+        self.gamma_int = float(gamma @ gamma) * self.horizon
         self.row = None
 
-    def candidate(self, candidate):
-        """Parameters and factorization with the candidate in slot j."""
-        beta_norm, kappa, eps, rho = candidate
-        work = self.params.with_expiry(self.j, beta_norm=beta_norm, rho=rho,
-                                       kappa=kappa, eps=eps)
-        return work, self.fact.with_expiry(self.j, work)
+    def cf_params(self, candidate):
+        """CharFnParams with the candidate in slot j, bitwise those of
+        ``caplet_cf_params``, and their partials in the candidate (rows
+        ``charfn.TANGENT_FIELDS``, columns |beta|, kappa, eps, rho)."""
+        x = tuple(map(float, candidate))
+        kappa_eff, theta_eff, sigma_beta = effective_caplet_map(
+            self.j, x, self.slope, self.ee, self.theta)
+        cfp = CharFnParams(kappa_star=kappa_eff, theta_star=theta_eff,
+                           eps=x[2], sigma_beta=sigma_beta, beta_sq=x[0] ** 2,
+                           gamma_int=self.gamma_int, horizon=self.horizon,
+                           v0=self.theta)
+        return cfp, effective_caplet_partials(x, self.slope, self.ee,
+                                              self.theta, kappa_eff)
 
-    def price(self, work: ModelParams, fact, jacobian=False):
-        """Prices of the strike row; raises what ``caplet_price`` raises.
-
-        With ``jacobian``, returns (prices, partials), the partials of the
-        prices in (|beta|, kappa, eps, rho), one row per strike.
-        """
-        j, tenor, libors = self.j, self.tenor, self.libors
+    def price(self, candidate):
+        """Prices of the strike row and their partials in the candidate, one
+        row per strike; raises what ``caplet_price`` raises."""
         if self.row is None:
-            self.row = caplet_row(j, self.strikes, tenor, self.curve,
-                                  self.params, self.quad, libors)
-
-        if not jacobian:
-            return price_row(self.row, lambda: caplet_cf_params(
-                j, work, fact, tenor, libors))
-        cfp = caplet_cf_params(j, work, fact, tenor, libors)
-        partials = effective_caplet_partials(j, work, fact, self.slope,
-                                             cfp.kappa_star)
+            self.row = caplet_row(self.j, self.strikes, self.tenor,
+                                  self.curve, self.params, QUAD, self.libors)
+        cfp, partials = self.cf_params(candidate)
         return price_row(self.row, lambda: cfp, tangents=partials.T)
 
-    def residuals(self, candidate, market_prices) -> np.ndarray:
-        """Relative price residuals; PENALTY at every strike when the
-        pricer rejects the candidate with any SvLiborError."""
-        work, fact = self.candidate(candidate)
-        try:
-            model = self.price(work, fact)
-        except SvLiborError:
-            return np.full(len(market_prices), PENALTY)
-        return (model - market_prices) / market_prices
-
     def residuals_and_jacobian(self, candidate, market_prices):
-        """``residuals`` and their exact partials in (|beta|, kappa, eps,
-        rho), one row per strike, from one tangent pricing pass.
+        """Relative price residuals (model - market) / market, one per
+        strike, and their exact partials in (|beta|, kappa, eps, rho), one
+        row per strike, from one tangent pricing pass.
 
-        The residuals are bitwise those of ``residuals``.  The Jacobian is
-        all zeros where the pricer rejects the candidate (the residuals
-        score PENALTY), and None where it prices the candidate but the
-        tangent pass fails, e.g. on a non-finite derivative.
+        A candidate the pricer rejects with any SvLiborError (degenerate
+        drift, a lost normalization, a non-finite price) scores PENALTY at
+        every strike, with an all-zero Jacobian.  Where the candidate is
+        priced but a partial is not finite, the Jacobian is None.
         """
-        work, fact = self.candidate(candidate)
         try:
-            model, partials = self.price(work, fact, jacobian=True)
+            model, partials = self.price(candidate)
         except SvLiborError:
-            r = self.residuals(candidate, market_prices)
-            if np.all(r == PENALTY):
-                return r, np.zeros((len(market_prices), 4))
-            return r, None
+            return (np.full(len(market_prices), PENALTY),
+                    np.zeros((len(market_prices), 4)))
+        jac = partials / market_prices[:, None]
         return ((model - market_prices) / market_prices,
-                partials / market_prices[:, None])
+                jac if np.isfinite(jac).all() else None)
 
 
 def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
-              params: ModelParams, loadings, quad: QuadratureConfig,
-              libors=None) -> np.ndarray:
-    """Relative price residuals (model - market) / market, one per strike.
-
-    A candidate (|beta|, kappa, eps, rho) the pricer rejects with any
-    SvLiborError (degenerate drift, a lost normalization, a non-finite
-    price) gets PENALTY at every strike.
-    """
-    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, quad,
-                           libors)
-    return pricer.residuals(candidate, market_prices)
+              params: ModelParams, loadings, libors=None) -> np.ndarray:
+    """Relative price residuals (model - market) / market, one per strike,
+    of a candidate (|beta|, kappa, eps, rho) inside ``BOUNDS``; PENALTY at
+    every strike when the pricer rejects it (see
+    ``_CapletPricer.residuals_and_jacobian``)."""
+    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, libors)
+    return pricer.residuals_and_jacobian(candidate,
+                                         np.asarray(market_prices))[0]
 
 
 def objective(j: int, candidate, strikes, market_prices, tenor, curve,
-              params: ModelParams, loadings,
-              quad: QuadratureConfig, libors=None) -> float:
+              params: ModelParams, loadings, libors=None) -> float:
     """Mean relative price error of the candidate; PENALTY if it is rejected."""
     return float(np.mean(np.abs(residuals(j, candidate, strikes,
                                           market_prices, tenor, curve, params,
-                                          loadings, quad, libors))))
+                                          loadings, libors))))
 
 
 def _boundary_note(x) -> str:
@@ -257,7 +247,7 @@ def _boundary_note(x) -> str:
 
 class _SolveStopped(Exception):
     """Ends a solve at its best eval: the eval budget is spent, or the
-    Jacobian failed where the residuals did not."""
+    Jacobian is not finite where the residuals are priced."""
 
 
 def _coordinate_step(x: np.ndarray, i: int, upper) -> np.ndarray:
@@ -286,8 +276,8 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     per column, and one at a rejected candidate as 4 penalties.  When fewer
     than 4 evals are left for a Jacobian, they are spent on residual evals
     and the solve stops at its best eval, ``max_evals`` spent.  A Jacobian
-    that fails where the residuals are priced also stops the solve there,
-    not converged.
+    that is not finite where the residuals are priced also stops the solve
+    there, not converged.
     """
     # Imported here so that pricing-only processes never load scipy.optimize.
     from scipy.optimize import least_squares
@@ -299,7 +289,7 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     market = panel_market_prices(panel, tenor, curve, params, libors)
     strikes = np.asarray(panel.strikes, dtype=float)
     pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings,
-                           options.quad, libors)
+                           libors)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
     best = (np.inf, None, None)  # (cost, x, residuals) of the best eval
@@ -419,9 +409,9 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
 
 
 def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
-                    tenor, curve,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
-    """Per-strike fit diagnostics: prices and implied vols, market vs model."""
+                    tenor, curve) -> list[dict]:
+    """Per-strike fit diagnostics: prices and implied vols, market vs model,
+    priced with the default quadrature."""
     params = result.params()
     loadings = build_loadings(tenor, params.corr_decay)
     fact = factorize_vols(params, loadings)
@@ -432,7 +422,7 @@ def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
         j = panel.expiry
         market = panel_market_prices(panel, tenor, curve, params, libors)
         model = caplet_price(j, panel.strikes, tenor, curve, params, fact,
-                             quad, libors)
+                             DEFAULT_QUAD, libors)
         discount = float(delta[j] * curve.bonds[j + 1])
         forward = float(libors[j] + params.alpha[j])
         expiry_time = float(tenor.dates[j])

@@ -16,8 +16,7 @@ from .calibrate import CalibrationOptions, calibrate_all, fit_report_rows
 from .errors import SvLiborError
 from .fourier import caplet_price, implied_vol, swaption_price
 from .market_data import load_curve, load_panel, strip_libors, swap_context
-from .model import (build_factorization, build_loadings, correlation_matrices,
-                    factorize_vols, load_params)
+from .model import build_factorization, correlation_matrices, load_params
 from .montecarlo import MCConfig, mc_caplet, mc_caplets, mc_swaption, mc_swaptions
 
 THREADS_ENV = "SVLIBOR_THREADS"

@@ -58,8 +58,8 @@ class QuadratureConfig:
     [0, INNER_PANEL], the next ones are geometric up to z_max / 10 and
     the last 3/8 are uniform on [z_max / 10, z_max].  All n nodes go
     through one characteristic-function call, and the prices are smooth
-    functions of the model parameters.  The default (1536 nodes) holds wide strikes to
-    1e-9; the calibration objective uses 768 (``CalibrationOptions.quad``).
+    functions of the model parameters.  The default (1536 nodes) holds wide
+    strikes to 1e-9; the calibration objective uses 768 (``calibrate.QUAD``).
     """
 
     z_max: float = 400.0
@@ -216,7 +216,9 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     (k, contour) and of sigma_b (k,) along k directions, asks for the
     derivatives of the prices as well, returned with them as
     (prices, (strikes..., k)).  They are those of this discrete price, so
-    the control variate's part does not cancel.
+    the control variate's part does not cancel.  They are returned as
+    computed: a tangent that overflows comes back inf or nan, for the
+    caller to check, while the prices are checked as without tangents.
     """
     finite = np.isfinite(values)
     if not finite.all():
@@ -263,9 +265,6 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
             expiry / (2.0 * np.pi))
         d_black = np.outer(vega, d_sigma_b)
     d_price = row.discount * (d_black + F * d_corr / np.pi)
-    if not np.isfinite(d_price).all():
-        raise QuadratureError("non-finite price derivative: the tangent "
-                              "integrand overflowed")
     return _assemble(row, price), _assemble(row, d_price, 0.0)
 
 
@@ -311,7 +310,10 @@ def price_row(row: StrikeRow, cf_params, tangents=None):
     ``tangents``, a (k, 5) array of directions in ``charfn.TANGENT_FIELDS``,
     asks for the exact derivatives of the prices along them as well: the
     call returns (prices, derivatives) with derivatives of shape
-    (strikes..., k), from one tangent characteristic-function call.
+    (strikes..., k), from one tangent characteristic-function call.  The
+    prices and the errors raised for them are those of a call without
+    tangents; a derivative that is not finite is returned as such, not
+    raised.
     """
     if not row.strikes.size:
         prices = _assemble(row, row.strikes)
@@ -408,11 +410,19 @@ def implied_vol(target_price: float, forward: float, strike: float,
     """Black vol matching a call price to 1e-10 absolute, by bracketing.
 
     Prices at the intrinsic lower bound report vol 0 with a warning;
-    targets outside the static no-arbitrage band raise.
+    targets outside the static no-arbitrage band raise.  A negative or
+    non-finite expiry, or a forward or discount that is not positive and
+    finite, raises InvariantError before any bracketing.
     """
     # Imported here so that pricing-only processes never load scipy.optimize.
     from scipy.optimize import brentq
 
+    if not 0.0 <= expiry < np.inf:
+        raise InvariantError("expiry", f"{expiry} is not finite and >= 0")
+    for name, value in (("forward", forward),
+                        ("discount_times_accrual", discount_times_accrual)):
+        if not 0.0 < value < np.inf:
+            raise InvariantError(name, f"{value} is not finite and > 0")
     D = discount_times_accrual
     lower = D * max(forward - strike, 0.0)
     upper = D * forward

@@ -26,7 +26,6 @@ the quantity for expiry j, entry 0 is NaN (scalars) or a zero row (vectors).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,18 +53,6 @@ _CHECKS = {
     "rho": (lambda x: np.abs(x) > 1.0, "correlation must lie in [-1, 1]"),
     "beta_norm": (lambda x: x < 0.0, "loading norm must be non-negative"),
 }
-
-
-def _with_arrays(obj, **arrays):
-    """Copy of a frozen dataclass with some array fields replaced, made
-    read-only; the other fields are shared and ``__post_init__`` is not
-    run."""
-    out = object.__new__(type(obj))
-    out.__dict__.update(obj.__dict__)
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        out.__dict__[name] = arr
-    return out
 
 
 def _pad_scalar(raw, n: int, name: str) -> np.ndarray:
@@ -141,10 +128,11 @@ class ModelParams:
                     eps=None) -> "ModelParams":
         """Copy of the parameter set with expiry j's entries replaced.
 
-        Only the replaced entries are validated; the other arrays are
-        shared, read-only, with this set.
+        Only the replaced entries are validated (``__post_init__`` is not
+        run); the other arrays are shared, read-only, with this set.
         """
-        updates = {}
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
         for name, value in (("beta_norm", beta_norm), ("rho", rho),
                             ("kappa", kappa), ("eps", eps)):
             if value is not None:
@@ -154,8 +142,9 @@ class ModelParams:
                 # Entry 0 is padding, which validation skips.
                 if range(self.n)[j] and bad(arr[j]):
                     raise InvariantError(name, message)
-                updates[name] = arr
-        return _with_arrays(self, **updates)
+                arr.setflags(write=False)
+                out.__dict__[name] = arr
+        return out
 
     @classmethod
     def from_arrays(cls, *, alpha, beta_norm, rho, kappa, theta, eps,
@@ -199,19 +188,6 @@ class VolFactorization:
     @property
     def m(self) -> int:
         return self.loadings.shape[1]
-
-    def with_expiry(self, j: int, params: ModelParams) -> "VolFactorization":
-        """Copy with row j refactorized from ``params``, the rest shared.
-
-        Row j comes out bitwise as ``factorize_vols`` would compute it.
-        """
-        rho, eps = params.rho[j], params.eps[j]
-        rho_eps = rho * eps
-        sigma = self.sigma.copy()
-        sigma[j] = (0.0 if math.isnan(rho_eps) else rho_eps) * self.loadings[j]
-        sigma_bar = self.sigma_bar.copy()
-        sigma_bar[j] = np.sqrt(max(1.0 - rho * rho, 0.0)) * eps
-        return _with_arrays(self, sigma=sigma, sigma_bar=sigma_bar)
 
 
 def build_loadings(tenor, decay: float) -> np.ndarray:

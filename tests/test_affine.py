@@ -4,6 +4,8 @@ The headline invariant is conservation of kappa * theta under the drift
 freeze; the frozen reference numbers come from the loop oracles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from svlibor import (
     swap_context,
     swap_effective_params,
 )
-from svlibor.affine import caplet_drift_slope, effective_caplet_partials
+from svlibor.affine import (caplet_drift_slope, effective_caplet_map,
+                            effective_caplet_partials)
+from svlibor.calibrate import _CapletPricer
 from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
 
 import oracles
@@ -144,19 +148,44 @@ def test_single_period_swap_matches_caplet(params, fact, tenor, curve, libors):
     assert swap.expiry == cap.expiry
 
 
-def test_drift_slope_gives_effective_kappa(params, fact, tenor, libors):
-    # kappa_eff = kappa_j - rho_j eps_j C_j, and C_j does not move with
-    # expiry j's own parameters.
-    for j in (1, 5, 18, 19):
-        eff = effective_caplet_params(j, params, fact, tenor, libors)
-        slope = caplet_drift_slope(j, params, fact, tenor, libors)
-        assert eff.kappa_eff == pytest.approx(
-            params.kappa[j] - params.rho[j] * params.eps[j] * slope,
-            rel=1e-14)
-        moved = params.with_expiry(j, beta_norm=0.9, kappa=7.0, eps=0.4,
-                                   rho=0.3)
-        assert caplet_drift_slope(j, moved, fact.with_expiry(j, moved),
-                                  tenor, libors) == slope
+def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
+                                          curve, libors):
+    # One formula, bitwise: kappa_eff = kappa_j - rho_j eps_j C_j and
+    # sigma . beta = rho_j eps_j |beta_j| (e_j . e_j), for caplet prices
+    # and calibration alike.  C_j does not move with expiry j's own
+    # parameters, so the calibration's pricer, built once per maturity,
+    # gives bitwise the CF inputs of the candidate put in slot j.
+    sets = (params,
+            dataclasses.replace(params, beta_norm=1.7 * params.beta_norm,
+                                kappa=0.6 * params.kappa,
+                                eps=1.4 * params.eps, rho=-0.8 * params.rho),
+            dataclasses.replace(params, beta_norm=0.4 * params.beta_norm,
+                                kappa=2.5 * params.kappa,
+                                eps=0.3 * params.eps, rho=0.5 * params.rho))
+    for work, other in zip(sets, sets[1:] + sets[:1]):
+        work_fact = factorize_vols(work, loadings)
+        for j in range(1, 20):
+            eff = effective_caplet_params(j, work, work_fact, tenor, libors)
+            slope = caplet_drift_slope(j, work, work_fact, tenor, libors)
+            rho_eps = work.rho[j] * work.eps[j]
+            ee = float(loadings[j] @ loadings[j])
+            assert eff.kappa_eff == work.kappa[j] - rho_eps * slope
+            assert eff.sigma_beta == rho_eps * work.beta_norm[j] * ee
+            x = (work.beta_norm[j], work.kappa[j], work.eps[j], work.rho[j])
+            assert (eff.kappa_eff, eff.theta_eff, eff.sigma_beta) == \
+                effective_caplet_map(j, x, slope, ee, work.theta[j])
+
+            x = (other.beta_norm[j], other.kappa[j], other.eps[j],
+                 other.rho[j])
+            moved = work.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                                     rho=x[3])
+            moved_fact = factorize_vols(moved, loadings)
+            assert caplet_drift_slope(j, moved, moved_fact, tenor,
+                                      libors) == slope
+            pricer = _CapletPricer(j, [libors[j]], tenor, curve, work,
+                                   loadings, libors)
+            assert pricer.cf_params(x)[0] == caplet_cf_params(
+                j, moved, moved_fact, tenor, libors)
     with pytest.raises(IndexError, match="outside 1..19"):
         caplet_drift_slope(20, params, fact, tenor, libors)
 
@@ -175,16 +204,17 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
     fact = factorize_vols(params, loadings)
     slope = caplet_drift_slope(j, params, fact, tenor, libors)
     eff = effective_caplet_params(j, params, fact, tenor, libors)
-    partials = effective_caplet_partials(j, params, fact, slope,
-                                         eff.kappa_eff)
-    assert partials.shape == (len(TANGENT_FIELDS), 4)
     x0 = np.array([params.beta_norm[j], params.kappa[j], params.eps[j],
                    params.rho[j]])
+    partials = effective_caplet_partials(x0, slope,
+                                         float(loadings[j] @ loadings[j]),
+                                         params.theta[j], eff.kappa_eff)
+    assert partials.shape == (len(TANGENT_FIELDS), 4)
 
     def fields(x):
         work = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
                                   rho=x[3])
-        cfp = caplet_cf_params(j, work, fact.with_expiry(j, work), tenor,
+        cfp = caplet_cf_params(j, work, factorize_vols(work, loadings), tenor,
                                libors)
         return np.array([getattr(cfp, name) for name in TANGENT_FIELDS])
 

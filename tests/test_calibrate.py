@@ -14,20 +14,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from svlibor.calibrate import (BOUNDS, PENALTY, CalibrationOptions,
+from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, CalibrationOptions,
                                CalibrationResult, _CapletPricer, calibrate_all,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.charfn import caplet_cf_params, explosion_margin
 from svlibor.errors import (DegenerateDriftError, InvariantError,
                             QuadratureError, StrikeError, SvLiborError)
-from svlibor.fourier import (DEFAULT_QUAD, INNER_PANEL, _graded_rule,
-                             caplet_price)
+from svlibor.fourier import INNER_PANEL, _graded_rule, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, build_loadings, factorize_vols
-
-QUAD = CalibrationOptions().quad
 
 # Budget for the small-model searches below; truth is at the default start
 # so convergence is immediate and the full default budget is never needed.
@@ -90,7 +87,7 @@ class TestObjective:
         truth = (params.beta_norm[j], params.kappa[j], params.eps[j],
                  params.rho[j])
         val = objective(j, truth, strikes, market, tenor, curve, params,
-                        loadings, QUAD, libors)
+                        loadings, libors)
         assert val < 1e-12
 
     def test_positive_off_truth(self, tenor, curve, params, loadings, libors):
@@ -101,7 +98,7 @@ class TestObjective:
         bumped = (1.1 * params.beta_norm[j], params.kappa[j], params.eps[j],
                   params.rho[j])
         val = objective(j, bumped, strikes, market, tenor, curve, params,
-                        loadings, QUAD, libors)
+                        loadings, libors)
         assert val > 1e-4
 
     def test_degenerate_candidate_hits_penalty(self, tenor, curve, params,
@@ -113,7 +110,7 @@ class TestObjective:
         strikes = np.array([0.02])
         market = np.array([0.005])
         val = objective(1, bad, strikes, market, tenor, curve, params,
-                        loadings, QUAD, libors)
+                        loadings, libors)
         assert val == PENALTY
 
     def test_failed_pricing_hits_penalty(self, tenor, curve, params,
@@ -131,7 +128,7 @@ class TestObjective:
 
         monkeypatch.setattr(svlibor.calibrate, "price_row", failing)
         val = objective(j, (1.82, 4.48, 5.74, 0.876), strikes, market, tenor,
-                        curve, params, loadings, DEFAULT_QUAD, libors)
+                        curve, params, loadings, libors)
         assert val == PENALTY
 
 
@@ -199,14 +196,15 @@ def shared_pricer(j, tenor, curve, params, loadings, libors):
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         _PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params,
-                                     loadings, QUAD, libors), market)
+                                     loadings, libors), market)
     return _PRICERS[j]
 
 
 class TestCapletPricer:
     # calibrate_maturity builds one _CapletPricer per maturity and prices
-    # every candidate with it; its prices must be bitwise those of a fresh
-    # caplet_price call, and it must reject the same candidates.
+    # every candidate with it; its prices and residuals must be bitwise
+    # those of a fresh caplet_price call, and it must reject the same
+    # candidates.
 
     @given(j=st.integers(1, 19),
            beta_norm=st.floats(*BOUNDS[0]), kappa=st.floats(*BOUNDS[1]),
@@ -223,18 +221,19 @@ class TestCapletPricer:
         pricer, market = shared_pricer(j, tenor, curve, params, loadings,
                                        libors)
         x = (beta_norm, kappa, eps, rho)
-        work, fact = pricer.candidate(x)
+        work = params.with_expiry(j, beta_norm=beta_norm, kappa=kappa,
+                                  eps=eps, rho=rho)
+        r, jac = pricer.residuals_and_jacobian(x, market)
         try:
             fresh = caplet_price(j, pricer.strikes, tenor, curve, work,
                                  quad=QUAD, libors=libors)
         except SvLiborError as exc:
             with pytest.raises(type(exc)):
-                pricer.price(work, fact)
-            assert np.all(pricer.residuals(x, market) == PENALTY)
+                pricer.price(x)
+            assert np.all(r == PENALTY) and not jac.any()
             return
-        assert pricer.price(work, fact).tobytes() == fresh.tobytes()
-        np.testing.assert_array_equal(pricer.residuals(x, market),
-                                      (fresh - market) / market)
+        assert pricer.price(x)[0].tobytes() == fresh.tobytes()
+        assert r.tobytes() == ((fresh - market) / market).tobytes()
 
     @pytest.mark.parametrize("x, error, match", [
         ((2.0, 1.0, 9.0, 0.75), QuadratureError, "explosion margin"),
@@ -245,8 +244,9 @@ class TestCapletPricer:
         pricer, market = shared_pricer(1, tenor, curve, params, loadings,
                                        libors)
         with pytest.raises(error, match=match):
-            pricer.price(*pricer.candidate(x))
-        assert np.all(pricer.residuals(x, market) == PENALTY)
+            pricer.price(x)
+        r, jac = pricer.residuals_and_jacobian(x, market)
+        assert np.all(r == PENALTY) and not jac.any()
 
     def test_zero_displaced_strike_prices_by_parity(self, tenor, curve,
                                                     params, loadings,
@@ -258,20 +258,22 @@ class TestCapletPricer:
             params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.01))
         strikes = np.array([-0.01, 0.6 * libors[j], libors[j]])
         pricer = _CapletPricer(j, strikes, tenor, curve, shifted, loadings,
-                               QUAD, libors)
+                               libors)
         x = (0.2, 1.5, 0.8, -0.4)
-        work, fact = pricer.candidate(x)
-        got = pricer.price(work, fact)
+        work = shifted.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
+                                   rho=x[3])
+        got, _ = pricer.price(x)
         fresh = caplet_price(j, strikes, tenor, curve, work, quad=QUAD,
                              libors=libors)
         assert got.tobytes() == fresh.tobytes()
         discount = tenor.accruals()[j] * curve.bonds[j + 1]
         assert got[0] == discount * (libors[j] + 0.01)
         below = _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted,
-                              loadings, QUAD, libors)
+                              loadings, libors)
         with pytest.raises(StrikeError, match="displacement"):
-            below.price(*below.candidate(x))
-        assert np.all(below.residuals(x, np.ones(3)) == PENALTY)
+            below.price(x)
+        r, _ = below.residuals_and_jacobian(x, np.ones(3))
+        assert np.all(r == PENALTY)
 
 
 class _Refused(Exception):
@@ -279,7 +281,7 @@ class _Refused(Exception):
 
 
 def central_column(pricer, x, market, col, frac):
-    """Central difference of ``pricer.residuals`` in parameter ``col`` and
+    """Central difference of the pricer's residuals in parameter ``col`` and
     its step; None when a stencil point is rejected.  The step is ``frac``
     of the box width or of the room to the edge of the valid region (rho
     in [-1, 1], the rest positive), whichever is smaller."""
@@ -290,7 +292,7 @@ def central_column(pricer, x, market, col, frac):
     unit = np.eye(4)[col]
 
     def residuals(s):
-        r = pricer.residuals(x + s * unit, market)
+        r, _ = pricer.residuals_and_jacobian(x + s * unit, market)
         if np.all(r == PENALTY):
             raise _Refused
         return r
@@ -334,7 +336,6 @@ class TestResidualJacobian:
                                        libors)
         x = (beta_norm, kappa, eps, rho)
         r, jac = pricer.residuals_and_jacobian(x, market)
-        assert r.tobytes() == pricer.residuals(x, market).tobytes()
         assert jac.shape == (len(market), 4)
         if np.all(r == PENALTY):
             assert not jac.any()
@@ -488,8 +489,8 @@ class TestCalibrateMaturity:
 
     def test_failed_jacobian_at_priced_candidate_stops_unconverged(
             self, monkeypatch):
-        # A tangent pass that fails where the residuals are priced must
-        # neither pass for convergence nor count as penalties.
+        # A tangent pass whose derivatives are not finite where the prices
+        # are must neither pass for convergence nor count as penalties.
         import svlibor.calibrate
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
@@ -497,9 +498,8 @@ class TestCalibrateMaturity:
         price = svlibor.calibrate.price_row
 
         def no_tangents(row, cf_params, tangents=None):
-            if tangents is not None:
-                raise QuadratureError("non-finite price derivative")
-            return price(row, cf_params)
+            prices, partials = price(row, cf_params, tangents)
+            return prices, np.full_like(partials, np.nan)
 
         monkeypatch.setattr(svlibor.calibrate, "price_row", no_tangents)
         fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
@@ -655,7 +655,7 @@ class TestFitReport:
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning):
             result = calibrate_all([panel], params, tenor, curve, FAST)
-        rows = fit_report_rows(result, [panel], tenor, curve, QUAD)
+        rows = fit_report_rows(result, [panel], tenor, curve)
         assert len(rows) == len(panel.strikes)
         assert set(rows[0]) == {"maturity", "strike", "market_price",
                                 "model_price", "market_ivol", "model_ivol"}

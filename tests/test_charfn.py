@@ -23,7 +23,7 @@ from svlibor import (
     heston_cf,
     swaption_cf_params,
 )
-from svlibor.calibrate import BOUNDS, CalibrationOptions
+from svlibor.calibrate import BOUNDS, QUAD
 from svlibor.charfn import TANGENT_FIELDS, explosion_margin
 from svlibor.fourier import _graded_rule
 
@@ -251,7 +251,7 @@ def test_normalized_and_finite_over_calibration_box(params, loadings, tenor,
                                  loadings, tenor, libors)
     except SvLiborError:  # degenerate drift: rejected before any CF call
         assume(False)
-    contour = _graded_rule(400.0, CalibrationOptions().quad.n).contour
+    contour = _graded_rule(400.0, QUAD.n).contour
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = heston_cf(contour, p)
@@ -285,7 +285,7 @@ def central_tangents(z, p):
         1e-5 * max(abs(getattr(p, name)), 1e-3)) for name in TANGENT_FIELDS])
 
 
-CONTOUR = _graded_rule(400.0, CalibrationOptions().quad.n)
+CONTOUR = _graded_rule(400.0, QUAD.n)
 
 
 @pytest.mark.parametrize("j, x", [(5, None), (19, None)] + list(CANCELLING),

@@ -273,7 +273,7 @@ class TestCalibrate:
                    "--out", str(out)])
         assert rc == 0
         assert len(seen) == 1
-        assert seen[0].quad == CalibrationOptions().quad
+        assert seen[0] == CalibrationOptions()
         fit = json.loads(out.read_text())["fits"][-1]
         assert fit["iterations"] > 0
         assert isinstance(fit["status"], int) and fit["message"]
@@ -293,6 +293,20 @@ class TestImpliedVol:
         assert rc == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["implied_vol"] == pytest.approx(0.25, abs=1e-8)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--expiry", "-1"), ("--discount", "0"), ("--discount", "-0.9"),
+        ("--forward", "-0.03")])
+    def test_invalid_input_is_a_typed_error(self, capsys, flag, value):
+        # No numpy warning and no traceback: one typed error line, exit 1.
+        args = {"--price": "0.01", "--forward": "0.03", "--strike": "0.03",
+                "--expiry": "2.0", "--discount": "0.9", flag: value}
+        rc = main(["implied-vol"] + [t for pair in args.items() for t in pair])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvariantError: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestCorrelations:

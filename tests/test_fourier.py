@@ -8,6 +8,7 @@ frozen-drift approximation carries its own bias.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from svlibor import (
     build_factorization,
     caplet_price,
     carr_madan_cv,
+    factorize_vols,
     heston_cf,
     implied_vol,
     swaption_cf_params,
@@ -206,7 +208,7 @@ def test_swaption_row_goes_through_the_split(tenor, curve, params, fact,
     assert np.array_equal(row.live, strikes > 0.0)
     for bump in (1.0, 1.3):
         work = params.with_expiry(6, beta_norm=bump * params.beta_norm[6])
-        wfact = fact.with_expiry(6, work)
+        wfact = factorize_vols(work, fact.loadings)
         cfp = swaption_cf_params(4, 10, work, wfact, tenor, curve, libors)
         got = price_row(row, lambda: cfp)
         fresh = swaption_price(4, 10, strikes, tenor, curve, work,
@@ -305,6 +307,23 @@ def test_implied_vol_bounds():
         assert implied_vol(D * (F - K), F, K, T, D) == 0.0
     with pytest.raises(ArbitrageBoundError):
         implied_vol(D * F * 1.0001, F, K, T, D)
+
+
+@pytest.mark.parametrize("field, forward, expiry, discount", [
+    ("expiry", 0.03, -1.0, 0.9), ("expiry", 0.03, np.nan, 0.9),
+    ("expiry", 0.03, np.inf, 0.9), ("forward", 0.0, 2.0, 0.9),
+    ("forward", -0.03, 2.0, 0.9), ("forward", np.nan, 2.0, 0.9),
+    ("discount_times_accrual", 0.03, 2.0, 0.0),
+    ("discount_times_accrual", 0.03, 2.0, -0.9),
+])
+def test_implied_vol_rejects_invalid_inputs(field, forward, expiry, discount):
+    # Refused before any bracketing: a negative expiry would reach the root
+    # finder through nan Black prices, and a non-positive forward or
+    # discount would report a no-arbitrage band that does not exist.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantError, match=field):
+            implied_vol(0.01, forward, 0.03, expiry, discount)
 
 
 @given(

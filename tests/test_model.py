@@ -16,7 +16,6 @@ from svlibor import (
     build_factorization,
     build_loadings,
     correlation_matrices,
-    factorize_vols,
     instantaneous_correlations,
     load_params,
 )
@@ -186,20 +185,6 @@ def test_with_expiry_validates_replaced_slot(params):
                 rho=bumped.rho, kappa=bumped.kappa, theta=bumped.theta,
                 eps=bumped.eps, gamma=bumped.gamma,
                 corr_decay=bumped.corr_decay)
-
-
-def test_factorization_with_expiry_matches_full_refactorization(params,
-                                                                 loadings,
-                                                                 fact):
-    # Refactorizing only row j must give bitwise the full factorization.
-    for j, rho, eps in ((1, 0.999, 10.0), (12, -0.3, 0.7), (19, 0.0, 0.0),
-                        (5, -1.0, 2.5)):
-        work = params.with_expiry(j, rho=rho, eps=eps)
-        full = factorize_vols(work, loadings)
-        row = fact.with_expiry(j, work)
-        np.testing.assert_array_equal(row.sigma, full.sigma)
-        np.testing.assert_array_equal(row.sigma_bar, full.sigma_bar)
-        assert row.loadings is fact.loadings
 
 
 def test_gamma_defaults_to_empty(params):
