@@ -19,17 +19,28 @@ discount, strikes and the phase rows cos/sin(z ln(K/F)) over the rule's
 nodes, whose node-only contour terms the rule caches.  ``price_row`` then
 costs one CF call on the contour and one matrix-vector product, so a
 calibration builds its row once and prices every candidate against it.
+
+The cost of a row does not depend on the state of the C heap.  A row
+allocates its phase matrix and builds it in place; a warm ``price_row``
+writes the CF values, their tangents and the integrand into per-thread
+work arrays (``_scratch``) and allocates nothing of the contour's size.
+Temporaries of that size, freed and allocated again on every row, are
+what the heap hands back to the system and then faults in anew.
+
+The module needs numpy alone: the normal CDF of Black-76 is built on
+``math.erfc``, and ``implied_vol`` runs safeguarded Newton steps.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._scratch import Scratch
 from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
                      swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
@@ -80,6 +91,17 @@ DEFAULT_QUAD = QuadratureConfig()
 INNER_PANEL = 1e-4
 
 _GRADED_CACHE: dict[tuple[float, int], "_Rule"] = {}
+_SCRATCH = Scratch()
+_SQRT2 = math.sqrt(2.0)
+
+
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2) of a 1-D array.
+
+    A loop over ``math.erfc``: rows hold a few dozen strikes, and numpy has
+    no erfc of its own.
+    """
+    return np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
 
 
 def black76(forward, expiry, vol, strike):
@@ -111,7 +133,8 @@ def black76(forward, expiry, vol, strike):
             log_m = np.log(F[live] / K[live])
             d_plus = log_m / total + 0.5 * total
             d_minus = d_plus - total
-            out[live] = F[live] * ndtr(d_plus) - K[live] * ndtr(d_minus)
+            out[live] = (F[live] * _norm_cdf(d_plus)
+                         - K[live] * _norm_cdf(d_minus))
     return float(out[0]) if scalar else out
 
 
@@ -119,7 +142,7 @@ class _Rule(NamedTuple):
     """A graded rule's nodes and weights with its node-only contour terms."""
 
     nodes: np.ndarray
-    weights: np.ndarray
+    pair_weights: np.ndarray  # each node's weight twice, for a phase pair
     contour: np.ndarray  # z - i at every node, then -i for the phi(-i) check
     denom: np.ndarray  # z (z - i)
     # iz + z^2 at the contour: the exponent of the Black CF (up to its
@@ -151,7 +174,7 @@ def _graded_rule(z_max: float, n: int) -> _Rule:
         weights = (half[:, None] * w[None, :]).ravel()
         zi = nodes - 1j
         contour = np.append(zi, -1j)
-        rule = _Rule(nodes, weights, contour, nodes * zi,
+        rule = _Rule(nodes, np.repeat(weights, 2), contour, nodes * zi,
                      contour * contour + 1j * contour)
         for arr in rule:
             arr.setflags(write=False)
@@ -192,10 +215,18 @@ def _strike_row(forward: float, strike: np.ndarray, discount: float,
     rule = _graded_rule(quad.z_max, quad.n)
     if K_live.size and forward <= 0.0:
         raise StrikeError("Carr-Madan needs positive forward and strikes")
-    arg = np.outer(np.log(K_live / forward), rule.nodes)
+    # Built in place, so that a row allocates its phases and nothing else
+    # of their size: z ln(K/F) in the cosine slots, then its sines and
+    # cosines, then every pair times its node's weight.  The loops run
+    # over strikes: numpy buffers a broadcast product over the whole matrix.
     phases = np.empty((K_live.size, 2 * rule.nodes.size))
-    phases[:, 0::2] = np.cos(arg) * rule.weights
-    phases[:, 1::2] = np.sin(arg) * rule.weights
+    cos, sin = phases[:, 0::2], phases[:, 1::2]
+    for row, log_kf in zip(cos, np.log(K_live / forward)):
+        np.multiply(log_kf, rule.nodes, out=row)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+    for row in phases:
+        row *= rule.pair_weights
     return StrikeRow(forward=forward, discount=discount,
                      shape=np.shape(strike), live=live, strikes=K_live,
                      log_fk=np.log(forward / K_live), phases=phases,
@@ -229,8 +260,13 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     if not abs(check - 1.0) <= 1e-8:
         raise InvariantError("cf", f"phi(-i) = {check:.12g}, expected 1")
     rule = row.rule
-    black_values = np.exp(-0.5 * sigma_b ** 2 * expiry * rule.psi[:-1])
-    base = (black_values - values[:-1]) / rule.denom
+    # The integrand goes into this thread's work arrays (``_scratch``).
+    buf = _SCRATCH.arrays(rule.nodes.shape)
+    black_values = np.multiply(rule.psi[:-1], -0.5 * sigma_b ** 2 * expiry,
+                               out=buf("black"))
+    np.exp(black_values, out=black_values)
+    base = np.subtract(black_values, values[:-1], out=buf("base"))
+    base /= rule.denom
     # Re(exp(-i k z) base) @ weights = phases @ (Re base, Im base) pairs.
     corr = row.phases @ base.view(np.float64)
     # Black-76 on the live strikes (forward and strikes are positive).
@@ -240,7 +276,7 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
         black = np.maximum(F - K, 0.0)
     else:
         d_plus = row.log_fk / total + 0.5 * total
-        black = F * ndtr(d_plus) - K * ndtr(d_plus - total)
+        black = F * _norm_cdf(d_plus) - K * _norm_cdf(d_plus - total)
     # Half-line real part carries the factor 2 / (2 pi).
     price = row.discount * (black + F * corr / np.pi)
     finite = np.isfinite(price)
@@ -253,9 +289,14 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     d_values, d_sigma_b = tangents
     # d phi_B = -sigma_b T psi phi_B d sigma_b; one product of the phases
     # with every direction's interleaved (real, imaginary) pairs.
-    d_black_values = np.outer(d_sigma_b, -sigma_b * expiry * rule.psi[:-1]
-                              * black_values)
-    d_base = (d_black_values - d_values[:, :-1]) / rule.denom
+    d_phi_b = np.multiply(rule.psi[:-1], -sigma_b * expiry, out=buf("tmp"))
+    d_phi_b *= black_values
+    d_base = buf("d_base", rows=len(d_values))
+    for db, ds, dv in zip(d_base, d_sigma_b, d_values):
+        # A direction at a time: numpy buffers a broadcast over the block.
+        np.multiply(ds, d_phi_b, out=db)
+        db -= dv[:-1]
+        db /= rule.denom
     d_corr = row.phases @ d_base.view(np.float64).T
     if total <= 0.0:
         d_black = np.zeros(d_corr.shape)
@@ -329,11 +370,13 @@ def price_row(row: StrikeRow, cf_params, tangents=None):
     sigma_b = float(np.sqrt(cfp.beta_sq * cfp.v0
                             + cfp.gamma_int / cfp.horizon))
     rule = row.rule
+    buf = _SCRATCH.arrays(rule.contour.shape)
     if tangents is None:
-        return _invert(row, heston_cf(rule.contour, cfp, psi=rule.psi),
-                       sigma_b, cfp.horizon)
-    values, d_values = heston_cf(rule.contour, cfp, psi=rule.psi,
-                                 tangents=tangents)
+        values = heston_cf(rule.contour, cfp, psi=rule.psi, out=buf("phi"))
+        return _invert(row, values, sigma_b, cfp.horizon)
+    values, d_values = heston_cf(
+        rule.contour, cfp, psi=rule.psi, tangents=tangents,
+        out=(buf("phi"), buf("d_phi", rows=np.shape(tangents)[0])))
     # sigma_b^2 = |beta|^2 v0 + gamma_int / T moves with beta_sq only.
     d_sigma_b = cfp.v0 * np.asarray(tangents)[:, 4] / (2.0 * sigma_b)
     return _invert(row, values, sigma_b, cfp.horizon, (d_values, d_sigma_b))
@@ -407,16 +450,19 @@ def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
 
 def implied_vol(target_price: float, forward: float, strike: float,
                 expiry: float, discount_times_accrual: float) -> float:
-    """Black vol matching a call price to 1e-10 absolute, by bracketing.
+    """Black vol matching a call price to 1e-10 absolute.
 
-    Prices at the intrinsic lower bound report vol 0 with a warning;
-    targets outside the static no-arbitrage band raise.  A negative or
-    non-finite expiry, or a forward or discount that is not positive and
+    Newton's method on the Black price, safeguarded by bisection inside a
+    bracket [1e-6, hi] (hi doubled from 5 until it holds the root), as in
+    rtsafe (Press et al.); Jaeckel's "Let's be rational" (2015) is the
+    faster and more accurate successor.  Prices at the intrinsic lower
+    bound report vol 0 with a warning; targets outside the static
+    no-arbitrage band raise.  A negative or non-finite expiry, or a forward
+    or discount that is not positive and finite, or a target that is not
     finite, raises InvariantError before any bracketing.
     """
-    # Imported here so that pricing-only processes never load scipy.optimize.
-    from scipy.optimize import brentq
-
+    if not math.isfinite(target_price):
+        raise InvariantError("target_price", f"{target_price} is not finite")
     if not 0.0 <= expiry < np.inf:
         raise InvariantError("expiry", f"{expiry} is not finite and >= 0")
     for name, value in (("forward", forward),
@@ -448,4 +494,33 @@ def implied_vol(target_price: float, forward: float, strike: float,
         if hi > 80.0:
             raise ArbitrageBoundError(
                 "no Black vol below 80 matches the target price")
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # Newton from the inflection point of the price in vol, sqrt(2 |ln F/K|
+    # / T), where plain Newton converges monotonically; a bisection
+    # whenever the step would leave the bracket or fails to halve the last
+    # one.  Every step shrinks the bracket or halves the step, so the loop
+    # ends once a step is below the tolerance of the root.
+    log_fk = math.log(forward / strike)
+    sqrt_t = math.sqrt(expiry)
+    vol = min(max(math.sqrt(2.0 * abs(log_fk)) / sqrt_t, lo), hi)
+    last = hi - lo
+    while True:
+        g = gap(vol)
+        if g == 0.0:
+            return vol
+        if g < 0.0:
+            lo = vol
+        else:
+            hi = vol
+        total = vol * sqrt_t
+        d_plus = log_fk / total + 0.5 * total
+        vega = D * forward * sqrt_t * math.exp(-0.5 * d_plus * d_plus) \
+            / math.sqrt(2.0 * math.pi)
+        step = g / vega if vega > 0.0 else math.inf
+        if lo < vol - step < hi and 2.0 * abs(step) <= last:
+            vol -= step
+        else:
+            step = 0.5 * (hi - lo)
+            vol = lo + step
+        last = abs(step)
+        if last <= 1e-14 + 8.9e-16 * vol:
+            return vol

@@ -1,0 +1,100 @@
+"""Fourier rows allocate no contour-sized temporaries once warm.
+
+A warm ``price_row`` writes its characteristic-function values, tangents
+and integrand into per-thread work arrays, and a row builds its phases in
+place, so the transient peak that tracemalloc sees (numpy reports its data
+buffers to it) is a few KB for pricing and about the phase matrix for a
+one-shot ``caplet_price``.  Temporaries of a few hundred KB per row would
+let the C heap hand memory back to the system and fault it in again on the
+next row, so that a row's cost depended on the heap's state.  Threads
+pricing the same row at once get the prices of a serial run.
+"""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from svlibor.charfn import caplet_cf_params
+from svlibor.fourier import caplet_price, caplet_row, price_row
+
+J = 5
+# A transient allowance for the Python objects of a call (CF parameters,
+# the 12 prices, masks over the contour), far below one contour array of
+# 1,537 complex values (24.6 KB).
+SMALL = 16 * 1024
+
+
+@pytest.fixture(scope="module")
+def strikes(libors):
+    return libors[J] * np.linspace(0.2, 2.4, 12)
+
+
+@pytest.fixture(scope="module")
+def cfp(params, fact, tenor, libors):
+    return caplet_cf_params(J, params, fact, tenor, libors)
+
+
+def transient_peak(call) -> int:
+    """Bytes held at the peak of a warm ``call`` beyond what it returns."""
+    call()
+    call()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = call()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - max(start, end)
+
+
+def test_warm_price_row_allocates_no_contour_arrays(strikes, cfp, tenor,
+                                                    curve, params, libors):
+    row = caplet_row(J, strikes, tenor, curve, params, libors=libors)
+    assert row.strikes.size == 12
+    assert transient_peak(lambda: price_row(row, lambda: cfp)) <= SMALL
+    tangents = np.eye(5)[:4]
+    assert transient_peak(
+        lambda: price_row(row, lambda: cfp, tangents=tangents)) <= SMALL
+
+
+def test_one_shot_caplet_price_holds_about_its_phases(strikes, tenor, curve,
+                                                      params, fact, libors):
+    row = caplet_row(J, strikes, tenor, curve, params, libors=libors)
+    peak = transient_peak(lambda: caplet_price(J, strikes, tenor, curve,
+                                               params, fact, libors=libors))
+    assert peak <= row.phases.nbytes + SMALL
+
+
+def test_threads_pricing_one_row_agree_with_serial(strikes, cfp, tenor,
+                                                   curve, params, libors):
+    # More threads than cores, switching often: work arrays shared between
+    # threads would let one overwrite another's CF values mid-row.
+    row = caplet_row(J, strikes, tenor, curve, params, libors=libors)
+    tangents = np.eye(5)[:4]
+    serial = price_row(row, lambda: cfp, tangents=tangents)
+    results = [[] for _ in range(4)]
+
+    def work(out):
+        for _ in range(20):
+            out.append(price_row(row, lambda: cfp, tangents=tangents))
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 20 for out in results)
+    for prices, d_prices in (r for out in results for r in out):
+        np.testing.assert_array_equal(prices, serial[0])
+        np.testing.assert_array_equal(d_prices, serial[1])

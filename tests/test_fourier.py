@@ -34,7 +34,7 @@ from svlibor import (
     swaption_price,
 )
 from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
-from svlibor.fourier import caplet_row, price_row, swaption_row
+from svlibor.fourier import _norm_cdf, caplet_row, price_row, swaption_row
 
 import oracles
 
@@ -49,6 +49,31 @@ def test_black76_matches_loop_oracle():
         assert black76(f, t, vol, k) == pytest.approx(
             oracles.black_call(f, t, vol, k), abs=1e-15)
     assert black76(*cases[0]) == pytest.approx(BLACK_ATM, abs=1e-15)
+
+
+def test_norm_cdf_matches_ndtr():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    x = np.linspace(-8.0, 8.0, 160001)
+    assert np.max(np.abs(_norm_cdf(x) / ndtr(x) - 1.0)) <= 1.3e-14
+
+
+def test_black76_matches_ndtr_black():
+    # Both terms of F N(d+) - K N(d-) agree to 1.3e-14 relative wherever
+    # |d+-| <= 8, so the price agrees to that share of their sum (deep out
+    # of the money the difference cancels, so relative to the price alone
+    # it need not).
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    F = 0.03
+    for T in (0.25, 1.0, 5.0, 20.0):
+        for vol in (0.01, 0.05, 0.2, 0.5, 1.0, 2.0):
+            total = vol * np.sqrt(T)
+            d_plus = np.linspace(max(-8.0, total - 8.0), min(8.0, 8.0 + total),
+                                 401)
+            K = F * np.exp(-(d_plus - 0.5 * total) * total)
+            d_plus = np.log(F / K) / total + 0.5 * total
+            terms = F * ndtr(d_plus), K * ndtr(d_plus - total)
+            gap = black76(F, T, vol, K) - (terms[0] - terms[1])
+            assert np.all(np.abs(gap) <= 1.3e-14 * (terms[0] + terms[1]))
 
 
 def test_black76_edges():
@@ -299,6 +324,54 @@ def test_implied_vol_round_trip():
             assert vol == pytest.approx(sigma, abs=1e-8)
             assert vol == pytest.approx(
                 oracles.bisect_implied_vol(price, F, K, T, D), abs=1e-8)
+
+
+def _brent_implied_vol(price, F, K, T, D):
+    """The bracketing solve ``implied_vol`` used before its Newton steps."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+
+    def gap(vol):
+        return D * black76(F, T, vol, K) - price
+
+    hi = 5.0
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    return brentq(gap, 1e-6, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_implied_vol_matches_bracketing_solvers():
+    # Where the vega is large enough for the price to pin the vol to 1e-10,
+    # the Newton steps land on the vol of the Brent solve and of bisection.
+    F, D = 0.03, 0.9
+    for T in (0.25, 2.0, 10.0):
+        for sigma in (0.05, 0.2, 0.6, 1.5, 6.0):
+            for K in F * np.array([0.6, 0.8, 1.0, 1.25, 1.6]):
+                price = D * black76(F, T, sigma, K)
+                vega = D * F * np.sqrt(T) * np.exp(-0.5 * (
+                    np.log(F / K) / (sigma * np.sqrt(T))
+                    + 0.5 * sigma * np.sqrt(T)) ** 2) / np.sqrt(2.0 * np.pi)
+                if vega < 1e-5:
+                    continue
+                vol = implied_vol(price, F, K, T, D)
+                assert abs(vol - _brent_implied_vol(price, F, K, T, D)) \
+                    <= 1e-10
+                assert vol == pytest.approx(
+                    oracles.bisect_implied_vol(price, F, K, T, D, hi=20.0),
+                    abs=1e-10)
+
+
+def test_implied_vol_reprices_ill_conditioned_targets():
+    # Deep in or out of the money the price barely moves with the vol; the
+    # returned vol still reprices the target to 1e-10 absolute.
+    F, D = 0.03, 0.9
+    for T in (0.25, 2.0):
+        for sigma in (0.01, 0.05, 0.2):
+            for K in F * np.array([0.3, 0.5, 2.0, 3.0]):
+                price = D * black76(F, T, sigma, K)
+                if price <= D * max(F - K, 0.0) + 1e-12:
+                    continue
+                vol = implied_vol(price, F, K, T, D)
+                assert abs(D * black76(F, T, vol, K) - price) <= 1e-10
 
 
 def test_implied_vol_bounds():

@@ -1,9 +1,10 @@
-"""Pricing and Monte Carlo never load scipy.optimize; the solvers still do.
+"""Only the calibration loads scipy; pricing, Monte Carlo and Black do not.
 
-Only ``calibrate_maturity`` (least squares) and ``implied_vol`` (Brent) need
-scipy.optimize, and loading it costs a large share of the package's import
-time, so both import it when called.  The check runs in a fresh
-interpreter, because this test process has long since loaded it.
+``calibrate_maturity`` (least squares) is the one caller of scipy, and
+loading scipy costs most of the package's import time, so it imports
+scipy.optimize when called.  Black-76 and its implied vol run on
+``math.erfc`` and Newton steps.  The check runs in a fresh interpreter,
+because this test process has long since loaded scipy.
 """
 
 import json
@@ -27,16 +28,16 @@ from svlibor import (CalibrationOptions, CapletPanel, MCConfig, black76,
                      mc_caplets, strip_libors, swaption_price)
 
 
-def optimize_loaded():
+def scipy_loaded():
     return sorted(m for m in sys.modules
-                  if m == "scipy.optimize" or m.startswith("scipy.optimize."))
+                  if m == "scipy" or m.startswith("scipy."))
 
 
 tenor, curve = load_curve("fixtures/curve_table.csv")
 params = load_params("fixtures/model_table.json")
 fact = build_factorization(params, tenor)
 libors = strip_libors(curve, tenor)
-out = {"after_import": optimize_loaded()}
+out = {"after_import": scipy_loaded()}
 
 strikes = np.array([0.8, 1.0, 1.2]) * libors[5]
 caplets = caplet_price(5, strikes, tenor, curve, params, fact)
@@ -49,10 +50,10 @@ out["prices_finite"] = bool(np.all(np.isfinite(caplets))
                             and np.all(np.isfinite(swaptions))
                             and np.isfinite(mc[3][0].price)
                             and np.isfinite(black))
-out["after_pricing"] = optimize_loaded()
-out["special_loaded"] = "scipy.special" in sys.modules
+out["after_pricing"] = scipy_loaded()
 
 out["implied_vol"] = implied_vol(black, 0.03, 0.03, 2.0, 1.0)
+out["after_implied_vol"] = scipy_loaded()
 j = 5
 truth = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
 panel = CapletPanel(expiry=j, strikes=strikes, quotes=caplets)
@@ -62,7 +63,7 @@ fit = calibrate_maturity(j, panel, params, tenor, curve,
                          warm_start=tuple(float(x) for x in truth))
 out["fit_objective"] = fit.objective
 out["fit_iterations"] = fit.iterations
-out["after_solvers"] = optimize_loaded()
+out["after_calibration"] = scipy_loaded()
 print(json.dumps(out))
 """
 
@@ -82,9 +83,8 @@ def test_pricing_paths_leave_scipy_optimize_unloaded():
     assert out["after_import"] == []
     assert out["prices_finite"]
     assert out["after_pricing"] == []
-    # Black-76 still prices through scipy.special.ndtr.
-    assert out["special_loaded"]
     assert abs(out["implied_vol"] - 0.2) < 1e-10
+    assert out["after_implied_vol"] == []
     assert 0 < out["fit_iterations"] <= 60
     assert out["fit_objective"] < 1e-7
-    assert "scipy.optimize" in out["after_solvers"]
+    assert "scipy.optimize" in out["after_calibration"]
