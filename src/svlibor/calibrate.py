@@ -2,10 +2,9 @@
 
 Maturities are processed in decreasing order: the measure change for expiry
 j sums over all k > j, so later maturities must be fixed first.  Each
-subproblem is one bounded least-squares solve (scipy's trust-region
-reflective method inside ``BOUNDS``) on the per-strike relative price
-residuals against the Fourier pricer, started from the neighbouring
-maturity's fit.
+subproblem is one bounded least-squares solve (a Levenberg-Marquardt loop
+inside ``BOUNDS``, numpy only) on the per-strike relative price residuals
+against the Fourier pricer, started from the neighbouring maturity's fit.
 
 The residuals price each candidate's strike row with the package's graded
 static quadrature at half the default node count (``QUAD``, 768 nodes).
@@ -59,6 +58,10 @@ PENALTY = 1e6
 # Graded static rule of the residuals: strike rows built once per maturity,
 # then one CF call per candidate, smooth in the candidate.
 QUAD = QuadratureConfig(n=768)
+# Stop tests of a solve (``MaturityFit.status`` 1-3), its initial damping,
+# and the probe of its geodesic correction as a fraction of the step.
+GTOL, FTOL, XTOL = 1e-10, 1e-8, 1e-8
+MU0, PROBE = 1e-3, 0.1
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,18 @@ class MaturityFit:
     iterations: int
     converged: bool
     note: str = ""
-    status: int | None = None  # least_squares status; None if not fitted
-    message: str = ""  # the optimizer's stop reason
+    # How the solve stopped: 1 scaled gradient below GTOL, 2 predicted
+    # relative decrease below FTOL, 3 rejected step below XTOL (converged);
+    # 0 budget spent or Jacobian not finite; None if not fitted.
+    status: int | None = None
+    message: str = ""  # the solver's stop reason
     penalties: int = 0  # evals that scored PENALTY
     seconds: float = 0.0  # wall time of the solves; 0 if not fitted
     jacobians: int = 0  # Jacobian evaluations, 4 evals each
+    residual_rms: float = float("nan")  # rms relative residual at the fit
+    # Singular values of the unit-column Jacobian at the fit; a near-zero
+    # one is a near-flat direction, such as the (kappa, eps) ridge.
+    singular_values: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,8 @@ class CalibrationResult:
                 "converged": f.converged, "note": f.note,
                 "status": f.status, "message": f.message,
                 "penalties": f.penalties, "seconds": f.seconds,
-                "jacobians": f.jacobians,
+                "jacobians": f.jacobians, "residual_rms": f.residual_rms,
+                "singular_values": list(f.singular_values),
             } for f in self.fits],
         }
 
@@ -245,18 +256,12 @@ def _boundary_note(x) -> str:
     return "; ".join(hits)
 
 
-class _SolveStopped(Exception):
-    """Ends a solve at its best eval: the eval budget is spent, or the
-    Jacobian is not finite where the residuals are priced."""
-
-
-def _coordinate_step(x: np.ndarray, i: int, upper) -> np.ndarray:
-    """x moved along coordinate i by a forward-difference step, turned
-    back where it would leave the box."""
-    h = np.sqrt(np.finfo(float).eps) * max(1.0, abs(x[i]))
-    step = x.copy()
-    step[i] += h if x[i] + h <= upper[i] else -h
-    return step
+def _scaled_gradient(J, r, x, lower, upper):
+    """Gradient J^T r of half the squared residuals, and each variable's
+    distance to the face of the box that the descent direction -g points
+    at (Coleman and Li's v; 1 where g is 0)."""
+    g = J.T @ r
+    return g, np.where(g < 0, upper - x, np.where(g > 0, x - lower, 1.0))
 
 
 def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
@@ -265,23 +270,31 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                        libors=None, warm_start=None) -> MaturityFit:
     """Fit expiry j holding every k > j at its current value in ``params``.
 
-    One trust-region reflective least-squares solve inside ``BOUNDS``,
-    started from ``warm_start`` (the neighbouring maturity's fit) or from
-    ``START``; starting next to the neighbour keeps parameters from hopping
-    along the price-equivalent (kappa, eps) ridge between maturities.  When
-    every eval of the warm-started solve scores PENALTY, the fit is solved
-    again from ``START``; ``iterations`` and ``max_evals`` count both
-    solves, and ``note`` says so.  The solve's Jacobian is exact
-    (``_CapletPricer.residuals_and_jacobian``); each counts as 4 evals, one
-    per column, and one at a rejected candidate as 4 penalties.  When fewer
-    than 4 evals are left for a Jacobian, they are spent on residual evals
-    and the solve stops at its best eval, ``max_evals`` spent.  A Jacobian
-    that is not finite where the residuals are priced also stops the solve
-    there, not converged.
-    """
-    # Imported here so that pricing-only processes never load scipy.optimize.
-    from scipy.optimize import least_squares
+    One bounded Levenberg-Marquardt solve inside ``BOUNDS``, started from
+    ``warm_start`` (the neighbouring maturity's fit) or from ``START``;
+    starting next to the neighbour keeps parameters from hopping along the
+    price-equivalent (kappa, eps) ridge between maturities.  Steps solve
+    the damped normal equations in variables scaled by the running maximum
+    of the Jacobian's column norms (as MINPACK does); the damping is
+    divided by 3 after an accepted step and doubled after a rejected one.
+    A variable on a face of the box that the gradient or the step pushes
+    outward is frozen, and steps are clipped to the box.  After a step the
+    linear model predicted poorly, a geodesic correction (Transtrum and
+    Sethna 2012, one probe eval) bends the next along the curved valley.
+    The stop tests are those of ``MaturityFit.status``: the Coleman-Li
+    scaled gradient, the decrease the Gauss-Newton step on the free
+    variables predicts, and the length of a rejected step.
 
+    A trial point or probe is 1 eval, one tangent pricing pass for its
+    residuals and exact Jacobian; taking a Jacobian for the next steps adds
+    4, one per column (4 penalties at a rejected candidate).  When those 4
+    do not fit, the evals left go to trial steps with the last Jacobian
+    taken, so the solve stops with exactly ``max_evals`` spent.  A Jacobian
+    that is not finite where the residuals are priced stops the solve, not
+    converged.  When every eval of the warm-started solve scores PENALTY,
+    the fit is solved again from ``START``; ``iterations`` and
+    ``max_evals`` count both solves, and ``note`` says so.
+    """
     if panel.expiry != j:
         raise InvariantError("expiry", f"panel is for {panel.expiry}, not {j}")
     if libors is None:
@@ -292,60 +305,101 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                            libors)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
-    best = (np.inf, None, None)  # (cost, x, residuals) of the best eval
-    # TRF asks for the Jacobian at nearly every point it evaluates, right
-    # after the residuals, so both come from one tangent pass and the
-    # Jacobian is kept for that request.
-    last = (None, None, None)  # (x, residuals, Jacobian) of the latest eval
+    spent = f"objective-eval budget of {options.max_evals} spent"
 
-    # scipy's nfev leaves out the Jacobians, so the budget is counted, and
-    # enforced, here.
-    def fun(x: np.ndarray) -> np.ndarray:
-        nonlocal evals, penalties, best, last
-        if evals == options.max_evals:
-            raise _SolveStopped(
-                f"objective-eval budget of {options.max_evals} spent")
+    def evaluate(x):
+        nonlocal evals, penalties
         evals += 1
         r, J = pricer.residuals_and_jacobian(x, market)
-        last = (x.copy(), r, J)
         penalties += bool(np.all(r == PENALTY))
-        cost = float(r @ r)
-        if cost < best[0]:
-            best = (cost, x.copy(), r)
-        return r
+        return r, J
 
-    def jac(x: np.ndarray) -> np.ndarray:
+    def solve(x):
+        """(x, residuals, Jacobian, status, message) of one solve from x."""
         nonlocal evals, penalties, jacobians
-        if evals + 4 > options.max_evals:
-            # Too few evals left for a Jacobian: spend them on residual
-            # evals at the coordinate steps a forward difference would take,
-            # which may still lower the best eval; ``fun`` then stops the
-            # solve, with every eval of the budget spent.
-            for i in range(options.max_evals - evals + 1):
-                fun(_coordinate_step(x, i, upper))
-        evals += 4
-        jacobians += 1
-        x_last, r, J = last
-        if not np.array_equal(x, x_last):
-            r, J = pricer.residuals_and_jacobian(x, market)
-        penalties += 4 * bool(np.all(r == PENALTY))
-        if J is None:
-            raise _SolveStopped("residual Jacobian not finite at a priced "
-                                "candidate")
-        return J
-
-    def solve(start):
-        try:
-            res = least_squares(fun, np.clip(start, lower, upper), jac=jac,
-                                bounds=(lower, upper), method="trf",
-                                x_scale="jac", max_nfev=options.max_evals)
-            return res.x, res.fun, res.status, res.message
-        except _SolveStopped as stop:
-            _, x, r = best
-            return x, r, 0, str(stop)
+        x = np.clip(x, lower, upper)
+        r, J = evaluate(x)
+        norms = np.zeros(4)
+        # Damping relative to the scaled columns, which start at unit norm;
+        # ``curved`` once the linear model has predicted an accepted step
+        # poorly, which turns the geodesic correction on.
+        mu, curved = MU0, False
+        taken = None  # the Jacobian the steps are solved with
+        while True:
+            if evals + 4 <= options.max_evals:
+                evals += 4
+                jacobians += 1
+                penalties += 4 * bool(np.all(r == PENALTY))
+                if J is None:
+                    return (x, r, J, 0, "residual Jacobian not finite at a "
+                            "priced candidate")
+                g, v = _scaled_gradient(J, r, x, lower, upper)
+                if np.max(np.abs(v * g)) <= GTOL:
+                    return x, r, J, 1, "scaled gradient below GTOL"
+                norms = np.maximum(norms, np.linalg.norm(J, axis=0))
+                scale = np.where(norms > 0, norms, 1.0)
+                # A variable on a face of the box that the gradient pushes
+                # outward is frozen.
+                free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+                taken = J
+                U, s, Vt = np.linalg.svd(J * (free / scale),
+                                         full_matrices=False)
+                # The Gauss-Newton step on the free variables, and the
+                # decrease of r . r it predicts.
+                ur = U.T @ r
+                rank = s > s[0] * max(J.shape) * np.finfo(float).eps
+                if ur[rank] @ ur[rank] <= FTOL * (r @ r):
+                    return x, r, J, 2, "predicted relative decrease below FTOL"
+            elif taken is None or evals == options.max_evals:
+                return x, r, J, 0, spent
+            # Too few evals left for this point's Jacobian: the trial steps
+            # reuse the last one taken.
+            cost = r @ r
+            while True:  # damped steps from x until one lowers the cost
+                if evals == options.max_evals:
+                    return x, r, J, 0, spent
+                damping = s / (s * s + mu)
+                step = -Vt.T @ (damping * (U.T @ r)) / scale
+                # A free variable on a face that the step would leave is
+                # frozen too, and the step solved again.
+                out = free & (((x <= lower) & (step < 0))
+                              | ((x >= upper) & (step > 0)))
+                if out.any():
+                    free &= ~out
+                    U, s, Vt = np.linalg.svd(taken * (free / scale),
+                                             full_matrices=False)
+                    continue
+                if curved and evals + 2 <= options.max_evals:
+                    # Geodesic acceleration (Transtrum and Sethna 2012): the
+                    # residuals' second derivative along the step, from one
+                    # probe eval, bends the step along a curved valley; it
+                    # is kept where 2 |acc| <= 0.75 |step|, scaled.
+                    r_h, _ = evaluate(np.clip(x + PROBE * step, lower, upper))
+                    acc = -Vt.T @ (damping * (U.T @ (
+                        (r_h - r) / PROBE - taken @ step))) / scale
+                    acc *= 2.0 / PROBE
+                    if (np.linalg.norm(acc * scale)
+                            <= 0.375 * np.linalg.norm(step * scale)):
+                        step += 0.5 * acc
+                trial = np.clip(x + step, lower, upper)
+                step = trial - x
+                r_new, J_new = evaluate(trial)
+                cost_new = r_new @ r_new
+                if cost_new < cost:
+                    predicted = cost - np.sum((r + taken @ step) ** 2)
+                    x, r, J = trial, r_new, J_new
+                    mu /= 3.0
+                    curved = (predicted <= 0.0
+                              or cost - cost_new < 0.5 * predicted)
+                    break
+                if (np.linalg.norm(step)
+                        <= XTOL * (XTOL + np.linalg.norm(x))):
+                    return x, r, J, 3, "relative step below XTOL"
+                mu *= 2.0
 
     start = time.perf_counter()
-    x, r, status, message = solve(START if warm_start is None else warm_start)
+    x, r, J, status, message = solve(START if warm_start is None
+                                     else warm_start)
     # A warm start the pricer rejects has a zero Jacobian, so the solve
     # stops where it began; start once more from START, within the same
     # eval budget.
@@ -354,9 +408,11 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
             and evals < options.max_evals):
         fallback = (f"warm start scored PENALTY at all {evals} evals; "
                     "re-solved from START")
-        x, r, status, message = solve(START)
+        x, r, J, status, message = solve(START)
     seconds = time.perf_counter() - start
     value = float(np.mean(np.abs(r)))
+    if J is not None:  # singular values of the unit-column Jacobian
+        J = J / np.maximum(np.linalg.norm(J, axis=0), np.finfo(float).tiny)
     note = "; ".join(n for n in (_boundary_note(x), fallback) if n)
     return MaturityFit(expiry=j, beta_norm=float(x[0]), kappa=float(x[1]),
                        eps=float(x[2]), rho=float(x[3]), objective=value,
@@ -364,7 +420,10 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
                        converged=status > 0 and value < PENALTY,
                        note=note, status=int(status), message=message,
                        penalties=penalties, seconds=seconds,
-                       jacobians=jacobians)
+                       jacobians=jacobians,
+                       residual_rms=float(np.sqrt(np.mean(r * r))),
+                       singular_values=() if J is None else tuple(
+                           np.linalg.svd(J, compute_uv=False).tolist()))
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,

@@ -99,7 +99,7 @@ def _norm_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF 0.5 erfc(-x / sqrt 2) of a 1-D array.
 
     A loop over ``math.erfc``: rows hold a few dozen strikes, and numpy has
-    no erfc of its own.
+    no erfc of its own.  Black-76 passes d+ and d- in one array.
     """
     return np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
 
@@ -132,9 +132,8 @@ def black76(forward, expiry, vol, strike):
         else:
             log_m = np.log(F[live] / K[live])
             d_plus = log_m / total + 0.5 * total
-            d_minus = d_plus - total
-            out[live] = (F[live] * _norm_cdf(d_plus)
-                         - K[live] * _norm_cdf(d_minus))
+            n = _norm_cdf(np.concatenate((d_plus, d_plus - total)))
+            out[live] = F[live] * n[:d_plus.size] - K[live] * n[d_plus.size:]
     return float(out[0]) if scalar else out
 
 
@@ -276,7 +275,8 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
         black = np.maximum(F - K, 0.0)
     else:
         d_plus = row.log_fk / total + 0.5 * total
-        black = F * _norm_cdf(d_plus) - K * _norm_cdf(d_plus - total)
+        n = _norm_cdf(np.concatenate((d_plus, d_plus - total)))
+        black = F * n[:d_plus.size] - K * n[d_plus.size:]
     # Half-line real part carries the factor 2 / (2 pi).
     price = row.discount * (black + F * corr / np.pi)
     finite = np.isfinite(price)

@@ -282,6 +282,10 @@ class TestCalibrate:
         assert fit["seconds"] > 0.0
         # Each Jacobian counts as 4 evals, one per column.
         assert 0 < 4 * fit["jacobians"] < fit["iterations"]
+        # The fit's rms residual, and the singular values of its 3 x 4
+        # unit-column Jacobian.
+        assert fit["residual_rms"] >= fit["objective"]
+        assert len(fit["singular_values"]) == 3
 
 
 class TestImpliedVol:

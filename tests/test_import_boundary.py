@@ -1,10 +1,10 @@
-"""Only the calibration loads scipy; pricing, Monte Carlo and Black do not.
+"""The package runs on numpy alone: no path loads scipy.
 
-``calibrate_maturity`` (least squares) is the one caller of scipy, and
-loading scipy costs most of the package's import time, so it imports
-scipy.optimize when called.  Black-76 and its implied vol run on
-``math.erfc`` and Newton steps.  The check runs in a fresh interpreter,
-because this test process has long since loaded scipy.
+Pricing, Monte Carlo, Black-76 (``math.erfc``), its implied vol (Newton
+steps) and the calibration (``calibrate_maturity``, a Levenberg-Marquardt
+loop written with numpy) leave every ``scipy`` module unloaded; scipy is
+a test dependency only.  The check runs in a fresh interpreter, because
+this test process has long since loaded scipy.
 """
 
 import json
@@ -87,4 +87,4 @@ def test_pricing_paths_leave_scipy_optimize_unloaded():
     assert out["after_implied_vol"] == []
     assert 0 < out["fit_iterations"] <= 60
     assert out["fit_objective"] < 1e-7
-    assert "scipy.optimize" in out["after_calibration"]
+    assert out["after_calibration"] == []
