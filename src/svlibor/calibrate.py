@@ -6,8 +6,8 @@ subproblem is one bounded least-squares solve (a Levenberg-Marquardt loop
 inside ``BOUNDS``, numpy only) on the per-strike relative price residuals
 against the Fourier pricer, started from the neighbouring maturity's fit.
 
-The residuals price each candidate's strike row with the package's graded
-static quadrature at half the default node count (``QUAD``, 768 nodes).
+Each candidate's strike row is priced with the package's graded static
+quadrature at half the default node count (``QUAD``, 768 nodes).
 The strike row (phases, displaced strikes, forward, discount) and the
 drift slope C_j are built once per maturity.  A candidate maps through
 ``affine.effective_caplet_map`` straight to its characteristic-function
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "MaturityFit",
     "CalibrationResult",
     "panel_market_prices",
-    "residuals",
     "objective",
     "calibrate_maturity",
     "calibrate_all",
@@ -124,16 +123,8 @@ class CalibrationResult:
             "corr_decay": self.corr_decay,
             "theta": self.theta[1:].tolist(),
             "alpha": self.alpha[1:].tolist(),
-            "fits": [{
-                "expiry": f.expiry, "beta_norm": f.beta_norm,
-                "kappa": f.kappa, "eps": f.eps, "rho": f.rho,
-                "objective": f.objective, "iterations": f.iterations,
-                "converged": f.converged, "note": f.note,
-                "status": f.status, "message": f.message,
-                "penalties": f.penalties, "seconds": f.seconds,
-                "jacobians": f.jacobians, "residual_rms": f.residual_rms,
-                "singular_values": list(f.singular_values),
-            } for f in self.fits],
+            "fits": [{**asdict(f), "singular_values": list(f.singular_values)}
+                     for f in self.fits],
         }
 
 
@@ -226,23 +217,14 @@ class _CapletPricer:
                 jac if np.isfinite(jac).all() else None)
 
 
-def residuals(j: int, candidate, strikes, market_prices, tenor, curve,
-              params: ModelParams, loadings, libors=None) -> np.ndarray:
-    """Relative price residuals (model - market) / market, one per strike,
-    of a candidate (|beta|, kappa, eps, rho) inside ``BOUNDS``; PENALTY at
-    every strike when the pricer rejects it (see
-    ``_CapletPricer.residuals_and_jacobian``)."""
-    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, libors)
-    return pricer.residuals_and_jacobian(candidate,
-                                         np.asarray(market_prices))[0]
-
-
 def objective(j: int, candidate, strikes, market_prices, tenor, curve,
               params: ModelParams, loadings, libors=None) -> float:
-    """Mean relative price error of the candidate; PENALTY if it is rejected."""
-    return float(np.mean(np.abs(residuals(j, candidate, strikes,
-                                          market_prices, tenor, curve, params,
-                                          loadings, libors))))
+    """Mean absolute relative price residual (model - market) / market of a
+    candidate (|beta|, kappa, eps, rho) inside ``BOUNDS``; PENALTY when the
+    pricer rejects it (see ``_CapletPricer.residuals_and_jacobian``)."""
+    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, libors)
+    r, _ = pricer.residuals_and_jacobian(candidate, np.asarray(market_prices))
+    return float(np.mean(np.abs(r)))
 
 
 def _boundary_note(x) -> str:
@@ -433,9 +415,14 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
 
     ``skeleton`` supplies the fixed inputs (theta, alpha, gamma, decay) and
     the starting values for any maturity without a panel, which is skipped
-    with a warning.
+    with a warning.  Two panels for one expiry raise InvariantError.
     """
-    by_expiry = {panel.expiry: panel for panel in panels}
+    by_expiry = {}
+    for panel in panels:
+        if panel.expiry in by_expiry:
+            raise InvariantError("panels",
+                                 f"two panels for expiry {panel.expiry}")
+        by_expiry[panel.expiry] = panel
     for j in by_expiry:
         if not (1 <= j <= skeleton.n - 1):
             raise IndexError(f"panel expiry {j} outside 1..{skeleton.n - 1}")

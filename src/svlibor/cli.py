@@ -35,6 +35,12 @@ def _open_out(path):
             yield fh
 
 
+def _write_json(path, payload) -> None:
+    with _open_out(path) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+
+
 def _strike_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -178,9 +184,7 @@ def _cmd_price_caplet(args) -> int:
     libors = strip_libors(curve, tenor)
     if args.dump_effective:
         eff = effective_caplet_params(args.j, params, fact, tenor, libors)
-        with _open_out(args.out) as out:
-            json.dump(eff.as_dict(), out, indent=2)
-            out.write("\n")
+        _write_json(args.out, eff.as_dict())
         return 0
     strikes = _strikes_from(args)
     fourier = caplet_price(args.j, strikes, tenor, curve, params, fact,
@@ -201,9 +205,7 @@ def _cmd_price_swaption(args) -> int:
     if args.dump_effective:
         ctx = swap_context(args.p, args.q, curve, tenor)
         eff = swap_effective_params(ctx, params, fact, tenor, libors)
-        with _open_out(args.out) as out:
-            json.dump(eff.as_dict(), out, indent=2)
-            out.write("\n")
+        _write_json(args.out, eff.as_dict())
         return 0
     strikes = _strikes_from(args)
     fourier = swaption_price(args.p, args.q, strikes, tenor, curve, params,
@@ -240,9 +242,7 @@ def _cmd_mc_price(args) -> int:
                           fact, cfg)
     payload = {"price": res.price, "se": res.se, "paths": res.paths,
                "steps_per_year": cfg.steps_per_year, "seed": cfg.seed}
-    with _open_out(args.out) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    _write_json(args.out, payload)
     return 0
 
 
@@ -250,9 +250,7 @@ def _cmd_calibrate(args) -> int:
     tenor, curve, params = _load_market(args)
     panels = load_panel(args.panels)
     result = calibrate_all(panels, params, tenor, curve, CalibrationOptions())
-    with _open_out(args.out) as out:
-        json.dump(result.to_dict(), out, indent=2)
-        out.write("\n")
+    _write_json(args.out, result.to_dict())
     if args.fit_report:
         rows = fit_report_rows(result, panels, tenor, curve)
         with open(args.fit_report, "w", newline="", encoding="utf-8") as fh:
@@ -268,9 +266,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_implied_vol(args) -> int:
     vol = implied_vol(args.price, args.forward, args.strike, args.expiry,
                       args.discount)
-    with _open_out(args.out) as out:
-        json.dump({"implied_vol": vol}, out, indent=2)
-        out.write("\n")
+    _write_json(args.out, {"implied_vol": vol})
     return 0
 
 

@@ -104,20 +104,42 @@ def _norm_cdf(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
 
 
+def _black(F, K, log_fk, total):
+    """Black-76 calls F N(d+) - K N(d-) of positive strikes K, with
+    ``log_fk`` = ln(F/K) and ``total`` = vol sqrt(T), and their d+.
+
+    ``total`` <= 0 gives the intrinsic value and d+ None.  Unchecked: the
+    callers validate their inputs.
+    """
+    if total <= 0.0:
+        return np.maximum(F - K, 0.0), None
+    d_plus = log_fk / total + 0.5 * total
+    n = _norm_cdf(np.concatenate((d_plus, d_plus - total)))
+    return F * n[:d_plus.size] - K * n[d_plus.size:], d_plus
+
+
 def black76(forward, expiry, vol, strike):
     """Undiscounted Black-76 call value L N(d+) - K N(d-).
 
     Vectorized over forward/strike; vol = 0 or expiry = 0 degenerates to
     the intrinsic value, non-positive strikes return forward parity
-    (exercise certain) with a warning.
+    (exercise certain) with a warning.  A forward that is not positive, a
+    vol or expiry that is negative, or any input that is not finite raises
+    InvariantError.
     """
     F = np.asarray(forward, dtype=float)
     K = np.asarray(strike, dtype=float)
     scalar = F.ndim == 0 and K.ndim == 0
     F, K = np.atleast_1d(F), np.atleast_1d(K)
     F, K = np.broadcast_arrays(F, K)
-    if np.any(F <= 0.0):
-        raise InvariantError("forward", "Black-76 needs a positive forward")
+    if not np.all((F > 0.0) & (F < np.inf)):
+        raise InvariantError("forward",
+                             "Black-76 needs a positive, finite forward")
+    if not np.all(np.isfinite(K)):
+        raise InvariantError("strike", "Black-76 needs finite strikes")
+    for name, value in (("expiry", expiry), ("vol", vol)):
+        if not 0.0 <= float(value) < np.inf:
+            raise InvariantError(name, f"{value} is not finite and >= 0")
     out = np.empty(F.shape)
     certain = K <= 0.0
     if np.any(certain):
@@ -126,14 +148,8 @@ def black76(forward, expiry, vol, strike):
         out[certain] = F[certain] - K[certain]
     live = ~certain
     if np.any(live):
-        total = float(vol) * np.sqrt(float(expiry))
-        if total <= 0.0:
-            out[live] = np.maximum(F[live] - K[live], 0.0)
-        else:
-            log_m = np.log(F[live] / K[live])
-            d_plus = log_m / total + 0.5 * total
-            n = _norm_cdf(np.concatenate((d_plus, d_plus - total)))
-            out[live] = F[live] * n[:d_plus.size] - K[live] * n[d_plus.size:]
+        out[live] = _black(F[live], K[live], np.log(F[live] / K[live]),
+                           float(vol) * np.sqrt(float(expiry)))[0]
     return float(out[0]) if scalar else out
 
 
@@ -269,14 +285,9 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     # Re(exp(-i k z) base) @ weights = phases @ (Re base, Im base) pairs.
     corr = row.phases @ base.view(np.float64)
     # Black-76 on the live strikes (forward and strikes are positive).
-    F, K = row.forward, row.strikes
-    total = sigma_b * np.sqrt(expiry)
-    if total <= 0.0:
-        black = np.maximum(F - K, 0.0)
-    else:
-        d_plus = row.log_fk / total + 0.5 * total
-        n = _norm_cdf(np.concatenate((d_plus, d_plus - total)))
-        black = F * n[:d_plus.size] - K * n[d_plus.size:]
+    F = row.forward
+    black, d_plus = _black(F, row.strikes, row.log_fk,
+                           sigma_b * np.sqrt(expiry))
     # Half-line real part carries the factor 2 / (2 pi).
     price = row.discount * (black + F * corr / np.pi)
     finite = np.isfinite(price)
@@ -298,7 +309,7 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
         db -= dv[:-1]
         db /= rule.denom
     d_corr = row.phases @ d_base.view(np.float64).T
-    if total <= 0.0:
+    if d_plus is None:
         d_black = np.zeros(d_corr.shape)
     else:
         # Vega F n(d+) sqrt(T) per strike, times d sigma_b per direction.

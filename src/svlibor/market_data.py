@@ -113,10 +113,12 @@ class CapletPanel:
             raise InvariantError("strikes", "panel must be non-empty")
         if strikes.size != quotes.size:
             raise InvariantError("quotes", "strikes and quotes length mismatch")
+        if not np.all(np.isfinite(strikes)):
+            raise InvariantError("strikes", "strikes must be finite")
         if not np.all(np.diff(strikes) > 0.0):
             raise InvariantError("strikes", "strikes must be strictly increasing")
-        if np.any(quotes <= 0.0):
-            raise InvariantError("quotes", "quotes must be positive")
+        if not np.all((quotes > 0.0) & (quotes < np.inf)):
+            raise InvariantError("quotes", "quotes must be positive and finite")
         if self.quote_kind not in ("price", "vol"):
             raise InvariantError("quote_kind", f"unknown kind {self.quote_kind!r}")
 

@@ -26,7 +26,7 @@ the quantity for expiry j, entry 0 is NaN (scalars) or a zero row (vectors).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,23 +128,16 @@ class ModelParams:
                     eps=None) -> "ModelParams":
         """Copy of the parameter set with expiry j's entries replaced.
 
-        Only the replaced entries are validated (``__post_init__`` is not
-        run); the other arrays are shared, read-only, with this set.
+        The copy is built through the constructor, so ``__post_init__``
+        validates it like any other parameter set.
         """
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
+        changes = {}
         for name, value in (("beta_norm", beta_norm), ("rho", rho),
                             ("kappa", kappa), ("eps", eps)):
             if value is not None:
-                arr = getattr(self, name).copy()
-                arr[j] = value
-                bad, message = _CHECKS[name]
-                # Entry 0 is padding, which validation skips.
-                if range(self.n)[j] and bad(arr[j]):
-                    raise InvariantError(name, message)
-                arr.setflags(write=False)
-                out.__dict__[name] = arr
-        return out
+                changes[name] = getattr(self, name).copy()
+                changes[name][j] = value
+        return replace(self, **changes)
 
     @classmethod
     def from_arrays(cls, *, alpha, beta_norm, rho, kappa, theta, eps,

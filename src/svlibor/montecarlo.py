@@ -446,7 +446,10 @@ def _estimate(tenor, curve, params, fact, cfg: MCConfig, times,
               payoffs) -> tuple[list[tuple[np.ndarray, np.ndarray]], float, int]:
     """[(mean, se)] over paths of each (paths, k) array ``payoffs`` reads,
     with the elapsed seconds and the step count of the one simulation to
-    the last of ``times``.  Antithetic pairs are averaged first."""
+    the last of ``times``.  Antithetic pairs are averaged first.  No times
+    simulate nothing: ([], 0.0, 0)."""
+    if not times:
+        return [], 0.0, 0
     start = time.perf_counter()
     pre = _Precomp(tenor, curve, params, fact, max(times), cfg)
     stats = []

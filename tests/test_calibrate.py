@@ -653,6 +653,17 @@ class TestCalibrateAll:
         with pytest.raises(IndexError):
             calibrate_all([panel], params, tenor, curve, FAST)
 
+    def test_duplicate_panels_rejected_before_any_fit(self, monkeypatch):
+        # Two panels for one expiry are ambiguous: refused before any fit,
+        # not collapsed to the last one given.
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        doubled = dataclasses.replace(panel, quotes=2.0 * panel.quotes)
+        calls = count_evals(monkeypatch)
+        with pytest.raises(InvariantError, match="panels"):
+            calibrate_all([panel, doubled], params, tenor, curve, FAST)
+        assert calls == []
+
     def test_to_dict_serializes(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
@@ -663,6 +674,18 @@ class TestCalibrateAll:
         assert len(blob["fits"]) == 5
         assert blob["fits"][-1]["expiry"] == 5
         assert isinstance(blob["theta"], list) and len(blob["theta"]) == 5
+
+    def test_to_dict_fits_carry_every_field_in_order(self):
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        with pytest.warns(UserWarning):
+            result = calibrate_all([panel], params, tenor, curve, FAST)
+        fit = result.fits[-1]
+        blob = result.to_dict()["fits"][-1]
+        assert list(blob) == [f.name for f in dataclasses.fields(fit)]
+        assert blob["singular_values"] == list(fit.singular_values)
+        assert len(blob["singular_values"]) == 4
+        assert blob["residual_rms"] == fit.residual_rms
 
 
 class TestFitReport:

@@ -85,6 +85,25 @@ def test_black76_edges():
         black76(-0.01, 2.0, 0.3, 0.05)
 
 
+def test_black76_rejects_negative_and_non_finite_inputs():
+    # None of these has a Black price: each must raise, not come back nan
+    # or, for a negative vol, as the intrinsic value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, args in (("expiry", (0.05, -1.0, 0.3, 0.03)),
+                           ("expiry", (0.05, np.nan, 0.3, 0.03)),
+                           ("expiry", (0.05, np.inf, 0.3, 0.03)),
+                           ("vol", (0.05, 2.0, np.nan, 0.03)),
+                           ("vol", (0.05, 2.0, -0.2, 0.03)),
+                           ("vol", (0.05, 2.0, np.inf, 0.03)),
+                           ("forward", (np.nan, 2.0, 0.3, 0.03)),
+                           ("forward", (np.inf, 2.0, 0.3, 0.03)),
+                           ("strike", (0.05, 2.0, 0.3, [0.03, np.nan])),
+                           ("strike", (0.05, 2.0, 0.3, np.inf))):
+            with pytest.raises(InvariantError, match=name):
+                black76(*args)
+
+
 def test_cv_is_exact_on_black():
     rng = np.random.default_rng(11)
     quad = QuadratureConfig()

@@ -183,6 +183,18 @@ def test_panel_validation():
         CapletPanel(expiry=0, strikes=np.array([0.01]), quotes=np.array([1.0]))
 
 
+def test_panel_rejects_non_finite_entries():
+    # A non-finite quote or strike must stop at the panel: a nan quote that
+    # reaches the fit stops it with a misleading non-finite Jacobian.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvariantError, match="quotes"):
+            CapletPanel(expiry=3, strikes=np.array([0.01, 0.02]),
+                        quotes=np.array([1.0, bad]))
+        with pytest.raises(InvariantError, match="strikes"):
+            CapletPanel(expiry=3, strikes=np.array([0.01, bad]),
+                        quotes=np.array([1.0, 1.0]))
+
+
 @given(
     rates=st.lists(st.floats(min_value=1e-4, max_value=0.2,
                              allow_nan=False), min_size=2, max_size=12),

@@ -161,8 +161,8 @@ def test_with_expiry_replaces_one_slot(params):
 
 
 def test_with_expiry_validates_replaced_slot(params):
-    # with_expiry checks only the replaced entries, so each invalid value
-    # must still raise there, and a valid copy must leave every other slot
+    # with_expiry builds its copy through the constructor, so each invalid
+    # value must raise there, and a valid copy must leave every other slot
     # (and the original set) as it was.
     for field, bad in (("kappa", 0.0), ("kappa", -1.0), ("eps", -0.5),
                        ("rho", 1.5), ("rho", -1.01), ("beta_norm", -0.1)):

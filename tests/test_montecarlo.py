@@ -195,6 +195,19 @@ def test_result_fields(tenor, curve, params, fact):
     assert res.paths * res.steps / res.elapsed > 0.0
 
 
+def test_empty_requests_return_empty_without_simulating(
+        tenor, curve, params, fact, monkeypatch):
+    # An empty request has nothing to price, so it builds no simulation.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("an empty request built a simulation")
+
+    monkeypatch.setattr(montecarlo, "_Precomp", no_simulation)
+    cfg = MCConfig(paths=64)
+    assert mc_caplets({}, tenor, curve, params, fact, cfg) == {}
+    assert mc_swaptions({}, tenor, curve, params, fact, cfg) == {}
+    assert deflated_bond_means(tenor, curve, params, fact, cfg, []) == {}
+
+
 def test_config_validation():
     with pytest.raises(InvariantError, match="paths"):
         MCConfig(paths=0)
