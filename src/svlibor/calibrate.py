@@ -33,7 +33,8 @@ import numpy as np
 from .affine import (caplet_drift_slope, effective_caplet_map,
                      effective_caplet_partials)
 from .charfn import CharFnParams
-from .errors import ArbitrageBoundError, InvariantError, SvLiborError
+from .errors import (ArbitrageBoundError, InvariantError, StrikeError,
+                     SvLiborError)
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
                       caplet_row, implied_vol, price_row)
 from .market_data import CapletPanel, strip_libors
@@ -98,43 +99,34 @@ class MaturityFit:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The fits of a sweep, in expiry order, and the parameter set it built:
+    the skeleton with each fitted maturity's (|beta|, kappa, eps, rho)."""
+
     fits: tuple
-    theta: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    corr_decay: float
+    fitted: ModelParams
 
     def params(self) -> ModelParams:
-        """Fitted parameter set (padded arrays assembled from the fits)."""
-        n = self.theta.size
-        arrays = {name: np.full(n, np.nan)
-                  for name in ("beta_norm", "kappa", "eps", "rho")}
-        for fit in self.fits:
-            arrays["beta_norm"][fit.expiry] = fit.beta_norm
-            arrays["kappa"][fit.expiry] = fit.kappa
-            arrays["eps"][fit.expiry] = fit.eps
-            arrays["rho"][fit.expiry] = fit.rho
-        return ModelParams(alpha=self.alpha, theta=self.theta,
-                           gamma=self.gamma, corr_decay=self.corr_decay,
-                           **arrays)
+        """Fitted parameter set."""
+        return self.fitted
 
     def to_dict(self) -> dict:
         return {
-            "corr_decay": self.corr_decay,
-            "theta": self.theta[1:].tolist(),
-            "alpha": self.alpha[1:].tolist(),
+            "corr_decay": self.fitted.corr_decay,
+            "theta": self.fitted.theta[1:].tolist(),
+            "alpha": self.fitted.alpha[1:].tolist(),
             "fits": [{**asdict(f), "singular_values": list(f.singular_values)}
                      for f in self.fits],
         }
 
 
-def panel_market_prices(panel: CapletPanel, tenor, curve, params,
-                        libors=None) -> np.ndarray:
-    """Panel quotes as prices; vol quotes run through Black-76."""
-    if libors is None:
-        libors = strip_libors(curve, tenor)
+def panel_market_prices(panel: CapletPanel, tenor, curve,
+                        params: ModelParams) -> np.ndarray:
+    """Panel quotes as prices; vol quotes run through Black-76 on the
+    displaced forward and strikes of ``params`` (the Libors stripped from
+    ``curve``)."""
     if panel.quote_kind == "price":
         return np.asarray(panel.quotes, dtype=float)
+    libors = strip_libors(curve, tenor)
     j = panel.expiry
     delta = tenor.accruals()
     discount = float(delta[j] * curve.bonds[j + 1])
@@ -150,18 +142,18 @@ class _CapletPricer:
 
     ``calibrate_maturity`` builds one and prices every candidate
     (|beta_j|, kappa_j, eps_j, rho_j) with it.  It keeps what no candidate
-    moves: the drift slope C_j, e_j . e_j, theta_j, T_j and Gamma_j, and the
-    strike row, built on the first candidate that gets that far.  A
-    candidate maps through ``effective_caplet_map`` straight to its
-    CharFnParams and their partials, then costs one tangent
+    moves: the Libors stripped from ``curve``, the loadings of
+    ``params.corr_decay``, the drift slope C_j, e_j . e_j, theta_j, T_j and
+    Gamma_j, and the strike row, built on the first candidate that gets
+    that far.  A candidate maps through ``effective_caplet_map`` straight
+    to its CharFnParams and their partials, then costs one tangent
     characteristic-function call.  Prices are bitwise those of a fresh
     ``caplet_price`` call with the candidate in slot j.
     """
 
-    def __init__(self, j: int, strikes, tenor, curve, params: ModelParams,
-                 loadings, libors=None):
-        if libors is None:
-            libors = strip_libors(curve, tenor)
+    def __init__(self, j: int, strikes, tenor, curve, params: ModelParams):
+        libors = strip_libors(curve, tenor)
+        loadings = build_loadings(tenor, params.corr_decay)
         self.j, self.tenor, self.curve = j, tenor, curve
         self.strikes = np.asarray(strikes)
         self.params, self.libors = params, libors
@@ -218,11 +210,12 @@ class _CapletPricer:
 
 
 def objective(j: int, candidate, strikes, market_prices, tenor, curve,
-              params: ModelParams, loadings, libors=None) -> float:
+              params: ModelParams) -> float:
     """Mean absolute relative price residual (model - market) / market of a
-    candidate (|beta|, kappa, eps, rho) inside ``BOUNDS``; PENALTY when the
-    pricer rejects it (see ``_CapletPricer.residuals_and_jacobian``)."""
-    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings, libors)
+    candidate (|beta|, kappa, eps, rho) inside ``BOUNDS`` in slot j of
+    ``params``; PENALTY when the pricer rejects it (see
+    ``_CapletPricer.residuals_and_jacobian``)."""
+    pricer = _CapletPricer(j, strikes, tenor, curve, params)
     r, _ = pricer.residuals_and_jacobian(candidate, np.asarray(market_prices))
     return float(np.mean(np.abs(r)))
 
@@ -246,11 +239,12 @@ def _scaled_gradient(J, r, x, lower, upper):
     return g, np.where(g < 0, upper - x, np.where(g > 0, x - lower, 1.0))
 
 
-def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
-                       tenor, curve, loadings,
+def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
                        options: CalibrationOptions = CalibrationOptions(),
-                       libors=None, warm_start=None) -> MaturityFit:
-    """Fit expiry j holding every k > j at its current value in ``params``.
+                       warm_start=None) -> MaturityFit:
+    """Fit the panel's expiry j holding every k > j at its current value in
+    ``params``.  The loadings are those of ``params.corr_decay`` and the
+    Libors are stripped from ``curve``.
 
     One bounded Levenberg-Marquardt solve inside ``BOUNDS``, started from
     ``warm_start`` (the neighbouring maturity's fit) or from ``START``;
@@ -277,14 +271,10 @@ def calibrate_maturity(j: int, panel: CapletPanel, params: ModelParams,
     the fit is solved again from ``START``; ``iterations`` and
     ``max_evals`` count both solves, and ``note`` says so.
     """
-    if panel.expiry != j:
-        raise InvariantError("expiry", f"panel is for {panel.expiry}, not {j}")
-    if libors is None:
-        libors = strip_libors(curve, tenor)
-    market = panel_market_prices(panel, tenor, curve, params, libors)
+    j = panel.expiry
+    market = panel_market_prices(panel, tenor, curve, params)
     strikes = np.asarray(panel.strikes, dtype=float)
-    pricer = _CapletPricer(j, strikes, tenor, curve, params, loadings,
-                           libors)
+    pricer = _CapletPricer(j, strikes, tenor, curve, params)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
     spent = f"objective-eval budget of {options.max_evals} spent"
@@ -415,7 +405,9 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
 
     ``skeleton`` supplies the fixed inputs (theta, alpha, gamma, decay) and
     the starting values for any maturity without a panel, which is skipped
-    with a warning.  Two panels for one expiry raise InvariantError.
+    with a warning.  Before any fit, two panels for one expiry raise
+    InvariantError, an expiry outside 1..n-1 IndexError, and a strike
+    whose displaced value K + alpha_j is negative StrikeError.
     """
     by_expiry = {}
     for panel in panels:
@@ -423,11 +415,12 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
             raise InvariantError("panels",
                                  f"two panels for expiry {panel.expiry}")
         by_expiry[panel.expiry] = panel
-    for j in by_expiry:
+    for j, panel in by_expiry.items():
         if not (1 <= j <= skeleton.n - 1):
             raise IndexError(f"panel expiry {j} outside 1..{skeleton.n - 1}")
-    loadings = build_loadings(tenor, skeleton.corr_decay)
-    libors = strip_libors(curve, tenor)
+        if np.any(panel.strikes + skeleton.alpha[j] < 0.0):
+            raise StrikeError(f"a strike plus displacement is negative in "
+                              f"the panel for expiry {j}")
     work = skeleton
     fits: dict[int, MaturityFit] = {}
     warm = None
@@ -442,16 +435,14 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
                 rho=float(work.rho[j]), objective=float("nan"),
                 iterations=0, converged=False, note="no panel")
             continue
-        fit = calibrate_maturity(j, panel, work, tenor, curve, loadings,
-                                 options, libors, warm_start=warm)
+        fit = calibrate_maturity(panel, work, tenor, curve, options,
+                                 warm_start=warm)
         fits[j] = fit
         work = work.with_expiry(j, beta_norm=fit.beta_norm, rho=fit.rho,
                                 kappa=fit.kappa, eps=fit.eps)
         warm = (fit.beta_norm, fit.kappa, fit.eps, fit.rho)
-    ordered = tuple(fits[j] for j in sorted(fits))
-    return CalibrationResult(fits=ordered, theta=skeleton.theta,
-                             alpha=skeleton.alpha, gamma=skeleton.gamma,
-                             corr_decay=skeleton.corr_decay)
+    return CalibrationResult(fits=tuple(fits[j] for j in sorted(fits)),
+                             fitted=work)
 
 
 def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
@@ -466,7 +457,7 @@ def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
     rows = []
     for panel in sorted(panels, key=lambda p: p.expiry):
         j = panel.expiry
-        market = panel_market_prices(panel, tenor, curve, params, libors)
+        market = panel_market_prices(panel, tenor, curve, params)
         model = caplet_price(j, panel.strikes, tenor, curve, params, fact,
                              DEFAULT_QUAD, libors)
         discount = float(delta[j] * curve.bonds[j + 1])

@@ -223,8 +223,10 @@ def _cmd_mc_price(args) -> int:
     tenor, curve, params = _load_market(args)
     fact = build_factorization(params, tenor)
     is_caplet = args.j is not None
-    if is_caplet == (args.p is not None or args.q is not None):
-        raise SvLiborError("give either --j (caplet) or --p/--q (swaption)")
+    legs = (args.p is not None) + (args.q is not None)
+    if (is_caplet, legs) not in ((True, 0), (False, 2)):
+        raise SvLiborError("give either --j (caplet) or both --p and --q "
+                           "(swaption)")
     substitution = None
     if args.substitute == "caplet":
         if not is_caplet:

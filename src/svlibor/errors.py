@@ -57,12 +57,6 @@ class CorrelationError(SvLiborError, ValueError):
 class QuadratureError(SvLiborError, ArithmeticError):
     """Numerical integration did not reach the requested accuracy."""
 
-    def __init__(self, message: str, estimate: float | None = None,
-                 panels: int | None = None):
-        self.estimate = estimate
-        self.panels = panels
-        super().__init__(message)
-
 
 class SimulationError(SvLiborError, ArithmeticError):
     """Path simulation produced a non-finite state."""

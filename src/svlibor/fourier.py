@@ -223,13 +223,17 @@ class StrikeRow:
 
 def _strike_row(forward: float, strike: np.ndarray, discount: float,
                 quad: QuadratureConfig) -> StrikeRow:
-    """Row of non-negative strikes; live ones need a positive forward."""
+    """Row of finite non-negative strikes (a caplet's displaced); live
+    ones need a positive forward.  Raises StrikeError otherwise."""
     K = np.atleast_1d(strike)
+    if not np.all((K >= 0.0) & (K < np.inf)):
+        raise StrikeError("a strike (for a caplet, strike plus displacement)"
+                          " is negative or not finite")
     live = K != 0.0
     K_live = K[live]
     rule = _graded_rule(quad.z_max, quad.n)
     if K_live.size and forward <= 0.0:
-        raise StrikeError("Carr-Madan needs positive forward and strikes")
+        raise StrikeError("Carr-Madan needs a positive forward")
     # Built in place, so that a row allocates its phases and nothing else
     # of their size: z ln(K/F) in the cosine slots, then its sines and
     # cosines, then every pair times its node's weight.  The loops run
@@ -340,14 +344,13 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     """Call price by Carr-Madan inversion with a Black control variate.
 
     ``cf`` maps complex z to the characteristic function value; it must be
-    normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``.
-    Raises QuadratureError when a CF value on the contour or a price comes
-    out inf or nan.
+    normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``; a
+    zero strike prices by parity.  Raises StrikeError on a negative or
+    non-finite strike, and QuadratureError when a CF value on the contour
+    or a price comes out inf or nan.
     """
-    K = np.asarray(strike, dtype=float)
-    if np.any(K <= 0.0) or forward <= 0.0:
-        raise StrikeError("Carr-Madan needs positive forward and strikes")
-    row = _strike_row(forward, K, discount_times_accrual, quad)
+    row = _strike_row(forward, np.asarray(strike, dtype=float),
+                      discount_times_accrual, quad)
     return _invert(row, cf(row.rule.contour), sigma_b, expiry)
 
 
@@ -405,9 +408,6 @@ def caplet_row(j: int, strike, tenor, curve, params,
     if libors is None:
         libors = strip_libors(curve, tenor)
     disp_k = np.asarray(strike, dtype=float) + params.alpha[j]
-    if np.any(disp_k < 0.0):
-        raise StrikeError(
-            f"strike plus displacement is negative for expiry {j}")
     discount = float(tenor.accruals()[j] * curve.bonds[j + 1])
     return _strike_row(float(libors[j] + params.alpha[j]), disp_k, discount,
                        quad)
@@ -420,11 +420,9 @@ def swaption_row(p: int, q: int, strike, tenor, curve,
     No displacement applies to the swap rate; K = 0 prices by parity to
     B_p(0) - B_q(0).
     """
-    K = np.asarray(strike, dtype=float)
-    if np.any(K < 0.0):
-        raise StrikeError("negative swaption strikes are not supported")
     ctx = swap_context(p, q, curve, tenor)
-    return _strike_row(ctx.swap_rate, K, ctx.annuity, quad)
+    return _strike_row(ctx.swap_rate, np.asarray(strike, dtype=float),
+                       ctx.annuity, quad)
 
 
 def caplet_price(j: int, strike, tenor, curve, params, fact=None,

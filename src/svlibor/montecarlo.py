@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import swap_averaged_vol_params
-from .errors import InvariantError, SimulationError
+from .errors import InvariantError, SimulationError, StrikeError
 from .market_data import strip_libors, swap_context
 
 __all__ = [
@@ -472,42 +472,64 @@ def _deflated_bonds(L: np.ndarray, delta: np.ndarray, p: int) -> np.ndarray:
     return D
 
 
+def _live_requests(requests: dict) -> dict:
+    """Each request's strikes as a float array, the empty ones left out so
+    that they set no horizon; a strike that is not finite is a
+    StrikeError."""
+    live = {}
+    for key, strikes in requests.items():
+        K = np.asarray(strikes, dtype=float)
+        if not np.all(np.isfinite(K)):
+            raise StrikeError(f"strikes for {key} must be finite")
+        if K.size:
+            live[key] = K
+    return live
+
+
+def _results(requests: dict, live: dict, stats, elapsed: float, steps: int,
+             b_n: float, cfg: MCConfig) -> dict:
+    """MCResults per request in request order, [] for an empty one."""
+    priced = {key: [MCResult(float(b_n * m), float(b_n * s), cfg.paths,
+                             elapsed, steps) for m, s in zip(mean, se)]
+              for key, (mean, se) in zip(live, stats)}
+    return {key: priced.get(key, []) for key in requests}
+
+
 def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
                cfg: MCConfig) -> dict[int, list[MCResult]]:
     """Price caplets for several expiries from one simulation.
 
-    ``targets`` maps expiry index j to an array of strikes.  The payoff
-    delta_j (L_j(T_j) - K)^+ settles at T_{j+1} and is deflated by
-    B_n(T_{j+1}) rebuilt from the surviving Libors.
+    ``targets`` maps expiry index j to an array of strikes; an empty array
+    simulates nothing and gets [].  The payoff delta_j (L_j(T_j) - K)^+
+    settles at T_{j+1} and is deflated by B_n(T_{j+1}) rebuilt from the
+    surviving Libors.
     """
     n = tenor.n
     for j in targets:
         if not (1 <= j <= n - 1):
             raise IndexError(f"expiry index {j} outside 1..{n - 1}")
+    live = _live_requests(targets)
     delta = tenor.day_counts
     # For j = n-1 the deflator is the empty product, so the payment date
     # T_n never needs simulating; everything else stops by T_{n-1}.
-    times = sorted({float(tenor.dates[j]) for j in targets}
-                   | {float(tenor.dates[j + 1]) for j in targets if j + 1 < n})
+    times = sorted({float(tenor.dates[j]) for j in live}
+                   | {float(tenor.dates[j + 1]) for j in live if j + 1 < n})
 
     def payoffs(snaps):
         out = []
-        for j, strikes in targets.items():
+        for j, strikes in live.items():
             L_fix = snaps[float(tenor.dates[j])][0]
             L_pay = snaps[float(tenor.dates[j + 1])][0] if j + 1 < n else L_fix
             defl = np.prod(1.0 + delta[j + 1:] * L_pay[:, j + 1:], axis=1)
             out.append(delta[j]
-                       * np.maximum(L_fix[:, j, None]
-                                    - np.asarray(strikes)[None, :], 0.0)
+                       * np.maximum(L_fix[:, j, None] - strikes[None, :], 0.0)
                        * defl[:, None])
         return out
 
     stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
                                       payoffs)
-    b_n = float(curve.bonds[n])
-    return {j: [MCResult(float(b_n * m), float(b_n * s), cfg.paths, elapsed,
-                         steps) for m, s in zip(mean, se)]
-            for j, (mean, se) in zip(targets, stats)}
+    return _results(targets, live, stats, elapsed, steps,
+                    float(curve.bonds[n]), cfg)
 
 
 def mc_caplet(j: int, strike: float, tenor, curve, params, fact,
@@ -524,30 +546,29 @@ def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
     The T_p payoff B_{p,q}(S_{p,q} - K)^+ deflated by B_n equals
     (D_p - D_q - K sum_l delta_l D_{l+1})^+ with deflated bonds
     D_r = B_r(T_p)/B_n(T_p) = prod_{k=r}^{n-1} (1 + delta_k L_k(T_p)).
+    An empty strike array simulates nothing and gets [].
     """
     n = tenor.n
     for (p, q) in legs:
         if not (1 <= p < q <= n):
             raise IndexError(f"need 1 <= p < q <= {n}, got ({p}, {q})")
+    live = _live_requests(legs)
     delta = tenor.day_counts
 
     def payoffs(snaps):
         out = []
-        for (p, q), strikes in legs.items():
+        for (p, q), strikes in live.items():
             D = _deflated_bonds(snaps[float(tenor.dates[p])][0], delta, p)
             annuity = np.einsum("l,pl->p", delta[p:q], D[:, 1:q + 1 - p])
             out.append(np.maximum(D[:, 0, None] - D[:, q - p, None]
-                                  - np.asarray(strikes)[None, :]
-                                  * annuity[:, None], 0.0))
+                                  - strikes[None, :] * annuity[:, None], 0.0))
         return out
 
-    times = sorted({float(tenor.dates[p]) for p, _ in legs})
+    times = sorted({float(tenor.dates[p]) for p, _ in live})
     stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
                                       payoffs)
-    b_n = float(curve.bonds[n])
-    return {leg: [MCResult(float(b_n * m), float(b_n * s), cfg.paths, elapsed,
-                           steps) for m, s in zip(mean, se)]
-            for leg, (mean, se) in zip(legs, stats)}
+    return _results(legs, live, stats, elapsed, steps, float(curve.bonds[n]),
+                    cfg)
 
 
 def mc_swaption(p: int, q: int, strike: float, tenor, curve, params, fact,

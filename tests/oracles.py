@@ -115,8 +115,7 @@ def adaptive_integral(f, z_max: float, tol: float):
     if total_err > tol:
         raise QuadratureError(
             f"adaptive quadrature stalled at {len(heap)} panels with "
-            f"estimated error {total_err:.3g}",
-            estimate=total_err, panels=len(heap))
+            f"estimated error {total_err:.3g}")
     items = sorted(heap, key=lambda item: item[1])
     return np.sum([item[3] for item in items], axis=0)
 

@@ -342,13 +342,12 @@ class TestCriterion6Calibration:
         assert ok
 
     def test_6b_exactly_identified_panel(self, tenor, curve, params,
-                                         loadings, libors):
+                                         libors):
         strikes = np.array([0.005, 0.013, 0.021, 0.029])
         quotes = caplet_price(5, strikes, tenor, curve, params, libors=libors)
         panel = CapletPanel(expiry=5, strikes=strikes, quotes=quotes)
         options = CalibrationOptions(max_evals=4000)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 options, libors)
+        fit = calibrate_maturity(panel, params, tenor, curve, options)
         ok = fit.objective < 1e-6
         report("6b", ok, f"4-strike exactly identified fit reached "
                          f"objective {fit.objective:.2e} (< 1e-6)")

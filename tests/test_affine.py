@@ -182,8 +182,7 @@ def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
             moved_fact = factorize_vols(moved, loadings)
             assert caplet_drift_slope(j, moved, moved_fact, tenor,
                                       libors) == slope
-            pricer = _CapletPricer(j, [libors[j]], tenor, curve, work,
-                                   loadings, libors)
+            pricer = _CapletPricer(j, [libors[j]], tenor, curve, work)
             assert pricer.cf_params(x)[0] == caplet_cf_params(
                 j, moved, moved_fact, tenor, libors)
     with pytest.raises(IndexError, match="outside 1..19"):

@@ -20,12 +20,13 @@ from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, CalibrationOptions,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.charfn import caplet_cf_params, explosion_margin
-from svlibor.errors import (DegenerateDriftError, InvariantError,
-                            QuadratureError, StrikeError, SvLiborError)
+from svlibor.errors import (DecompositionError, DegenerateDriftError,
+                            InvariantError, QuadratureError, StrikeError,
+                            SvLiborError)
 from svlibor.fourier import INNER_PANEL, _graded_rule, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
-from svlibor.model import ModelParams, build_loadings, factorize_vols
+from svlibor.model import ModelParams, factorize_vols
 
 # Budget for the small-model searches below; truth is at the default start
 # so convergence is immediate and the full default budget is never needed.
@@ -76,42 +77,38 @@ def small_panel(j, tenor, curve, params, n_strikes=4):
 
 
 class TestObjective:
-    def test_zero_at_truth(self, tenor, curve, params, loadings, libors):
+    def test_zero_at_truth(self, tenor, curve, params, libors):
         j = 5
         strikes = np.linspace(0.6, 1.5, 7) * libors[j]
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         truth = (params.beta_norm[j], params.kappa[j], params.eps[j],
                  params.rho[j])
-        val = objective(j, truth, strikes, market, tenor, curve, params,
-                        loadings, libors)
+        val = objective(j, truth, strikes, market, tenor, curve, params)
         assert val < 1e-12
 
-    def test_positive_off_truth(self, tenor, curve, params, loadings, libors):
+    def test_positive_off_truth(self, tenor, curve, params, libors):
         j = 5
         strikes = np.linspace(0.6, 1.5, 7) * libors[j]
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         bumped = (1.1 * params.beta_norm[j], params.kappa[j], params.eps[j],
                   params.rho[j])
-        val = objective(j, bumped, strikes, market, tenor, curve, params,
-                        loadings, libors)
+        val = objective(j, bumped, strikes, market, tenor, curve, params)
         assert val > 1e-4
 
-    def test_degenerate_candidate_hits_penalty(self, tenor, curve, params,
-                                               loadings, libors):
+    def test_degenerate_candidate_hits_penalty(self, tenor, curve, params):
         # kappa near zero with strong positive rho drives the effective
         # reversion speed negative; the objective must absorb that as a
         # finite penalty instead of crashing the search.
         bad = (0.15, 1e-3, 10.0, 0.999)
         strikes = np.array([0.02])
         market = np.array([0.005])
-        val = objective(1, bad, strikes, market, tenor, curve, params,
-                        loadings, libors)
+        val = objective(1, bad, strikes, market, tenor, curve, params)
         assert val == PENALTY
 
-    def test_failed_pricing_hits_penalty(self, tenor, curve, params,
-                                         loadings, libors, monkeypatch):
+    def test_failed_pricing_hits_penalty(self, tenor, curve, params, libors,
+                                         monkeypatch):
         # Any typed pricing error, here a QuadratureError from the per-eval
         # entry point price_row, must score PENALTY.
         import svlibor.calibrate
@@ -125,7 +122,7 @@ class TestObjective:
 
         monkeypatch.setattr(svlibor.calibrate, "price_row", failing)
         val = objective(j, (1.82, 4.48, 5.74, 0.876), strikes, market, tenor,
-                        curve, params, loadings, libors)
+                        curve, params)
         assert val == PENALTY
 
 
@@ -185,15 +182,15 @@ class TestObjectiveQuadrature:
 _PRICERS: dict = {}
 
 
-def shared_pricer(j, tenor, curve, params, loadings, libors):
+def shared_pricer(j, tenor, curve, params, libors):
     """One _CapletPricer per expiry, kept across examples so that it really
     is reused, with the fixture's prices on its 7 strikes as the market."""
     if j not in _PRICERS:
         strikes = libors[j] * np.linspace(0.6, 1.6, 7)
         market = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
-        _PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params,
-                                     loadings, libors), market)
+        _PRICERS[j] = (_CapletPricer(j, strikes, tenor, curve, params),
+                       market)
     return _PRICERS[j]
 
 
@@ -212,11 +209,10 @@ class TestCapletPricer:
     @example(j=1, beta_norm=0.15, kappa=1e-3, eps=10.0, rho=0.999)
     @settings(max_examples=150, deadline=None)
     def test_reused_pricer_matches_fresh_caplet_price(self, tenor, curve,
-                                                      params, loadings,
-                                                      libors, j, beta_norm,
-                                                      kappa, eps, rho):
-        pricer, market = shared_pricer(j, tenor, curve, params, loadings,
-                                       libors)
+                                                      params, libors, j,
+                                                      beta_norm, kappa, eps,
+                                                      rho):
+        pricer, market = shared_pricer(j, tenor, curve, params, libors)
         x = (beta_norm, kappa, eps, rho)
         work = params.with_expiry(j, beta_norm=beta_norm, kappa=kappa,
                                   eps=eps, rho=rho)
@@ -236,26 +232,23 @@ class TestCapletPricer:
         ((2.0, 1.0, 9.0, 0.75), QuadratureError, "explosion margin"),
         ((0.15, 1e-3, 10.0, 0.999), DegenerateDriftError, "kappa_eff"),
     ], ids=["explosion-margin", "degenerate-drift"])
-    def test_reused_pricer_keeps_guards(self, tenor, curve, params, loadings,
-                                        libors, x, error, match):
-        pricer, market = shared_pricer(1, tenor, curve, params, loadings,
-                                       libors)
+    def test_reused_pricer_keeps_guards(self, tenor, curve, params, libors,
+                                        x, error, match):
+        pricer, market = shared_pricer(1, tenor, curve, params, libors)
         with pytest.raises(error, match=match):
             pricer.price(x)
         r, jac = pricer.residuals_and_jacobian(x, market)
         assert np.all(r == PENALTY) and not jac.any()
 
     def test_zero_displaced_strike_prices_by_parity(self, tenor, curve,
-                                                    params, loadings,
-                                                    libors):
+                                                    params, libors):
         # K + alpha_j = 0 prices by parity, discount * (L_j + alpha_j); a
         # negative displaced strike is a StrikeError, which scores PENALTY.
         j = 6
         shifted = dataclasses.replace(
             params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.01))
         strikes = np.array([-0.01, 0.6 * libors[j], libors[j]])
-        pricer = _CapletPricer(j, strikes, tenor, curve, shifted, loadings,
-                               libors)
+        pricer = _CapletPricer(j, strikes, tenor, curve, shifted)
         x = (0.2, 1.5, 0.8, -0.4)
         work = shifted.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
                                    rho=x[3])
@@ -265,8 +258,7 @@ class TestCapletPricer:
         assert got.tobytes() == fresh.tobytes()
         discount = tenor.accruals()[j] * curve.bonds[j + 1]
         assert got[0] == discount * (libors[j] + 0.01)
-        below = _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted,
-                              loadings, libors)
+        below = _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted)
         with pytest.raises(StrikeError, match="displacement"):
             below.price(x)
         r, _ = below.residuals_and_jacobian(x, np.ones(3))
@@ -327,10 +319,9 @@ class TestResidualJacobian:
     @example(j=1, beta_norm=0.15, kappa=1e-3, eps=10.0, rho=0.999)
     @settings(max_examples=150, deadline=None)
     def test_matches_central_differences_over_box(self, tenor, curve, params,
-                                                  loadings, libors, j,
-                                                  beta_norm, kappa, eps, rho):
-        pricer, market = shared_pricer(j, tenor, curve, params, loadings,
-                                       libors)
+                                                  libors, j, beta_norm, kappa,
+                                                  eps, rho):
+        pricer, market = shared_pricer(j, tenor, curve, params, libors)
         x = (beta_norm, kappa, eps, rho)
         r, jac = pricer.residuals_and_jacobian(x, market)
         assert jac.shape == (len(market), 4)
@@ -388,7 +379,7 @@ class TestPanelMarketPrices:
         vols = np.array([0.22, 0.31])
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=vols,
                             quote_kind="vol")
-        out = panel_market_prices(panel, tenor, curve, params, libors)
+        out = panel_market_prices(panel, tenor, curve, params)
         discount = float(curve.bonds[j + 1])  # delta_j = 1 on this grid
         expected = [discount * oracles.black_call(libors[j], 5.0, v, k)
                     for k, v in zip(strikes, vols)]
@@ -399,9 +390,7 @@ class TestCalibrateMaturity:
     def test_recovers_truth_from_exact_panel(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 FAST)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST)
         assert fit.converged
         assert fit.objective < 1e-7
         assert fit.beta_norm == pytest.approx(0.15, rel=1e-2)
@@ -413,18 +402,10 @@ class TestCalibrateMaturity:
     def test_deterministic(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
-        a = calibrate_maturity(5, panel, params, tenor, curve, loadings, FAST)
-        b = calibrate_maturity(5, panel, params, tenor, curve, loadings, FAST)
+        a = calibrate_maturity(panel, params, tenor, curve, FAST)
+        b = calibrate_maturity(panel, params, tenor, curve, FAST)
         assert (a.beta_norm, a.kappa, a.eps, a.rho, a.objective) == \
             (b.beta_norm, b.kappa, b.eps, b.rho, b.objective)
-
-    def test_panel_expiry_mismatch(self):
-        tenor, curve, params = small_market()
-        panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
-        with pytest.raises(InvariantError, match="expiry"):
-            calibrate_maturity(4, panel, params, tenor, curve, loadings, FAST)
 
     @pytest.mark.parametrize("start", [None, AWAY])
     def test_iterations_count_every_objective_call(self, start, monkeypatch):
@@ -432,10 +413,9 @@ class TestCalibrateMaturity:
         # the budget and evals/s use it.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
         calls = count_evals(monkeypatch)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 FAST, warm_start=start)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+                                 warm_start=start)
         assert fit.penalties == 0
         assert fit.jacobians == calls.count(4) > 0
         assert fit.iterations == sum(calls)
@@ -443,8 +423,7 @@ class TestCalibrateMaturity:
     def test_cold_start_away_from_truth_converges(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  CalibrationOptions(), warm_start=AWAY)
         assert fit.converged and fit.status > 0
         assert fit.objective < 1e-7
@@ -458,9 +437,8 @@ class TestCalibrateMaturity:
         # over it.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
         calls = count_evals(monkeypatch)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  CalibrationOptions(max_evals=20),
                                  warm_start=AWAY)
         assert fit.iterations == sum(calls) == 20
@@ -473,12 +451,10 @@ class TestCalibrateMaturity:
         # the leftover evals are residual evals, so every budget is spent.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
         calls = count_evals(monkeypatch)
         for budget in range(18, 22):
             calls.clear()
-            fit = calibrate_maturity(5, panel, params, tenor, curve,
-                                     loadings,
+            fit = calibrate_maturity(panel, params, tenor, curve,
                                      CalibrationOptions(max_evals=budget),
                                      warm_start=AWAY)
             assert fit.iterations == sum(calls) == budget
@@ -492,7 +468,6 @@ class TestCalibrateMaturity:
         import svlibor.calibrate
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
         price = svlibor.calibrate.price_row
 
         def no_tangents(row, cf_params, tangents=None):
@@ -500,8 +475,8 @@ class TestCalibrateMaturity:
             return prices, np.full_like(partials, np.nan)
 
         monkeypatch.setattr(svlibor.calibrate, "price_row", no_tangents)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 FAST, warm_start=AWAY)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+                                 warm_start=AWAY)
         assert not fit.converged and fit.status == 0
         assert "Jacobian not finite" in fit.message
         assert fit.penalties == 0
@@ -514,14 +489,10 @@ class TestCalibrateMaturity:
         tenor, curve, params = small_market()
         exact = small_panel(5, tenor, curve, params)
         panel = dataclasses.replace(exact, quotes=3.0 * exact.quotes)
-        loadings = build_loadings(tenor, params.corr_decay)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 FAST)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST)
         assert "beta_norm at upper bound" in fit.note
         assert fit.status is not None and fit.message
-        blob = CalibrationResult(fits=(fit,), theta=params.theta,
-                                 alpha=params.alpha, gamma=params.gamma,
-                                 corr_decay=params.corr_decay).to_dict()
+        blob = CalibrationResult(fits=(fit,), fitted=params).to_dict()
         assert blob["fits"][0]["note"] == fit.note
         assert blob["fits"][0]["message"] == fit.message
         assert blob["fits"][0]["status"] == fit.status
@@ -534,21 +505,18 @@ class TestCalibrateMaturity:
         # values of the unit-column Jacobian at the fit, at no extra eval.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
-        fit = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                 FAST, warm_start=AWAY)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+                                 warm_start=AWAY)
         values = np.array(fit.singular_values)
         assert values.shape == (4,) and np.all(np.isfinite(values))
         assert np.all(values >= 0.0) and np.all(np.diff(values) <= 0.0)
         assert fit.objective <= fit.residual_rms < 1e-7
-        blob = CalibrationResult(fits=(fit,), theta=params.theta,
-                                 alpha=params.alpha, gamma=params.gamma,
-                                 corr_decay=params.corr_decay).to_dict()
+        blob = CalibrationResult(fits=(fit,), fitted=params).to_dict()
         assert blob["fits"][0]["singular_values"] == list(values)
         assert blob["fits"][0]["residual_rms"] == fit.residual_rms
 
     def test_rejected_candidates_are_counted(self, tenor, curve, params,
-                                             loadings, libors):
+                                             libors):
         # A start whose effective reversion speed is negative scores
         # PENALTY; the fit counts those evals and does not claim success
         # from them.
@@ -557,16 +525,15 @@ class TestCalibrateMaturity:
         quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
-        fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
-                                 FAST, libors,
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
                                  warm_start=(0.15, 1e-3, 10.0, 0.999))
         assert fit.penalties > 0
         assert fit.objective < PENALTY
         assert fit.converged == (fit.status > 0)
 
     def test_rejected_warm_start_falls_back_to_start(self, tenor, curve,
-                                                     params, loadings,
-                                                     libors, monkeypatch):
+                                                     params, libors,
+                                                     monkeypatch):
         # The warm start scores PENALTY and its Jacobian is zero (4 more
         # penalties), so the solve stops where it began; the fit re-solves
         # from START and counts both solves.
@@ -577,8 +544,8 @@ class TestCalibrateMaturity:
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
         calls = count_evals(monkeypatch)
         warm = (0.15, 1e-3, 10.0, 0.999)
-        fit = calibrate_maturity(j, panel, params, tenor, curve, loadings,
-                                 FAST, libors, warm_start=warm)
+        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+                                 warm_start=warm)
         assert fit.converged and fit.objective < 1e-9
         assert "re-solved from START" in fit.note
         assert calls[:2] == [1, 4]  # the warm start and its zero Jacobian
@@ -588,8 +555,8 @@ class TestCalibrateMaturity:
         np.testing.assert_allclose((fit.beta_norm, fit.kappa, fit.eps,
                                     fit.rho), truth, rtol=1e-6)
         # Both solves share one budget.
-        capped = calibrate_maturity(j, panel, params, tenor, curve, loadings,
-                                    CalibrationOptions(max_evals=30), libors,
+        capped = calibrate_maturity(panel, params, tenor, curve,
+                                    CalibrationOptions(max_evals=30),
                                     warm_start=warm)
         assert capped.iterations == 30 and not capped.converged
         assert "re-solved from START" in capped.note
@@ -621,11 +588,9 @@ class TestCalibrateAll:
     def test_first_fit_matches_direct_call(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        loadings = build_loadings(tenor, params.corr_decay)
         with pytest.warns(UserWarning):
             result = calibrate_all([panel], params, tenor, curve, FAST)
-        direct = calibrate_maturity(5, panel, params, tenor, curve, loadings,
-                                    FAST)
+        direct = calibrate_maturity(panel, params, tenor, curve, FAST)
         swept = result.fits[-1]
         assert swept.expiry == 5
         assert (swept.beta_norm, swept.kappa, swept.eps, swept.rho) == \
@@ -662,6 +627,30 @@ class TestCalibrateAll:
         calls = count_evals(monkeypatch)
         with pytest.raises(InvariantError, match="panels"):
             calibrate_all([panel, doubled], params, tenor, curve, FAST)
+        assert calls == []
+
+    def test_negative_displaced_strike_rejected_before_any_fit(
+            self, monkeypatch):
+        # K + alpha_j < 0 has no price at any candidate: refused up front,
+        # not reported as a fit that scored PENALTY at every eval.
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        below = CapletPanel(expiry=4, strikes=np.array([-1e-3, 0.02]),
+                            quotes=np.array([0.03, 0.01]))
+        calls = count_evals(monkeypatch)
+        with pytest.raises(StrikeError, match="expiry 4"):
+            calibrate_all([panel, below], params, tenor, curve, FAST)
+        assert calls == []
+
+    def test_singular_correlation_raises_before_any_fit(self, monkeypatch):
+        # The loadings come from the skeleton's decay; one that cannot be
+        # factorized stops the sweep before its first eval.
+        tenor, curve, params = small_market()
+        panel = small_panel(5, tenor, curve, params)
+        flat = dataclasses.replace(params, corr_decay=0.0)
+        calls = count_evals(monkeypatch)
+        with pytest.raises(DecompositionError, match="singular"):
+            calibrate_all([panel], flat, tenor, curve, FAST)
         assert calls == []
 
     def test_to_dict_serializes(self):

@@ -172,6 +172,16 @@ class TestMcPrice:
         assert rc == 1
         assert "either --j" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("leg", [["--p", "2"], ["--q", "10"]])
+    def test_swaption_needs_both_legs(self, fixtures_dir, capsys, leg):
+        rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--strike", "0.03"] + leg)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SvLiborError") and "both --p and --q" in err
+        assert len(err.splitlines()) == 1
+
     def test_zero_threads_rejected(self, fixtures_dir, capsys):
         rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
                    "--model", str(fixtures_dir / "model_table.json"),

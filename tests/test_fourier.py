@@ -199,6 +199,30 @@ def test_caplet_negative_strike_rejected(tenor, curve, params, fact):
         caplet_price(5, -0.01, tenor, curve, params, fact)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_strike_rejected_by_every_row(tenor, curve, params, fact,
+                                                 bad):
+    # One gate in the strike row: refused before any CF value is computed,
+    # not priced into a non-finite integrand.
+    strikes = np.array([0.02, bad])
+    with pytest.raises(StrikeError, match="not finite"):
+        caplet_price(5, strikes, tenor, curve, params, fact)
+    with pytest.raises(StrikeError, match="not finite"):
+        swaption_price(2, 6, strikes, tenor, curve, params, fact)
+    with pytest.raises(StrikeError, match="not finite"):
+        carr_madan_cv(lambda z: pytest.fail("CF evaluated"), 0.03, strikes,
+                      1.0, 1.0, 0.2)
+
+
+def test_carr_madan_zero_strike_prices_by_parity():
+    # As in every other row, K = 0 prices at discount * forward.
+    got = carr_madan_cv(lambda z: black_cf(z, 0.2, 1.0), 0.03,
+                        [0.0, 0.03], 1.0, 0.9, 0.2)
+    assert got[0] == 0.9 * 0.03
+    assert got[1] == pytest.approx(0.9 * black76(0.03, 1.0, 0.2, 0.03),
+                                   abs=1e-12)
+
+
 @pytest.mark.parametrize("j", [0, -1, 20])
 def test_caplet_expiry_index_checked_first(tenor, curve, params, fact, j):
     # Before the check, j = 20 raised numpy's own IndexError and j = -1

@@ -23,9 +23,9 @@ import numpy as np
 import svlibor
 import svlibor.cli
 from svlibor import (CalibrationOptions, CapletPanel, MCConfig, black76,
-                     build_factorization, build_loadings, calibrate_maturity,
-                     caplet_price, implied_vol, load_curve, load_params,
-                     mc_caplets, strip_libors, swaption_price)
+                     build_factorization, calibrate_maturity, caplet_price,
+                     implied_vol, load_curve, load_params, mc_caplets,
+                     strip_libors, swaption_price)
 
 
 def scipy_loaded():
@@ -57,9 +57,8 @@ out["after_implied_vol"] = scipy_loaded()
 j = 5
 truth = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
 panel = CapletPanel(expiry=j, strikes=strikes, quotes=caplets)
-fit = calibrate_maturity(j, panel, params, tenor, curve,
-                         build_loadings(tenor, params.corr_decay),
-                         CalibrationOptions(max_evals=60), libors=libors,
+fit = calibrate_maturity(panel, params, tenor, curve,
+                         CalibrationOptions(max_evals=60),
                          warm_start=tuple(float(x) for x in truth))
 out["fit_objective"] = fit.objective
 out["fit_iterations"] = fit.iterations

@@ -19,6 +19,7 @@ from svlibor import (
     MCConfig,
     ModelParams,
     SimulationError,
+    StrikeError,
     build_factorization,
     caplet_price,
     deflated_bond_means,
@@ -206,6 +207,33 @@ def test_empty_requests_return_empty_without_simulating(
     assert mc_caplets({}, tenor, curve, params, fact, cfg) == {}
     assert mc_swaptions({}, tenor, curve, params, fact, cfg) == {}
     assert deflated_bond_means(tenor, curve, params, fact, cfg, []) == {}
+
+
+def test_empty_strike_vectors_set_no_horizon(tenor, curve, params, fact):
+    # An empty strike vector gets [] and leaves the simulation, its horizon
+    # and step count included, to the other requests.
+    cfg = MCConfig(paths=256, steps_per_year=4)
+    strikes = np.array([0.01, 0.02])
+    alone = mc_caplets({5: strikes}, tenor, curve, params, fact, cfg)
+    both = mc_caplets({5: strikes, 19: []}, tenor, curve, params, fact, cfg)
+    assert list(both) == [5, 19] and both[19] == []
+    assert [(r.price, r.se, r.steps) for r in both[5]] == \
+        [(r.price, r.se, r.steps) for r in alone[5]]
+    legs = mc_swaptions({(2, 4): [0.02], (4, 20): []}, tenor, curve, params,
+                        fact, cfg)
+    leg = mc_swaptions({(2, 4): [0.02]}, tenor, curve, params, fact, cfg)
+    assert legs[(4, 20)] == []
+    assert (legs[(2, 4)][0].price, legs[(2, 4)][0].steps) == \
+        (leg[(2, 4)][0].price, leg[(2, 4)][0].steps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_strikes_rejected(tenor, curve, params, fact, bad):
+    cfg = MCConfig(paths=64)
+    with pytest.raises(StrikeError, match="finite"):
+        mc_caplets({5: [bad, 0.02]}, tenor, curve, params, fact, cfg)
+    with pytest.raises(StrikeError, match="finite"):
+        mc_swaptions({(2, 4): [0.02, bad]}, tenor, curve, params, fact, cfg)
 
 
 def test_config_validation():
