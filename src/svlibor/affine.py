@@ -164,7 +164,7 @@ def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
         kappa_eff=kappa_eff,
         theta_eff=theta_eff,
         beta_norm=float(params.beta_norm[j]),
-        gamma=params.gamma[j].copy(),
+        gamma=params.gamma[j],
         eps=float(params.eps[j]),
         sigma_beta=sigma_beta,
         expiry=float(tenor.dates[j]),

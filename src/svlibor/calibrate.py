@@ -85,7 +85,7 @@ class MaturityFit:
     note: str = ""
     # How the solve stopped: 1 scaled gradient below GTOL, 2 predicted
     # relative decrease below FTOL, 3 rejected step below XTOL (converged);
-    # 0 budget spent or Jacobian not finite; None if not fitted.
+    # 0 budget spent, Jacobian not finite or point rejected; None if unfitted.
     status: int | None = None
     message: str = ""  # the solver's stop reason
     penalties: int = 0  # evals that scored PENALTY
@@ -141,12 +141,12 @@ class _CapletPricer:
     candidate by candidate.
 
     ``calibrate_maturity`` builds one and prices every candidate
-    (|beta_j|, kappa_j, eps_j, rho_j) with it.  It keeps what no candidate
-    moves: the Libors stripped from ``curve``, the loadings of
-    ``params.corr_decay``, the drift slope C_j, e_j . e_j, theta_j, T_j and
-    Gamma_j, and the strike row, built on the first candidate that gets
-    that far.  A candidate maps through ``effective_caplet_map`` straight
-    to its CharFnParams and their partials, then costs one tangent
+    (|beta_j|, kappa_j, eps_j, rho_j) with it.  Its constructor builds what
+    no candidate moves, from the Libors stripped from ``curve`` and the
+    loadings of ``params.corr_decay``: the drift slope C_j, e_j . e_j,
+    theta_j, T_j, Gamma_j and the strike row, which refuses K + alpha_j < 0
+    (StrikeError).  A candidate maps through ``effective_caplet_map``
+    straight to its CharFnParams and their partials, then costs one tangent
     characteristic-function call.  Prices are bitwise those of a fresh
     ``caplet_price`` call with the candidate in slot j.
     """
@@ -154,9 +154,7 @@ class _CapletPricer:
     def __init__(self, j: int, strikes, tenor, curve, params: ModelParams):
         libors = strip_libors(curve, tenor)
         loadings = build_loadings(tenor, params.corr_decay)
-        self.j, self.tenor, self.curve = j, tenor, curve
-        self.strikes = np.asarray(strikes)
-        self.params, self.libors = params, libors
+        self.j, self.strikes = j, np.asarray(strikes)
         fact = factorize_vols(params, loadings)
         self.slope = caplet_drift_slope(j, params, fact, tenor, libors)
         self.ee = float(loadings[j] @ loadings[j])
@@ -164,7 +162,8 @@ class _CapletPricer:
         self.horizon = float(tenor.dates[j])
         gamma = params.gamma[j]
         self.gamma_int = float(gamma @ gamma) * self.horizon
-        self.row = None
+        self.row = caplet_row(j, self.strikes, tenor, curve, params, QUAD,
+                              libors)
 
     def cf_params(self, candidate):
         """CharFnParams with the candidate in slot j, bitwise those of
@@ -183,9 +182,6 @@ class _CapletPricer:
     def price(self, candidate):
         """Prices of the strike row and their partials in the candidate, one
         row per strike; raises what ``caplet_price`` raises."""
-        if self.row is None:
-            self.row = caplet_row(self.j, self.strikes, self.tenor,
-                                  self.curve, self.params, QUAD, self.libors)
         cfp, partials = self.cf_params(candidate)
         return price_row(self.row, lambda: cfp, tangents=partials.T)
 
@@ -213,8 +209,8 @@ def objective(j: int, candidate, strikes, market_prices, tenor, curve,
               params: ModelParams) -> float:
     """Mean absolute relative price residual (model - market) / market of a
     candidate (|beta|, kappa, eps, rho) inside ``BOUNDS`` in slot j of
-    ``params``; PENALTY when the pricer rejects it (see
-    ``_CapletPricer.residuals_and_jacobian``)."""
+    ``params``; PENALTY when the pricer rejects it, StrikeError when a
+    strike has K + alpha_j < 0 (see ``_CapletPricer``)."""
     pricer = _CapletPricer(j, strikes, tenor, curve, params)
     r, _ = pricer.residuals_and_jacobian(candidate, np.asarray(market_prices))
     return float(np.mean(np.abs(r)))
@@ -267,14 +263,15 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     do not fit, the evals left go to trial steps with the last Jacobian
     taken, so the solve stops with exactly ``max_evals`` spent.  A Jacobian
     that is not finite where the residuals are priced stops the solve, not
-    converged.  When every eval of the warm-started solve scores PENALTY,
-    the fit is solved again from ``START``; ``iterations`` and
-    ``max_evals`` count both solves, and ``note`` says so.
+    converged, and so does a start the pricer rejects, once its Jacobian's
+    4 evals are counted.  When every eval of the warm-started solve scores
+    PENALTY, the fit is solved again from ``START``; ``iterations`` and
+    ``max_evals`` count both solves, and ``note`` says so.  A panel strike
+    with K + alpha_j < 0 raises StrikeError before the first eval.
     """
     j = panel.expiry
     market = panel_market_prices(panel, tenor, curve, params)
-    strikes = np.asarray(panel.strikes, dtype=float)
-    pricer = _CapletPricer(j, strikes, tenor, curve, params)
+    pricer = _CapletPricer(j, panel.strikes, tenor, curve, params)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
     spent = f"objective-eval budget of {options.max_evals} spent"
@@ -301,11 +298,14 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
             if evals + 4 <= options.max_evals:
                 evals += 4
                 jacobians += 1
-                penalties += 4 * bool(np.all(r == PENALTY))
+                rejected = bool(np.all(r == PENALTY))
+                penalties += 4 * rejected
                 if J is None:
                     return (x, r, J, 0, "residual Jacobian not finite at a "
                             "priced candidate")
                 g, v = _scaled_gradient(J, r, x, lower, upper)
+                if rejected:  # a zero Jacobian: its gradient tests nothing
+                    return x, r, J, 0, "the pricer rejected this point"
                 if np.max(np.abs(v * g)) <= GTOL:
                     return x, r, J, 1, "scaled gradient below GTOL"
                 norms = np.maximum(norms, np.linalg.norm(J, axis=0))

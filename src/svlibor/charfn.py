@@ -137,8 +137,8 @@ def heston_cf(z, p: CharFnParams, psi=None, tangents=None, out=None):
 
     Vectorized over complex ``z``; the Carr-Madan contour evaluates it at
     z - i for real z.  Principal-branch sqrt and log throughout.  ``psi``
-    is iz + z^2 at ``z`` when the caller has it at hand (the quadrature
-    rule caches it for its contour).
+    is iz + z^2 at ``z`` when the caller has it at hand
+    (``QuadratureConfig.psi`` holds it for the rule's contour).
 
     ``tangents``, a (k, 5) array whose rows are directions in the fields
     ``TANGENT_FIELDS``, asks for the forward-mode derivatives as well: the

@@ -15,8 +15,9 @@ quadrature below evaluates.
 
 Every price goes through two steps.  A ``StrikeRow`` (``caplet_row``,
 ``swaption_row``) holds what no characteristic function changes: forward,
-discount, strikes and the phase rows cos/sin(z ln(K/F)) over the rule's
-nodes, whose node-only contour terms the rule caches.  ``price_row`` then
+discount, strikes, the phase rows cos/sin(z ln(K/F)) over the rule's
+nodes, and the ``QuadratureConfig`` itself, which built its nodes and
+their node-only contour terms when it was constructed.  ``price_row`` then
 costs one CF call on the contour and one matrix-vector product, so a
 calibration builds its row once and prices every candidate against it.
 
@@ -35,8 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,18 +63,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Graded static half-line quadrature on [0, z_max].
+    """Graded static half-line quadrature on [0, z_max], with its nodes.
 
     Composite 16-point Gauss-Legendre on n / 16 panels: the first is
     [0, INNER_PANEL], the next ones are geometric up to z_max / 10 and
-    the last 3/8 are uniform on [z_max / 10, z_max].  All n nodes go
-    through one characteristic-function call, and the prices are smooth
-    functions of the model parameters.  The default (1536 nodes) holds wide
-    strikes to 1e-9; the calibration objective uses 768 (``calibrate.QUAD``).
+    the last 3/8 are uniform on [z_max / 10, z_max].  The geometric panels
+    resolve the control-variate integrand where large total variance
+    concentrates it near z = 0; the uniform ones cap the panel width for
+    small total variance, where the integrand still oscillates at the
+    log-moneyness frequency far out.  All n nodes go through one
+    characteristic-function call, and the prices are smooth functions of
+    the model parameters.  The default (1536 nodes) holds wide strikes to
+    1e-9; the calibration objective uses 768 (``calibrate.QUAD``).
+
+    The constructor builds the rule's read-only arrays with their
+    node-only contour terms; equality and hash are those of (z_max, n).
     """
 
     z_max: float = 400.0
     n: int = 1536
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    # each node's weight twice, for a phase pair
+    pair_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # z - i at every node, then -i for the phi(-i) check
+    contour: np.ndarray = field(init=False, repr=False, compare=False)
+    # z (z - i)
+    denom: np.ndarray = field(init=False, repr=False, compare=False)
+    # iz + z^2 at the contour: the exponent of the Black CF (up to its
+    # factor) and the Heston CF's psi.
+    psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.z_max <= 0.0:
@@ -83,14 +100,34 @@ class QuadratureConfig:
             raise InvariantError("n", "need at least 64 nodes")
         if self.n % 16:
             raise InvariantError("n", "node count must be a multiple of 16")
+        x, w = np.polynomial.legendre.leggauss(16)
+        panels = self.n // 16
+        uniform = panels * 3 // 8
+        knee = self.z_max / 10.0
+        edges = np.concatenate([[0.0],
+                                np.geomspace(INNER_PANEL, knee,
+                                             panels - uniform),
+                                np.linspace(knee, self.z_max,
+                                            uniform + 1)[1:]])
+        half = np.diff(edges) / 2.0
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
+        weights = (half[:, None] * w[None, :]).ravel()
+        zi = nodes - 1j
+        contour = np.append(zi, -1j)
+        for name, arr in (("nodes", nodes),
+                          ("pair_weights", np.repeat(weights, 2)),
+                          ("contour", contour), ("denom", nodes * zi),
+                          ("psi", contour * contour + 1j * contour)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-DEFAULT_QUAD = QuadratureConfig()
 # Width of the graded rule's first panel [0, INNER_PANEL].  A characteristic
 # function that varies on a scale under half of it near z = 0 is refused.
 INNER_PANEL = 1e-4
+DEFAULT_QUAD = QuadratureConfig()
 
-_GRADED_CACHE: dict[tuple[float, int], "_Rule"] = {}
 _SCRATCH = Scratch()
 _SQRT2 = math.sqrt(2.0)
 
@@ -153,50 +190,6 @@ def black76(forward, expiry, vol, strike):
     return float(out[0]) if scalar else out
 
 
-class _Rule(NamedTuple):
-    """A graded rule's nodes and weights with its node-only contour terms."""
-
-    nodes: np.ndarray
-    pair_weights: np.ndarray  # each node's weight twice, for a phase pair
-    contour: np.ndarray  # z - i at every node, then -i for the phi(-i) check
-    denom: np.ndarray  # z (z - i)
-    # iz + z^2 at the contour: the exponent of the Black CF (up to its
-    # factor) and the Heston CF's psi.
-    psi: np.ndarray
-
-
-def _graded_rule(z_max: float, n: int) -> _Rule:
-    """Nodes and weights of the composite 16-point rule on graded panels.
-
-    The geometric panels resolve the control-variate integrand where large
-    total variance concentrates it near z = 0; the uniform ones cap the
-    panel width for small total variance, where the integrand still
-    oscillates at the log-moneyness frequency far out.
-    """
-    key = (z_max, n)
-    if key not in _GRADED_CACHE:
-        x, w = np.polynomial.legendre.leggauss(16)
-        panels = n // 16
-        uniform = panels * 3 // 8
-        knee = z_max / 10.0
-        edges = np.concatenate([[0.0],
-                                np.geomspace(INNER_PANEL, knee,
-                                             panels - uniform),
-                                np.linspace(knee, z_max, uniform + 1)[1:]])
-        half = np.diff(edges) / 2.0
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-        zi = nodes - 1j
-        contour = np.append(zi, -1j)
-        rule = _Rule(nodes, np.repeat(weights, 2), contour, nodes * zi,
-                     contour * contour + 1j * contour)
-        for arr in rule:
-            arr.setflags(write=False)
-        _GRADED_CACHE[key] = rule
-    return _GRADED_CACHE[key]
-
-
 @dataclass(frozen=True, eq=False)
 class StrikeRow:
     """The part of a Carr-Madan price row that no characteristic function
@@ -218,7 +211,7 @@ class StrikeRow:
     strikes: np.ndarray  # the live strikes
     log_fk: np.ndarray  # ln(F/K) of the live strikes
     phases: np.ndarray  # (live strikes, 2 * nodes)
-    rule: _Rule
+    rule: QuadratureConfig
 
 
 def _strike_row(forward: float, strike: np.ndarray, discount: float,
@@ -231,25 +224,24 @@ def _strike_row(forward: float, strike: np.ndarray, discount: float,
                           " is negative or not finite")
     live = K != 0.0
     K_live = K[live]
-    rule = _graded_rule(quad.z_max, quad.n)
     if K_live.size and forward <= 0.0:
         raise StrikeError("Carr-Madan needs a positive forward")
     # Built in place, so that a row allocates its phases and nothing else
     # of their size: z ln(K/F) in the cosine slots, then its sines and
     # cosines, then every pair times its node's weight.  The loops run
     # over strikes: numpy buffers a broadcast product over the whole matrix.
-    phases = np.empty((K_live.size, 2 * rule.nodes.size))
+    phases = np.empty((K_live.size, 2 * quad.nodes.size))
     cos, sin = phases[:, 0::2], phases[:, 1::2]
     for row, log_kf in zip(cos, np.log(K_live / forward)):
-        np.multiply(log_kf, rule.nodes, out=row)
+        np.multiply(log_kf, quad.nodes, out=row)
     np.sin(cos, out=sin)
     np.cos(cos, out=cos)
     for row in phases:
-        row *= rule.pair_weights
+        row *= quad.pair_weights
     return StrikeRow(forward=forward, discount=discount,
                      shape=np.shape(strike), live=live, strikes=K_live,
                      log_fk=np.log(forward / K_live), phases=phases,
-                     rule=rule)
+                     rule=quad)
 
 
 def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,

@@ -65,6 +65,16 @@ def _pad_scalar(raw, n: int, name: str) -> np.ndarray:
     return out
 
 
+def _read_only(raw) -> np.ndarray:
+    """Read-only float array of ``raw``: shares a read-only one that owns its
+    data (another parameter set's), copies anything else, views included."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full model parameter set for expiries j = 1..n-1.
@@ -94,19 +104,14 @@ class ModelParams:
     def __post_init__(self):
         n = np.asarray(self.kappa).size
         for name in _SCALAR_FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _read_only(getattr(self, name))
             if arr.shape != (n,):
                 raise InvariantError(name, f"expected padded length {n}")
-            arr = arr.copy()
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        gamma = self.gamma
-        if gamma is None:
-            gamma = np.zeros((n, 0))
-        gamma = np.array(gamma, dtype=float)
+        gamma = _read_only(np.zeros((n, 0)) if self.gamma is None
+                           else self.gamma)
         if gamma.ndim != 2 or gamma.shape[0] != n:
             raise InvariantError("gamma", f"expected shape ({n}, m_hat)")
-        gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
         for name, (bad, message) in _CHECKS.items():
@@ -129,14 +134,16 @@ class ModelParams:
         """Copy of the parameter set with expiry j's entries replaced.
 
         The copy is built through the constructor, so ``__post_init__``
-        validates it like any other parameter set.
+        validates it like any other parameter set.  It shares the arrays
+        it leaves unchanged, which are read-only.
         """
         changes = {}
         for name, value in (("beta_norm", beta_norm), ("rho", rho),
                             ("kappa", kappa), ("eps", eps)):
             if value is not None:
-                changes[name] = getattr(self, name).copy()
-                changes[name][j] = value
+                changes[name] = arr = getattr(self, name).copy()
+                arr[j] = value
+                arr.setflags(write=False)
         return replace(self, **changes)
 
     @classmethod
@@ -171,9 +178,7 @@ class VolFactorization:
 
     def __post_init__(self):
         for name in ("loadings", "sigma", "sigma_bar"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         norms = np.linalg.norm(self.loadings[1:], axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise InvariantError("loadings", "rows must be unit vectors")

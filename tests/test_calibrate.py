@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 
 import oracles
 import svlibor.calibrate
-from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, CalibrationOptions,
-                               CalibrationResult, _CapletPricer, calibrate_all,
+from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, START,
+                               CalibrationOptions, CalibrationResult,
+                               _CapletPricer, calibrate_all,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.charfn import caplet_cf_params, explosion_margin
 from svlibor.errors import (DecompositionError, DegenerateDriftError,
                             InvariantError, QuadratureError, StrikeError,
                             SvLiborError)
-from svlibor.fourier import INNER_PANEL, _graded_rule, caplet_price
+from svlibor.fourier import INNER_PANEL, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, factorize_vols
@@ -243,7 +244,8 @@ class TestCapletPricer:
     def test_zero_displaced_strike_prices_by_parity(self, tenor, curve,
                                                     params, libors):
         # K + alpha_j = 0 prices by parity, discount * (L_j + alpha_j); a
-        # negative displaced strike is a StrikeError, which scores PENALTY.
+        # negative displaced strike is a StrikeError when the pricer is
+        # built, before any candidate.
         j = 6
         shifted = dataclasses.replace(
             params, alpha=np.where(np.isnan(params.alpha), np.nan, 0.01))
@@ -258,11 +260,8 @@ class TestCapletPricer:
         assert got.tobytes() == fresh.tobytes()
         discount = tenor.accruals()[j] * curve.bonds[j + 1]
         assert got[0] == discount * (libors[j] + 0.01)
-        below = _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted)
         with pytest.raises(StrikeError, match="displacement"):
-            below.price(x)
-        r, _ = below.residuals_and_jacobian(x, np.ones(3))
-        assert np.all(r == PENALTY)
+            _CapletPricer(j, strikes - 1e-4, tenor, curve, shifted)
 
 
 class _Refused(Exception):
@@ -360,8 +359,7 @@ class TestResidualJacobian:
         cfp = caplet_cf_params(j, work, factorize_vols(work, loadings),
                                tenor, libors)
         assert explosion_margin(cfp) >= INNER_PANEL / 2.0  # priced
-        flip, near, _ = oracles.cf_guard_counts(cfp, _graded_rule(
-            QUAD.z_max, QUAD.n).contour)
+        flip, near, _ = oracles.cf_guard_counts(cfp, QUAD.contour)
         assert flip > 0 and near > 0
 
 
@@ -530,6 +528,40 @@ class TestCalibrateMaturity:
         assert fit.penalties > 0
         assert fit.objective < PENALTY
         assert fit.converged == (fit.status > 0)
+
+    def test_rejected_point_stops_with_its_reason(self, tenor, curve, params,
+                                                  libors):
+        # With no evals left for the fallback, a warm start the pricer
+        # rejects ends the fit there: its zero Jacobian is no gradient
+        # test, so the stop says the pricer rejected the point.
+        j = 1
+        strikes = libors[j] * np.linspace(0.6, 1.6, 7)
+        quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
+                              libors=libors)
+        panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
+        fit = calibrate_maturity(panel, params, tenor, curve,
+                                 CalibrationOptions(max_evals=5),
+                                 warm_start=(0.15, 1e-3, 10.0, 0.999))
+        assert fit.status == 0 and "rejected" in fit.message
+        assert not fit.converged and fit.objective == PENALTY
+        assert fit.iterations == fit.penalties == 5
+        assert fit.jacobians == 1 and "re-solved" not in fit.note
+
+    def test_negative_displaced_strike_raises_before_any_eval(
+            self, monkeypatch):
+        # K + alpha_j < 0 has no price at any candidate: the maturity's
+        # pricer refuses it when built, so neither a fit nor an objective
+        # spends an eval on it.
+        tenor, curve, params = small_market()
+        below = CapletPanel(expiry=4, strikes=np.array([-1e-3, 0.02]),
+                            quotes=np.array([0.03, 0.01]))
+        calls = count_evals(monkeypatch)
+        with pytest.raises(StrikeError, match="displacement"):
+            calibrate_maturity(below, params, tenor, curve, FAST)
+        with pytest.raises(StrikeError, match="displacement"):
+            objective(4, START, below.strikes, below.quotes, tenor, curve,
+                      params)
+        assert calls == []
 
     def test_rejected_warm_start_falls_back_to_start(self, tenor, curve,
                                                      params, libors,

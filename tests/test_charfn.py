@@ -25,7 +25,6 @@ from svlibor import (
 )
 from svlibor.calibrate import BOUNDS, QUAD
 from svlibor.charfn import TANGENT_FIELDS, explosion_margin
-from svlibor.fourier import _graded_rule
 
 import oracles
 
@@ -251,7 +250,7 @@ def test_normalized_and_finite_over_calibration_box(params, loadings, tenor,
                                  loadings, tenor, libors)
     except SvLiborError:  # degenerate drift: rejected before any CF call
         assume(False)
-    contour = _graded_rule(400.0, QUAD.n).contour
+    contour = QUAD.contour
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = heston_cf(contour, p)
@@ -285,9 +284,6 @@ def central_tangents(z, p):
         1e-5 * max(abs(getattr(p, name)), 1e-3)) for name in TANGENT_FIELDS])
 
 
-CONTOUR = _graded_rule(400.0, QUAD.n)
-
-
 @pytest.mark.parametrize("j, x", [(5, None), (19, None)] + list(CANCELLING),
                          ids=["fixture-5", "fixture-19", "cancel-18",
                               "cancel-9", "cancel-19", "cancel-17"])
@@ -299,16 +295,16 @@ def test_tangents_match_central_differences(params, fact, loadings, tenor,
         p = caplet_cf_params(j, params, fact, tenor, libors)
     else:
         p = _candidate_cf_params(j, x, params, loadings, tenor, libors)
-        flip, near, _ = oracles.cf_guard_counts(p, CONTOUR.contour)
+        flip, near, _ = oracles.cf_guard_counts(p, QUAD.contour)
         assert flip and near
-    plain = heston_cf(CONTOUR.contour, p, psi=CONTOUR.psi)
-    values, tangents = heston_cf(CONTOUR.contour, p, psi=CONTOUR.psi,
+    plain = heston_cf(QUAD.contour, p, psi=QUAD.psi)
+    values, tangents = heston_cf(QUAD.contour, p, psi=QUAD.psi,
                                  tangents=np.eye(5))
     assert values.tobytes() == plain.tobytes()
-    assert tangents.shape == (5, CONTOUR.contour.size)
+    assert tangents.shape == (5, QUAD.contour.size)
     # phi(-i) = 1 whatever the parameters, so its tangent vanishes.
     assert np.max(np.abs(tangents[:, -1])) <= 1e-12
-    expected = central_tangents(CONTOUR.contour, p)
+    expected = central_tangents(QUAD.contour, p)
     for name, got, ref in zip(TANGENT_FIELDS, tangents, expected):
         scale = np.max(np.abs(got))
         assert np.max(np.abs(got - ref)) <= 1e-6 * scale, name

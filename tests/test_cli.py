@@ -147,6 +147,21 @@ class TestPriceSwaption:
         got = [float(row["fourier_price"]) for row in rows]
         np.testing.assert_array_equal(got, expected)
 
+    def test_dump_effective(self, tmp_path, fixtures_dir, tenor):
+        out = tmp_path / "eff.json"
+        rc = main(["price-swaption",
+                   "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--p", "2", "--q", "10", "--dump-effective",
+                   "--out", str(out)])
+        assert rc == 0
+        blob = json.loads(out.read_text())
+        assert blob["kappa_eff"] == pytest.approx(3.881564586849864,
+                                                  rel=1e-12)
+        # One entry per Brownian factor of W, one per expiry 1..n-1.
+        assert len(blob["sigma_avg"]) == len(blob["beta"]) == tenor.n - 1
+        assert blob["gamma"] == [] and blob["expiry"] == 2.0
+
 
 class TestMcPrice:
     ARGS = ["--j", "3", "--strike", "0.01", "--substitute", "caplet",

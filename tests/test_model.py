@@ -187,6 +187,38 @@ def test_with_expiry_validates_replaced_slot(params):
                 corr_decay=bumped.corr_decay)
 
 
+def test_with_expiry_shares_unchanged_arrays(params):
+    # The copy shares every array it leaves unchanged and owns the ones it
+    # changes; all of them are read-only, so sharing cannot leak a write.
+    bumped = params.with_expiry(5, kappa=9.0, eps=0.5)
+    for name in ("alpha", "beta_norm", "rho", "theta", "gamma"):
+        assert getattr(bumped, name) is getattr(params, name), name
+    for name in ("kappa", "eps"):
+        assert not np.shares_memory(getattr(bumped, name),
+                                    getattr(params, name)), name
+    for name in ("alpha", "beta_norm", "rho", "kappa", "theta", "eps",
+                 "gamma"):
+        assert not getattr(bumped, name).flags.writeable, name
+    with pytest.raises(InvariantError, match="kappa"):
+        params.with_expiry(5, kappa=-1.0)
+
+
+def test_constructor_copies_writeable_and_viewed_inputs():
+    # A writeable input, or a read-only view of one, is copied: writing to
+    # the caller's array leaves the set as it was.
+    kappa = np.array([np.nan, 1.0, 2.0])
+    frozen_view = kappa.view()
+    frozen_view.setflags(write=False)
+    for given in (kappa, frozen_view):
+        params = ModelParams(alpha=np.zeros(3), beta_norm=np.ones(3),
+                             rho=np.zeros(3), kappa=given, theta=np.ones(3),
+                             eps=np.ones(3))
+        assert not np.shares_memory(params.kappa, kappa)
+        kappa[2] = 5.0
+        assert params.kappa[2] == 2.0
+        kappa[2] = 2.0
+
+
 def test_gamma_defaults_to_empty(params):
     assert params.m_hat == 0
     assert params.gamma.shape == (20, 0)
