@@ -7,8 +7,8 @@ variate, full-model Monte Carlo, and per-maturity caplet calibration.
 from .affine import (EffectiveCapletParams, SwapEffectiveParams,
                      effective_caplet_params, swap_averaged_vol_params,
                      swap_effective_params)
-from .calibrate import (CalibrationOptions, CalibrationResult, MaturityFit,
-                        calibrate_all, calibrate_maturity, fit_report_rows,
+from .calibrate import (CalibrationResult, MaturityFit, calibrate_all,
+                        calibrate_maturity, fit_report_rows,
                         panel_market_prices)
 from .charfn import (CharFnParams, black_cf, caplet_cf_params, heston_cf,
                      swaption_cf_params)
@@ -30,7 +30,7 @@ from .montecarlo import (MCConfig, MCResult, deflated_bond_means, mc_caplet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArbitrageBoundError", "CalibrationOptions", "CalibrationResult",
+    "ArbitrageBoundError", "CalibrationResult",
     "CapletPanel", "CharFnParams", "CorrelationError", "CurveError",
     "DEFAULT_QUAD", "DecompositionError", "DegenerateDriftError",
     "DiscountCurve", "EffectiveCapletParams", "InvariantError", "MCConfig",

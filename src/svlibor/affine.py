@@ -8,7 +8,7 @@ The shift conserves the product kappa * theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,11 @@ class EffectiveCapletParams:
     expiry: float
     v0: float
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["gamma"] = np.asarray(self.gamma).tolist()
-        return out
-
 
 @dataclass(frozen=True)
 class SwapEffectiveParams:
-    """Averaged and measure-changed parameters for the swap leg [p, q]."""
+    """Averaged and measure-changed parameters for the swap leg [p, q]; its
+    vectors are read-only."""
 
     kappa_avg: float
     theta_avg: float
@@ -66,12 +62,6 @@ class SwapEffectiveParams:
     beta: np.ndarray
     gamma: np.ndarray
     expiry: float
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("sigma_avg", "beta", "gamma"):
-            out[key] = np.asarray(out[key]).tolist()
-        return out
 
 
 def _drift_loads(params: ModelParams, libors: np.ndarray,
@@ -216,6 +206,8 @@ def swap_effective_params(ctx: SwapContext, params: ModelParams,
     if kappa_eff <= 0.0:
         raise DegenerateDriftError(f"kappa_eff(p={ctx.p},q={ctx.q})", kappa_eff)
     theta_eff = float(kappa_avg * theta_avg / kappa_eff)
+    for vector in (sigma_avg, beta_pq, gamma_pq):
+        vector.setflags(write=False)
     return SwapEffectiveParams(
         kappa_avg=kappa_avg,
         theta_avg=theta_avg,

@@ -41,7 +41,6 @@ from .market_data import CapletPanel, strip_libors
 from .model import ModelParams, build_loadings, factorize_vols
 
 __all__ = [
-    "CalibrationOptions",
     "MaturityFit",
     "CalibrationResult",
     "panel_market_prices",
@@ -62,14 +61,10 @@ QUAD = QuadratureConfig(n=768)
 # and the probe of its geodesic correction as a fraction of the step.
 GTOL, FTOL, XTOL = 1e-10, 1e-8, 1e-8
 MU0, PROBE = 1e-3, 0.1
-
-
-@dataclass(frozen=True)
-class CalibrationOptions:
-    # Objective evals per maturity: residual evals plus 4 per Jacobian, one
-    # per column.  The exact Jacobian comes from the residuals' own tangent
-    # pass; the count keeps a column's unit so budgets stay comparable.
-    max_evals: int = 1200
+# Objective evals per maturity: residual evals plus 4 per Jacobian, one per
+# column.  The exact Jacobian comes from the residuals' own tangent pass;
+# the count keeps a column's unit so budgets stay comparable.
+MAX_EVALS = 1200
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,6 @@ def _scaled_gradient(J, r, x, lower, upper):
 
 
 def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
-                       options: CalibrationOptions = CalibrationOptions(),
                        warm_start=None) -> MaturityFit:
     """Fit the panel's expiry j holding every k > j at its current value in
     ``params``.  The loadings are those of ``params.corr_decay`` and the
@@ -261,12 +255,13 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     residuals and exact Jacobian; taking a Jacobian for the next steps adds
     4, one per column (4 penalties at a rejected candidate).  When those 4
     do not fit, the evals left go to trial steps with the last Jacobian
-    taken, so the solve stops with exactly ``max_evals`` spent.  A Jacobian
-    that is not finite where the residuals are priced stops the solve, not
-    converged, and so does a start the pricer rejects, once its Jacobian's
-    4 evals are counted.  When every eval of the warm-started solve scores
+    taken, so the solve stops with exactly ``MAX_EVALS`` spent (the module
+    constant, read when the solve runs).  A Jacobian that is not finite
+    where the residuals are priced stops the solve, not converged, and so
+    does a start the pricer rejects, once its Jacobian's 4 evals are
+    counted.  When every eval of the warm-started solve scores
     PENALTY, the fit is solved again from ``START``; ``iterations`` and
-    ``max_evals`` count both solves, and ``note`` says so.  A panel strike
+    ``MAX_EVALS`` count both solves, and ``note`` says so.  A panel strike
     with K + alpha_j < 0 raises StrikeError before the first eval.
     """
     j = panel.expiry
@@ -274,7 +269,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     pricer = _CapletPricer(j, panel.strikes, tenor, curve, params)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
-    spent = f"objective-eval budget of {options.max_evals} spent"
+    spent = f"objective-eval budget of {MAX_EVALS} spent"
 
     def evaluate(x):
         nonlocal evals, penalties
@@ -295,7 +290,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
         mu, curved = MU0, False
         taken = None  # the Jacobian the steps are solved with
         while True:
-            if evals + 4 <= options.max_evals:
+            if evals + 4 <= MAX_EVALS:
                 evals += 4
                 jacobians += 1
                 rejected = bool(np.all(r == PENALTY))
@@ -322,13 +317,13 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
                 rank = s > s[0] * max(J.shape) * np.finfo(float).eps
                 if ur[rank] @ ur[rank] <= FTOL * (r @ r):
                     return x, r, J, 2, "predicted relative decrease below FTOL"
-            elif taken is None or evals == options.max_evals:
+            elif taken is None or evals == MAX_EVALS:
                 return x, r, J, 0, spent
             # Too few evals left for this point's Jacobian: the trial steps
             # reuse the last one taken.
             cost = r @ r
             while True:  # damped steps from x until one lowers the cost
-                if evals == options.max_evals:
+                if evals == MAX_EVALS:
                     return x, r, J, 0, spent
                 damping = s / (s * s + mu)
                 step = -Vt.T @ (damping * (U.T @ r)) / scale
@@ -341,7 +336,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
                     U, s, Vt = np.linalg.svd(taken * (free / scale),
                                              full_matrices=False)
                     continue
-                if curved and evals + 2 <= options.max_evals:
+                if curved and evals + 2 <= MAX_EVALS:
                     # Geodesic acceleration (Transtrum and Sethna 2012): the
                     # residuals' second derivative along the step, from one
                     # probe eval, bends the step along a curved valley; it
@@ -377,7 +372,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     # eval budget.
     fallback = ""
     if (warm_start is not None and penalties == evals
-            and evals < options.max_evals):
+            and evals < MAX_EVALS):
         fallback = (f"warm start scored PENALTY at all {evals} evals; "
                     "re-solved from START")
         x, r, J, status, message = solve(START)
@@ -399,8 +394,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
 
 
 def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
-                  curve, options: CalibrationOptions = CalibrationOptions()
-                  ) -> CalibrationResult:
+                  curve) -> CalibrationResult:
     """Fit all paneled maturities in decreasing order.
 
     ``skeleton`` supplies the fixed inputs (theta, alpha, gamma, decay) and
@@ -435,8 +429,7 @@ def calibrate_all(panels: list[CapletPanel], skeleton: ModelParams, tenor,
                 rho=float(work.rho[j]), objective=float("nan"),
                 iterations=0, converged=False, note="no panel")
             continue
-        fit = calibrate_maturity(panel, work, tenor, curve, options,
-                                 warm_start=warm)
+        fit = calibrate_maturity(panel, work, tenor, curve, warm_start=warm)
         fits[j] = fit
         work = work.with_expiry(j, beta_norm=fit.beta_norm, rho=fit.rho,
                                 kappa=fit.kappa, eps=fit.eps)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 
 from .affine import effective_caplet_params, swap_effective_params
-from .calibrate import CalibrationOptions, calibrate_all, fit_report_rows
+from .calibrate import calibrate_all, fit_report_rows
 from .errors import SvLiborError
 from .fourier import caplet_price, implied_vol, swaption_price
 from .market_data import load_curve, load_panel, strip_libors, swap_context
@@ -35,9 +36,19 @@ def _open_out(path):
             yield fh
 
 
+def _json_default(obj):
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload) -> None:
+    """``payload`` as indented JSON; a record (dataclass instance) is
+    written as its fields and an array as a list, at any depth."""
     with _open_out(path) as out:
-        json.dump(payload, out, indent=2)
+        json.dump(payload, out, indent=2, default=_json_default)
         out.write("\n")
 
 
@@ -133,7 +144,6 @@ def _load_market(args):
     tenor, curve = load_curve(args.curve)
     params = load_params(args.model)
     if getattr(args, "corr_decay", None) is not None:
-        import dataclasses
         params = dataclasses.replace(params, corr_decay=args.corr_decay)
     return tenor, curve, params
 
@@ -183,8 +193,8 @@ def _cmd_price_caplet(args) -> int:
     fact = build_factorization(params, tenor)
     libors = strip_libors(curve, tenor)
     if args.dump_effective:
-        eff = effective_caplet_params(args.j, params, fact, tenor, libors)
-        _write_json(args.out, eff.as_dict())
+        _write_json(args.out, effective_caplet_params(args.j, params, fact,
+                                                      tenor, libors))
         return 0
     strikes = _strikes_from(args)
     fourier = caplet_price(args.j, strikes, tenor, curve, params, fact,
@@ -204,8 +214,8 @@ def _cmd_price_swaption(args) -> int:
     libors = strip_libors(curve, tenor)
     if args.dump_effective:
         ctx = swap_context(args.p, args.q, curve, tenor)
-        eff = swap_effective_params(ctx, params, fact, tenor, libors)
-        _write_json(args.out, eff.as_dict())
+        _write_json(args.out, swap_effective_params(ctx, params, fact, tenor,
+                                                    libors))
         return 0
     strikes = _strikes_from(args)
     fourier = swaption_price(args.p, args.q, strikes, tenor, curve, params,
@@ -251,7 +261,7 @@ def _cmd_mc_price(args) -> int:
 def _cmd_calibrate(args) -> int:
     tenor, curve, params = _load_market(args)
     panels = load_panel(args.panels)
-    result = calibrate_all(panels, params, tenor, curve, CalibrationOptions())
+    result = calibrate_all(panels, params, tenor, curve)
     _write_json(args.out, result.to_dict())
     if args.fit_report:
         rows = fit_report_rows(result, panels, tenor, curve)

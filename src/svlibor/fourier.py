@@ -201,7 +201,8 @@ class StrikeRow:
     ones carry ln(F/K) for Black-76 and a phase row over the rule's nodes:
     w cos(z ln(K/F)) and w sin(z ln(K/F)) interleaved per node (w the
     node's weight), the layout of a complex array's (real, imaginary)
-    pairs.
+    pairs.  Its arrays are read-only: a calibration prices every candidate
+    against one row.
     """
 
     forward: float
@@ -238,10 +239,12 @@ def _strike_row(forward: float, strike: np.ndarray, discount: float,
     np.cos(cos, out=cos)
     for row in phases:
         row *= quad.pair_weights
+    log_fk = np.log(forward / K_live)
+    for arr in (live, K_live, log_fk, phases):
+        arr.setflags(write=False)
     return StrikeRow(forward=forward, discount=discount,
                      shape=np.shape(strike), live=live, strikes=K_live,
-                     log_fk=np.log(forward / K_live), phases=phases,
-                     rule=quad)
+                     log_fk=log_fk, phases=phases, rule=quad)
 
 
 def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
@@ -331,9 +334,9 @@ def _assemble(row: StrikeRow, price: np.ndarray, parity=None):
 
 
 def carr_madan_cv(cf, forward: float, strike, expiry: float,
-                  discount_times_accrual: float, sigma_b: float,
-                  quad: QuadratureConfig = DEFAULT_QUAD):
-    """Call price by Carr-Madan inversion with a Black control variate.
+                  discount_times_accrual: float, sigma_b: float):
+    """Call price by Carr-Madan inversion with a Black control variate, on
+    the default rule ``DEFAULT_QUAD``.
 
     ``cf`` maps complex z to the characteristic function value; it must be
     normalized to phi(-i) = 1 (checked).  Vectorized over ``strike``; a
@@ -342,7 +345,7 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     or a price comes out inf or nan.
     """
     row = _strike_row(forward, np.asarray(strike, dtype=float),
-                      discount_times_accrual, quad)
+                      discount_times_accrual, DEFAULT_QUAD)
     return _invert(row, cf(row.rule.contour), sigma_b, expiry)
 
 
@@ -363,7 +366,7 @@ def price_row(row: StrikeRow, cf_params, tangents=None):
     raised.
     """
     if not row.strikes.size:
-        prices = _assemble(row, row.strikes)
+        prices = _assemble(row, np.zeros(0))
         if tangents is None:
             return prices
         return prices, np.zeros(np.shape(prices) + (len(tangents),))

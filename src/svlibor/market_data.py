@@ -29,10 +29,14 @@ __all__ = [
 ]
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _read_only(raw) -> np.ndarray:
+    """Read-only float array of ``raw``: shares a read-only one that owns its
+    data (another record's), copies anything else, views included."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +46,7 @@ class TenorStructure:
     dates: np.ndarray
 
     def __post_init__(self):
-        dates = _readonly(self.dates)
+        dates = _read_only(self.dates)
         object.__setattr__(self, "dates", dates)
         if dates.ndim != 1 or dates.size < 3:
             raise InvariantError("dates", "need at least T_0, T_1, T_2")
@@ -82,7 +86,7 @@ class DiscountCurve:
         if np.any(raw > 1.0):
             raise CurveError("bond price above par in curve")
         padded = np.concatenate(([1.0], raw))
-        object.__setattr__(self, "bonds", _readonly(padded))
+        object.__setattr__(self, "bonds", _read_only(padded))
 
     @property
     def n(self) -> int:
@@ -103,8 +107,8 @@ class CapletPanel:
     quote_kind: str = "price"
 
     def __post_init__(self):
-        strikes = _readonly(self.strikes)
-        quotes = _readonly(self.quotes)
+        strikes = _read_only(self.strikes)
+        quotes = _read_only(self.quotes)
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "quotes", quotes)
         if self.expiry < 1:
@@ -139,8 +143,8 @@ class SwapContext:
     xi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        object.__setattr__(self, "xi", _readonly(self.xi))
+        object.__setattr__(self, "weights", _read_only(self.weights))
+        object.__setattr__(self, "xi", _read_only(self.xi))
 
 
 def strip_libors(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
@@ -149,8 +153,6 @@ def strip_libors(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
     if curve.n != n:
         raise CurveError(f"curve has {curve.n} bonds, tenor needs {n}")
     B = curve.bonds
-    if np.any(B[1:] <= 0.0):
-        raise CurveError("non-positive bond price in curve")
     delta = tenor.accruals()
     L = np.full(n + 1, np.nan)
     L[1:n] = (B[1:n] / B[2:n + 1] - 1.0) / delta[1:n]

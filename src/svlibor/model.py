@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CorrelationError, DecompositionError, InvariantError
+from .market_data import _read_only
 
 __all__ = [
     "ModelParams",
@@ -63,16 +64,6 @@ def _pad_scalar(raw, n: int, name: str) -> np.ndarray:
     out[1:] = arr
     out.setflags(write=False)
     return out
-
-
-def _read_only(raw) -> np.ndarray:
-    """Read-only float array of ``raw``: shares a read-only one that owns its
-    data (another parameter set's), copies anything else, views included."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +101,11 @@ class MCConfig:
         if self.antithetic and self.paths % 2:
             raise InvariantError("paths", "antithetic sampling needs an even count")
         sub = self.substitution
-        if sub is not None:
-            if sub[0] == "caplet" and len(sub) == 2:
-                pass
-            elif sub[0] == "swap" and len(sub) == 3:
-                pass
-            else:
-                raise InvariantError("substitution",
-                                     f"expected ('caplet', j) or ('swap', p, q), got {sub!r}")
+        modes = ((("caplet",), 2), (("swap",), 3))  # (kind,), tuple length
+        if sub is not None and not (isinstance(sub, tuple)
+                                    and (sub[:1], len(sub)) in modes):
+            raise InvariantError("substitution",
+                                 f"expected ('caplet', j) or ('swap', p, q), got {sub!r}")
 
 
 @dataclass(frozen=True)
@@ -411,8 +407,12 @@ def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list[np.ndarray]:
 
     ``read`` returns a list of arrays with paths along axis 0 and runs in
     the worker, so a finished block keeps only those arrays; they are
-    stacked in block order, whatever order the blocks finish in.
+    stacked in block order, whatever order the blocks finish in.  The
+    thread pool is imported here, so that importing the package does not
+    load ``concurrent.futures`` and ``logging``.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     record = _record_map(pre, times)
     bounds = [(p0, min(p0 + BLOCK, cfg.paths))
               for p0 in range(0, cfg.paths, BLOCK)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from svlibor.affine import effective_caplet_params, swap_effective_params
-from svlibor.calibrate import CalibrationOptions, calibrate_all, calibrate_maturity
+from svlibor.calibrate import calibrate_all, calibrate_maturity
 from svlibor.charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
 from svlibor.fourier import (DEFAULT_QUAD, QuadratureConfig, black76,
                              caplet_price, carr_madan_cv, swaption_price)
@@ -346,8 +346,7 @@ class TestCriterion6Calibration:
         strikes = np.array([0.005, 0.013, 0.021, 0.029])
         quotes = caplet_price(5, strikes, tenor, curve, params, libors=libors)
         panel = CapletPanel(expiry=5, strikes=strikes, quotes=quotes)
-        options = CalibrationOptions(max_evals=4000)
-        fit = calibrate_maturity(panel, params, tenor, curve, options)
+        fit = calibrate_maturity(panel, params, tenor, curve)
         ok = fit.objective < 1e-6
         report("6b", ok, f"4-strike exactly identified fit reached "
                          f"objective {fit.objective:.2e} (< 1e-6)")

@@ -86,9 +86,6 @@ def test_caplet_passthrough_fields(params, fact, tenor, libors):
     assert eff.gamma.size == 0
     assert eff.sigma_beta == pytest.approx(
         params.rho[5] * params.eps[5] * params.beta_norm[5], abs=1e-13)
-    d = eff.as_dict()
-    assert d["gamma"] == []
-    assert d["kappa_eff"] == eff.kappa_eff
 
 
 def test_expiry_out_of_range(params, fact, tenor, libors):
@@ -237,13 +234,14 @@ def test_degenerate_drift_raises(params, tenor, libors):
         effective_caplet_params(1, broken, fact, tenor, libors)
 
 
-def test_swap_as_dict_serializes(params, fact, tenor, curve, libors):
+def test_swap_effective_vectors_are_read_only(params, fact, tenor, curve,
+                                              libors):
+    # The record is frozen, and so are the vectors it holds.
     ctx = swap_context(4, 10, curve, tenor)
     eff = swap_effective_params(ctx, params, fact, tenor, libors)
-    d = eff.as_dict()
-    assert isinstance(d["sigma_avg"], list)
-    assert isinstance(d["beta"], list)
-    assert d["expiry"] == 4.0
+    for name in ("sigma_avg", "beta", "gamma"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(eff, name)[...] = 0.0
 
 
 @given(

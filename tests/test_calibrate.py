@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import oracles
 import svlibor.calibrate
 from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, START,
-                               CalibrationOptions, CalibrationResult,
-                               _CapletPricer, calibrate_all,
+                               CalibrationResult, _CapletPricer, calibrate_all,
                                calibrate_maturity, fit_report_rows, objective,
                                panel_market_prices)
 from svlibor.charfn import caplet_cf_params, explosion_margin
@@ -28,10 +27,6 @@ from svlibor.fourier import INNER_PANEL, caplet_price
 from svlibor.market_data import (CapletPanel, DiscountCurve, TenorStructure,
                                  strip_libors)
 from svlibor.model import ModelParams, factorize_vols
-
-# Budget for the small-model searches below; truth is at the default start
-# so convergence is immediate and the full default budget is never needed.
-FAST = CalibrationOptions(max_evals=600)
 
 # A start far from the small market's truth at START.
 AWAY = (0.05, 0.2, 0.3, -0.9)
@@ -388,7 +383,7 @@ class TestCalibrateMaturity:
     def test_recovers_truth_from_exact_panel(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST)
+        fit = calibrate_maturity(panel, params, tenor, curve)
         assert fit.converged
         assert fit.objective < 1e-7
         assert fit.beta_norm == pytest.approx(0.15, rel=1e-2)
@@ -400,8 +395,8 @@ class TestCalibrateMaturity:
     def test_deterministic(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        a = calibrate_maturity(panel, params, tenor, curve, FAST)
-        b = calibrate_maturity(panel, params, tenor, curve, FAST)
+        a = calibrate_maturity(panel, params, tenor, curve)
+        b = calibrate_maturity(panel, params, tenor, curve)
         assert (a.beta_norm, a.kappa, a.eps, a.rho, a.objective) == \
             (b.beta_norm, b.kappa, b.eps, b.rho, b.objective)
 
@@ -412,7 +407,7 @@ class TestCalibrateMaturity:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         calls = count_evals(monkeypatch)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  warm_start=start)
         assert fit.penalties == 0
         assert fit.jacobians == calls.count(4) > 0
@@ -421,8 +416,7 @@ class TestCalibrateMaturity:
     def test_cold_start_away_from_truth_converges(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        fit = calibrate_maturity(panel, params, tenor, curve,
-                                 CalibrationOptions(), warm_start=AWAY)
+        fit = calibrate_maturity(panel, params, tenor, curve, warm_start=AWAY)
         assert fit.converged and fit.status > 0
         assert fit.objective < 1e-7
         # 240 evals measured with scipy's TRF, 188 with the numpy loop;
@@ -436,9 +430,8 @@ class TestCalibrateMaturity:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         calls = count_evals(monkeypatch)
-        fit = calibrate_maturity(panel, params, tenor, curve,
-                                 CalibrationOptions(max_evals=20),
-                                 warm_start=AWAY)
+        monkeypatch.setattr(svlibor.calibrate, "MAX_EVALS", 20)
+        fit = calibrate_maturity(panel, params, tenor, curve, warm_start=AWAY)
         assert fit.iterations == sum(calls) == 20
         assert not fit.converged and fit.status == 0
         assert "budget" in fit.message
@@ -452,8 +445,8 @@ class TestCalibrateMaturity:
         calls = count_evals(monkeypatch)
         for budget in range(18, 22):
             calls.clear()
+            monkeypatch.setattr(svlibor.calibrate, "MAX_EVALS", budget)
             fit = calibrate_maturity(panel, params, tenor, curve,
-                                     CalibrationOptions(max_evals=budget),
                                      warm_start=AWAY)
             assert fit.iterations == sum(calls) == budget
             assert fit.status == 0 and "budget" in fit.message
@@ -473,7 +466,7 @@ class TestCalibrateMaturity:
             return prices, np.full_like(partials, np.nan)
 
         monkeypatch.setattr(svlibor.calibrate, "price_row", no_tangents)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  warm_start=AWAY)
         assert not fit.converged and fit.status == 0
         assert "Jacobian not finite" in fit.message
@@ -487,7 +480,7 @@ class TestCalibrateMaturity:
         tenor, curve, params = small_market()
         exact = small_panel(5, tenor, curve, params)
         panel = dataclasses.replace(exact, quotes=3.0 * exact.quotes)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST)
+        fit = calibrate_maturity(panel, params, tenor, curve)
         assert "beta_norm at upper bound" in fit.note
         assert fit.status is not None and fit.message
         blob = CalibrationResult(fits=(fit,), fitted=params).to_dict()
@@ -503,7 +496,7 @@ class TestCalibrateMaturity:
         # values of the unit-column Jacobian at the fit, at no extra eval.
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  warm_start=AWAY)
         values = np.array(fit.singular_values)
         assert values.shape == (4,) and np.all(np.isfinite(values))
@@ -523,14 +516,14 @@ class TestCalibrateMaturity:
         quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  warm_start=(0.15, 1e-3, 10.0, 0.999))
         assert fit.penalties > 0
         assert fit.objective < PENALTY
         assert fit.converged == (fit.status > 0)
 
     def test_rejected_point_stops_with_its_reason(self, tenor, curve, params,
-                                                  libors):
+                                                  libors, monkeypatch):
         # With no evals left for the fallback, a warm start the pricer
         # rejects ends the fit there: its zero Jacobian is no gradient
         # test, so the stop says the pricer rejected the point.
@@ -539,8 +532,8 @@ class TestCalibrateMaturity:
         quotes = caplet_price(j, strikes, tenor, curve, params, quad=QUAD,
                               libors=libors)
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
+        monkeypatch.setattr(svlibor.calibrate, "MAX_EVALS", 5)
         fit = calibrate_maturity(panel, params, tenor, curve,
-                                 CalibrationOptions(max_evals=5),
                                  warm_start=(0.15, 1e-3, 10.0, 0.999))
         assert fit.status == 0 and "rejected" in fit.message
         assert not fit.converged and fit.objective == PENALTY
@@ -557,7 +550,7 @@ class TestCalibrateMaturity:
                             quotes=np.array([0.03, 0.01]))
         calls = count_evals(monkeypatch)
         with pytest.raises(StrikeError, match="displacement"):
-            calibrate_maturity(below, params, tenor, curve, FAST)
+            calibrate_maturity(below, params, tenor, curve)
         with pytest.raises(StrikeError, match="displacement"):
             objective(4, START, below.strikes, below.quotes, tenor, curve,
                       params)
@@ -576,7 +569,7 @@ class TestCalibrateMaturity:
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
         calls = count_evals(monkeypatch)
         warm = (0.15, 1e-3, 10.0, 0.999)
-        fit = calibrate_maturity(panel, params, tenor, curve, FAST,
+        fit = calibrate_maturity(panel, params, tenor, curve,
                                  warm_start=warm)
         assert fit.converged and fit.objective < 1e-9
         assert "re-solved from START" in fit.note
@@ -587,8 +580,8 @@ class TestCalibrateMaturity:
         np.testing.assert_allclose((fit.beta_norm, fit.kappa, fit.eps,
                                     fit.rho), truth, rtol=1e-6)
         # Both solves share one budget.
+        monkeypatch.setattr(svlibor.calibrate, "MAX_EVALS", 30)
         capped = calibrate_maturity(panel, params, tenor, curve,
-                                    CalibrationOptions(max_evals=30),
                                     warm_start=warm)
         assert capped.iterations == 30 and not capped.converged
         assert "re-solved from START" in capped.note
@@ -607,7 +600,7 @@ class TestCalibrateAll:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning, match="no panel"):
-            result = calibrate_all([panel], params, tenor, curve, FAST)
+            result = calibrate_all([panel], params, tenor, curve)
         assert len(result.fits) == 5
         held = {f.expiry: f for f in result.fits if f.note == "no panel"}
         assert sorted(held) == [1, 2, 3, 4]
@@ -621,8 +614,8 @@ class TestCalibrateAll:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning):
-            result = calibrate_all([panel], params, tenor, curve, FAST)
-        direct = calibrate_maturity(panel, params, tenor, curve, FAST)
+            result = calibrate_all([panel], params, tenor, curve)
+        direct = calibrate_maturity(panel, params, tenor, curve)
         swept = result.fits[-1]
         assert swept.expiry == 5
         assert (swept.beta_norm, swept.kappa, swept.eps, swept.rho) == \
@@ -632,7 +625,7 @@ class TestCalibrateAll:
         tenor, curve, params = small_market()
         panels = [small_panel(j, tenor, curve, params) for j in (4, 5)]
         with pytest.warns(UserWarning):
-            result = calibrate_all(panels, params, tenor, curve, FAST)
+            result = calibrate_all(panels, params, tenor, curve)
         fitted = result.params()
         assert isinstance(fitted, ModelParams)
         np.testing.assert_array_equal(fitted.theta, params.theta)
@@ -648,7 +641,7 @@ class TestCalibrateAll:
         panel = dataclasses.replace(small_panel(5, tenor, curve, params),
                                     expiry=7)
         with pytest.raises(IndexError):
-            calibrate_all([panel], params, tenor, curve, FAST)
+            calibrate_all([panel], params, tenor, curve)
 
     def test_duplicate_panels_rejected_before_any_fit(self, monkeypatch):
         # Two panels for one expiry are ambiguous: refused before any fit,
@@ -658,7 +651,7 @@ class TestCalibrateAll:
         doubled = dataclasses.replace(panel, quotes=2.0 * panel.quotes)
         calls = count_evals(monkeypatch)
         with pytest.raises(InvariantError, match="panels"):
-            calibrate_all([panel, doubled], params, tenor, curve, FAST)
+            calibrate_all([panel, doubled], params, tenor, curve)
         assert calls == []
 
     def test_negative_displaced_strike_rejected_before_any_fit(
@@ -671,7 +664,7 @@ class TestCalibrateAll:
                             quotes=np.array([0.03, 0.01]))
         calls = count_evals(monkeypatch)
         with pytest.raises(StrikeError, match="expiry 4"):
-            calibrate_all([panel, below], params, tenor, curve, FAST)
+            calibrate_all([panel, below], params, tenor, curve)
         assert calls == []
 
     def test_singular_correlation_raises_before_any_fit(self, monkeypatch):
@@ -682,14 +675,14 @@ class TestCalibrateAll:
         flat = dataclasses.replace(params, corr_decay=0.0)
         calls = count_evals(monkeypatch)
         with pytest.raises(DecompositionError, match="singular"):
-            calibrate_all([panel], flat, tenor, curve, FAST)
+            calibrate_all([panel], flat, tenor, curve)
         assert calls == []
 
     def test_to_dict_serializes(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning):
-            result = calibrate_all([panel], params, tenor, curve, FAST)
+            result = calibrate_all([panel], params, tenor, curve)
         blob = result.to_dict()
         assert set(blob) == {"corr_decay", "theta", "alpha", "fits"}
         assert len(blob["fits"]) == 5
@@ -700,7 +693,7 @@ class TestCalibrateAll:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning):
-            result = calibrate_all([panel], params, tenor, curve, FAST)
+            result = calibrate_all([panel], params, tenor, curve)
         fit = result.fits[-1]
         blob = result.to_dict()["fits"][-1]
         assert list(blob) == [f.name for f in dataclasses.fields(fit)]
@@ -714,7 +707,7 @@ class TestFitReport:
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)
         with pytest.warns(UserWarning):
-            result = calibrate_all([panel], params, tenor, curve, FAST)
+            result = calibrate_all([panel], params, tenor, curve)
         rows = fit_report_rows(result, [panel], tenor, curve)
         assert len(rows) == len(panel.strikes)
         assert set(rows[0]) == {"maturity", "strike", "market_price",

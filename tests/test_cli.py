@@ -11,6 +11,7 @@ from svlibor.cli import main
 from svlibor.fourier import black76, caplet_price, swaption_price
 from svlibor.market_data import strip_libors
 from svlibor.model import build_factorization
+from svlibor.montecarlo import MCConfig, mc_swaptions
 
 
 def write_small_market(tmp_path):
@@ -197,6 +198,36 @@ class TestMcPrice:
         assert err.startswith("error: SvLiborError") and "both --p and --q" in err
         assert len(err.splitlines()) == 1
 
+    def test_swap_substitution_matches_library(self, tmp_path, fixtures_dir,
+                                               tenor, curve, params, fact):
+        out = tmp_path / "swap.json"
+        rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--p", "2", "--q", "10", "--strike", "0.02",
+                   "--substitute", "swap", "--paths", "512",
+                   "--steps-per-year", "4", "--seed", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        cfg = MCConfig(paths=512, steps_per_year=4, seed=3,
+                       substitution=("swap", 2, 10))
+        want = mc_swaptions({(2, 10): np.array([0.02])}, tenor, curve, params,
+                            fact, cfg)[(2, 10)][0]
+        blob = json.loads(out.read_text())
+        assert (blob["price"], blob["se"]) == (want.price, want.se)
+
+    @pytest.mark.parametrize("instrument,mode", [
+        (["--j", "3"], "swap"), (["--p", "2", "--q", "10"], "caplet")])
+    def test_substitution_of_the_other_instrument_rejected(
+            self, fixtures_dir, capsys, instrument, mode):
+        rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--strike", "0.02", "--substitute", mode] + instrument)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SvLiborError")
+        assert f"--substitute {mode} needs" in err
+        assert len(err.splitlines()) == 1
+
     def test_zero_threads_rejected(self, fixtures_dir, capsys):
         rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
                    "--model", str(fixtures_dir / "model_table.json"),
@@ -269,16 +300,15 @@ class TestCalibrate:
     @pytest.mark.filterwarnings("ignore:no panel")
     def test_uses_calibration_options_and_emits_diagnostics(self, tmp_path,
                                                              monkeypatch):
-        # The subcommand must price candidates with the calibration rule,
-        # not with the pricing commands' default rule.
+        # The subcommand passes the loaded market and nothing else: the
+        # eval budget is the library's own.
         import svlibor.cli
-        from svlibor.calibrate import CalibrationOptions
         seen = []
         real = svlibor.cli.calibrate_all
 
-        def spy(panels, params, tenor, curve, options):
-            seen.append(options)
-            return real(panels, params, tenor, curve, options)
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(svlibor.cli, "calibrate_all", spy)
         curve_path, model_path = write_small_market(tmp_path)
@@ -298,7 +328,13 @@ class TestCalibrate:
                    "--out", str(out)])
         assert rc == 0
         assert len(seen) == 1
-        assert seen[0] == CalibrationOptions()
+        (panels, got_params, got_tenor, got_curve), kwargs = seen[0]
+        assert kwargs == {}
+        assert [p.expiry for p in panels] == [5]
+        assert np.array_equal(got_params.kappa, load_params(model_path).kappa,
+                              equal_nan=True)
+        assert np.array_equal(got_tenor.dates, tenor.dates)
+        assert np.array_equal(got_curve.bonds, curve.bonds)
         fit = json.loads(out.read_text())["fits"][-1]
         assert fit["iterations"] > 0
         assert isinstance(fit["status"], int) and fit["message"]

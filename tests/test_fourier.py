@@ -106,14 +106,13 @@ def test_black76_rejects_negative_and_non_finite_inputs():
 
 def test_cv_is_exact_on_black():
     rng = np.random.default_rng(11)
-    quad = QuadratureConfig()
     for _ in range(20):
         F = rng.uniform(0.005, 0.2)
         K = F * np.exp(rng.uniform(-1.5, 1.5))
         sigma = rng.uniform(0.05, 1.0)
         T = rng.uniform(0.25, 20.0)
         price = carr_madan_cv(lambda z: black_cf(z, sigma, T), F, K, T,
-                              1.0, sigma, quad)
+                              1.0, sigma)
         assert price == pytest.approx(black76(F, T, sigma, K), abs=1e-12)
 
 
@@ -296,6 +295,16 @@ def test_swaption_row_goes_through_the_split(tenor, curve, params, fact,
         2 * [zeros.discount * zeros.forward])
     with pytest.raises(StrikeError, match="negative"):
         swaption_row(4, 10, [-0.01, 0.02], tenor, curve)
+
+
+def test_strike_row_arrays_are_read_only(tenor, curve, params, libors):
+    # A calibration prices every candidate against one row: none of its
+    # arrays takes a write.
+    row = caplet_row(5, [0.0, 0.02, 0.03], tenor, curve, params,
+                     libors=libors)
+    for name in ("live", "strikes", "log_fk", "phases"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(row, name)[...] = 0
 
 
 def test_swaption_published_spot_value(tenor, curve, params, fact, libors):

@@ -3,8 +3,10 @@
 Pricing, Monte Carlo, Black-76 (``math.erfc``), its implied vol (Newton
 steps) and the calibration (``calibrate_maturity``, a Levenberg-Marquardt
 loop written with numpy) leave every ``scipy`` module unloaded; scipy is
-a test dependency only.  The check runs in a fresh interpreter, because
-this test process has long since loaded scipy.
+a test dependency only.  Only Monte Carlo needs a thread pool, so the
+import, the Fourier pricing and the calibration leave ``concurrent``
+unloaded too.  The check runs in a fresh interpreter, because this test
+process has long since loaded both.
 """
 
 import json
@@ -22,47 +24,47 @@ import numpy as np
 
 import svlibor
 import svlibor.cli
-from svlibor import (CalibrationOptions, CapletPanel, MCConfig, black76,
-                     build_factorization, calibrate_maturity, caplet_price,
-                     implied_vol, load_curve, load_params, mc_caplets,
-                     strip_libors, swaption_price)
+from svlibor import (CapletPanel, MCConfig, black76, build_factorization,
+                     calibrate_maturity, caplet_price, implied_vol,
+                     load_curve, load_params, mc_caplets, strip_libors,
+                     swaption_price)
 
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
+def loaded(*roots):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
 
 
 tenor, curve = load_curve("fixtures/curve_table.csv")
 params = load_params("fixtures/model_table.json")
 fact = build_factorization(params, tenor)
 libors = strip_libors(curve, tenor)
-out = {"after_import": scipy_loaded()}
+out = {"after_import": loaded("scipy", "concurrent")}
 
 strikes = np.array([0.8, 1.0, 1.2]) * libors[5]
 caplets = caplet_price(5, strikes, tenor, curve, params, fact)
 swaptions = swaption_price(2, 6, np.array([0.02, 0.03]), tenor, curve, params,
                            fact)
-mc = mc_caplets({3: np.array([0.01])}, tenor, curve, params, fact,
-                MCConfig(paths=64, steps_per_year=2))
 black = black76(0.03, 2.0, 0.2, 0.03)
-out["prices_finite"] = bool(np.all(np.isfinite(caplets))
-                            and np.all(np.isfinite(swaptions))
-                            and np.isfinite(mc[3][0].price)
-                            and np.isfinite(black))
-out["after_pricing"] = scipy_loaded()
+out["after_pricing"] = loaded("scipy", "concurrent")
 
 out["implied_vol"] = implied_vol(black, 0.03, 0.03, 2.0, 1.0)
-out["after_implied_vol"] = scipy_loaded()
+out["after_implied_vol"] = loaded("scipy", "concurrent")
 j = 5
 truth = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
 panel = CapletPanel(expiry=j, strikes=strikes, quotes=caplets)
 fit = calibrate_maturity(panel, params, tenor, curve,
-                         CalibrationOptions(max_evals=60),
                          warm_start=tuple(float(x) for x in truth))
 out["fit_objective"] = fit.objective
 out["fit_iterations"] = fit.iterations
-out["after_calibration"] = scipy_loaded()
+out["after_calibration"] = loaded("scipy", "concurrent")
+
+mc = mc_caplets({3: np.array([0.01])}, tenor, curve, params, fact,
+                MCConfig(paths=64, steps_per_year=2))
+out["prices_finite"] = bool(np.all(np.isfinite(caplets))
+                            and np.all(np.isfinite(swaptions))
+                            and np.isfinite(mc[3][0].price)
+                            and np.isfinite(black))
+out["after_mc"] = loaded("scipy")
 print(json.dumps(out))
 """
 
@@ -87,3 +89,4 @@ def test_pricing_paths_leave_scipy_optimize_unloaded():
     assert 0 < out["fit_iterations"] <= 60
     assert out["fit_objective"] < 1e-7
     assert out["after_calibration"] == []
+    assert out["after_mc"] == []

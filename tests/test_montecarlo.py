@@ -241,10 +241,11 @@ def test_config_validation():
         MCConfig(paths=0)
     with pytest.raises(InvariantError, match="steps_per_year"):
         MCConfig(steps_per_year=0)
-    with pytest.raises(InvariantError, match="substitution"):
-        MCConfig(substitution=("caplet",))
-    with pytest.raises(InvariantError, match="substitution"):
-        MCConfig(substitution=("basket", 1, 2))
+    # Only a 2-tuple ("caplet", j) or a 3-tuple ("swap", p, q) is a mode.
+    for sub in ((), ("caplet",), ("swap", 2), "caplet", ("caplet", 1, 2),
+                ("basket", 1, 2)):
+        with pytest.raises(InvariantError, match="substitution"):
+            MCConfig(substitution=sub)
     for threads in (0, -3):
         with pytest.raises(InvariantError, match="threads"):
             MCConfig(threads=threads)
