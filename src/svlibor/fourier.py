@@ -21,6 +21,15 @@ their node-only contour terms when it was constructed.  ``price_row`` then
 costs one CF call on the contour and one matrix-vector product, so a
 calibration builds its row once and prices every candidate against it.
 
+No sine, cosine or complex exponential is evaluated directly.  numpy's
+float64 tan is vectorized where those are scalar code, so every phase pair
+comes from one tangent per node and strike, by the half-angle identity
+
+    (cos theta, sin theta) = ((1 - t^2), 2t) / (1 + t^2),  t = tan(theta/2),
+
+and the characteristic functions' exponentials from one tangent per node
+(``charfn._exp``, the same identity times e^{Re}).
+
 The cost of a row does not depend on the state of the C heap.  A row
 allocates its phase matrix and builds it in place; a warm ``price_row``
 writes the CF values, their tangents and the integrand into per-thread
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scratch import Scratch
-from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
+from .charfn import (_exp, caplet_cf_params, explosion_margin, heston_cf,
                      swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
 from .market_data import strip_libors, swap_context
@@ -61,6 +70,25 @@ __all__ = [
 ]
 
 
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit those of
+# ``numpy.polynomial.legendre.leggauss(16)``: written out, so that importing
+# the package does not load ``numpy.polynomial``.
+_GL16_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499])
+_GL16_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176])
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Graded static half-line quadrature on [0, z_max], with its nodes.
@@ -77,7 +105,10 @@ class QuadratureConfig:
     1e-9; the calibration objective uses 768 (``calibrate.QUAD``).
 
     The constructor builds the rule's read-only arrays with their
-    node-only contour terms; equality and hash are those of (z_max, n).
+    node-only contour terms, from the 16-point rule written out in this
+    module; equality and hash are those of (z_max, n).  A strike row's
+    phase pairs are its ``pair_weights`` times ((1 - t^2), 2t) / (1 + t^2),
+    t = tan(z ln(K/F) / 2) at each of its ``nodes``.
     """
 
     z_max: float = 400.0
@@ -100,7 +131,7 @@ class QuadratureConfig:
             raise InvariantError("n", "need at least 64 nodes")
         if self.n % 16:
             raise InvariantError("n", "node count must be a multiple of 16")
-        x, w = np.polynomial.legendre.leggauss(16)
+        x, w = _GL16_NODES, _GL16_WEIGHTS
         panels = self.n // 16
         uniform = panels * 3 // 8
         knee = self.z_max / 10.0
@@ -127,6 +158,9 @@ class QuadratureConfig:
 # function that varies on a scale under half of it near z = 0 is refused.
 INNER_PANEL = 1e-4
 DEFAULT_QUAD = QuadratureConfig()
+
+# Strikes whose phase tangents share one pair of work arrays.
+PHASE_BLOCK = 16
 
 _SCRATCH = Scratch()
 _SQRT2 = math.sqrt(2.0)
@@ -199,10 +233,12 @@ class StrikeRow:
     priced for any number of characteristic functions (``price_row``).
     Zero strikes price by parity, discount * forward; the live (positive)
     ones carry ln(F/K) for Black-76 and a phase row over the rule's nodes:
-    w cos(z ln(K/F)) and w sin(z ln(K/F)) interleaved per node (w the
-    node's weight), the layout of a complex array's (real, imaginary)
-    pairs.  Its arrays are read-only: a calibration prices every candidate
-    against one row.
+    w cos(theta) and w sin(theta), theta = z ln(K/F), interleaved per node
+    (w the node's weight), the layout of a complex array's (real,
+    imaginary) pairs.  A pair is built as w ((1 - t^2), 2t) / (1 + t^2)
+    from t = tan(theta / 2), within 4 * 2^-53 w of numpy's cos and sin.
+    Its arrays are read-only: a calibration prices every candidate against
+    one row.
     """
 
     forward: float
@@ -228,15 +264,31 @@ def _strike_row(forward: float, strike: np.ndarray, discount: float,
     if K_live.size and forward <= 0.0:
         raise StrikeError("Carr-Madan needs a positive forward")
     # Built in place, so that a row allocates its phases and nothing else
-    # of their size: z ln(K/F) in the cosine slots, then its sines and
-    # cosines, then every pair times its node's weight.  The loops run
-    # over strikes: numpy buffers a broadcast product over the whole matrix.
+    # of their size.  A block of strikes at a time, t = tan(theta / 2) and
+    # t^2 go into contiguous work arrays (tan and the arithmetic there run
+    # at about half their cost on the interleaved slots), and the pairs
+    # (1 - t^2, 2t) / (1 + t^2) into the phases; then every pair is
+    # multiplied by its node's weight.  The loops over strikes are where an
+    # array broadcasts: numpy buffers a broadcast product over the whole
+    # matrix.
     phases = np.empty((K_live.size, 2 * quad.nodes.size))
-    cos, sin = phases[:, 0::2], phases[:, 1::2]
-    for row, log_kf in zip(cos, np.log(K_live / forward)):
-        np.multiply(log_kf, quad.nodes, out=row)
-    np.sin(cos, out=sin)
-    np.cos(cos, out=cos)
+    buf = _SCRATCH.arrays(quad.nodes.shape)
+    t_work = buf("tan", float, rows=PHASE_BLOCK)
+    t_sq_work = buf("tan_sq", float, rows=PHASE_BLOCK)
+    half_log_kf = 0.5 * np.log(K_live / forward)
+    for start in range(0, K_live.size, PHASE_BLOCK):
+        block = phases[start:start + PHASE_BLOCK]
+        cos, sin = block[:, 0::2], block[:, 1::2]
+        t, t_sq = t_work[:len(block)], t_sq_work[:len(block)]
+        for row, half in zip(t, half_log_kf[start:start + PHASE_BLOCK]):
+            np.multiply(half, quad.nodes, out=row)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=t_sq)
+        np.subtract(1.0, t_sq, out=cos)
+        t_sq += 1.0
+        cos /= t_sq
+        t *= 2.0
+        np.divide(t, t_sq, out=sin)
     for row in phases:
         row *= quad.pair_weights
     log_fk = np.log(forward / K_live)
@@ -278,7 +330,7 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     buf = _SCRATCH.arrays(rule.nodes.shape)
     black_values = np.multiply(rule.psi[:-1], -0.5 * sigma_b ** 2 * expiry,
                                out=buf("black"))
-    np.exp(black_values, out=black_values)
+    _exp(black_values, black_values)
     base = np.subtract(black_values, values[:-1], out=buf("base"))
     base /= rule.denom
     # Re(exp(-i k z) base) @ weights = phases @ (Re base, Im base) pairs.

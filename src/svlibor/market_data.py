@@ -11,7 +11,7 @@ mathematical form at the cost of one unused slot.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,16 @@ def _read_only(raw) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TenorStructure:
-    """Ordered tenor dates T_0 .. T_n in years, with T_0 = 0."""
+    """Ordered tenor dates T_0 .. T_n in years, with T_0 = 0.
+
+    ``day_counts`` and ``accruals()`` are built once, read-only; a caller
+    that writes into one copies it first.
+    """
 
     dates: np.ndarray
+    # delta_i = T_{i+1} - T_i for i = 0..n-1.
+    day_counts: np.ndarray = field(init=False, repr=False)
+    _accruals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dates = _read_only(self.dates)
@@ -52,23 +59,21 @@ class TenorStructure:
             raise InvariantError("dates", "need at least T_0, T_1, T_2")
         if dates[0] != 0.0:
             raise InvariantError("dates", "T_0 must be 0")
-        if not np.all(np.diff(dates) > 0.0):
+        day_counts = np.diff(dates)
+        if not np.all(day_counts > 0.0):
             raise InvariantError("dates", "tenor dates must be strictly increasing")
+        accruals = np.append(day_counts, np.nan)
+        for name, arr in (("day_counts", day_counts), ("_accruals", accruals)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.dates.size - 1
 
-    @property
-    def day_counts(self) -> np.ndarray:
-        """delta_i = T_{i+1} - T_i for i = 0..n-1."""
-        return np.diff(self.dates)
-
     def accruals(self) -> np.ndarray:
         """Padded accrual array: entry j = delta_j for j = 0..n-1, NaN at n."""
-        out = np.full(self.n + 1, np.nan)
-        out[:-1] = self.day_counts
-        return out
+        return self._accruals
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,6 +52,7 @@ Libors read them, so the rows live Libors read are always a suffix too.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -102,10 +103,13 @@ class MCConfig:
             raise InvariantError("paths", "antithetic sampling needs an even count")
         sub = self.substitution
         modes = ((("caplet",), 2), (("swap",), 3))  # (kind,), tuple length
-        if sub is not None and not (isinstance(sub, tuple)
-                                    and (sub[:1], len(sub)) in modes):
+        if sub is not None and not (
+                isinstance(sub, tuple) and (sub[:1], len(sub)) in modes
+                and all(isinstance(i, numbers.Integral)
+                        and not isinstance(i, bool) for i in sub[1:])):
             raise InvariantError("substitution",
-                                 f"expected ('caplet', j) or ('swap', p, q), got {sub!r}")
+                                 "expected ('caplet', j) or ('swap', p, q) with"
+                                 f" integer indices, got {sub!r}")
 
 
 @dataclass(frozen=True)

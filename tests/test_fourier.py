@@ -33,8 +33,11 @@ from svlibor import (
     swaption_cf_params,
     swaption_price,
 )
+from svlibor import fourier
+from svlibor.calibrate import QUAD
 from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
-from svlibor.fourier import _norm_cdf, caplet_row, price_row, swaption_row
+from svlibor.fourier import (DEFAULT_QUAD, _norm_cdf, caplet_row, price_row,
+                             swaption_row)
 
 import oracles
 
@@ -464,3 +467,27 @@ def test_cv_black_identity_random(log_m, sigma, T):
     price = carr_madan_cv(lambda z: black_cf(z, sigma, T), F, K, T, 1.0,
                           sigma)
     assert price == pytest.approx(black76(F, T, sigma, K), abs=1e-10)
+
+
+def test_gauss_legendre_literals_match_leggauss():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert fourier._GL16_NODES.tobytes() == x.tobytes()
+    assert fourier._GL16_WEIGHTS.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("quad", [DEFAULT_QUAD, QUAD],
+                         ids=["DEFAULT_QUAD", "calibrate.QUAD"])
+def test_half_angle_phases_match_sin_cos(quad):
+    # Each weighted pair w ((1 - t^2), 2t) / (1 + t^2), t = tan(theta / 2),
+    # against w cos(theta) and w sin(theta) from numpy, for ln(K/F) in
+    # [-10, 10]: |theta| reaches 4,000 on the default rule.  Both sides
+    # round, so the bound is 4 * 2^-53 times the node's weight.
+    strikes = np.exp(np.linspace(-10.0, 10.0, 2001))
+    row = fourier._strike_row(1.0, strikes, 1.0, quad)
+    theta = np.multiply.outer(np.log(row.strikes / row.forward), quad.nodes)
+    weights = quad.pair_weights[0::2]
+    bound = 4.0 * 2.0 ** -53 * weights
+    assert np.all(np.abs(row.phases[:, 0::2] - weights * np.cos(theta))
+                  <= bound)
+    assert np.all(np.abs(row.phases[:, 1::2] - weights * np.sin(theta))
+                  <= bound)

@@ -5,8 +5,10 @@ steps) and the calibration (``calibrate_maturity``, a Levenberg-Marquardt
 loop written with numpy) leave every ``scipy`` module unloaded; scipy is
 a test dependency only.  Only Monte Carlo needs a thread pool, so the
 import, the Fourier pricing and the calibration leave ``concurrent``
-unloaded too.  The check runs in a fresh interpreter, because this test
-process has long since loaded both.
+unloaded too, and importing the package leaves ``numpy.polynomial``
+unloaded (the quadrature's Gauss-Legendre rule is written out).  The check
+runs in a fresh interpreter, because this test process has long since
+loaded all three.
 """
 
 import json
@@ -38,7 +40,9 @@ tenor, curve = load_curve("fixtures/curve_table.csv")
 params = load_params("fixtures/model_table.json")
 fact = build_factorization(params, tenor)
 libors = strip_libors(curve, tenor)
-out = {"after_import": loaded("scipy", "concurrent")}
+out = {"after_import": loaded("scipy", "concurrent"),
+       "polynomial": sorted(m for m in sys.modules
+                            if m.startswith("numpy.polynomial"))}
 
 strikes = np.array([0.8, 1.0, 1.2]) * libors[5]
 caplets = caplet_price(5, strikes, tenor, curve, params, fact)
@@ -82,6 +86,7 @@ def run_fresh(script: str) -> dict:
 def test_pricing_paths_leave_scipy_optimize_unloaded():
     out = run_fresh(SCRIPT)
     assert out["after_import"] == []
+    assert out["polynomial"] == []
     assert out["prices_finite"]
     assert out["after_pricing"] == []
     assert abs(out["implied_vol"] - 0.2) < 1e-10

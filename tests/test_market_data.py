@@ -43,6 +43,17 @@ def test_fixture_curve_shape(tenor, curve):
     assert np.all(tenor.day_counts == 1.0)
 
 
+def test_tenor_arrays_built_once_read_only(tenor):
+    padded = np.full(tenor.n + 1, np.nan)
+    padded[:-1] = np.diff(tenor.dates)
+    for arr, want in ((tenor.day_counts, np.diff(tenor.dates)),
+                      (tenor.accruals(), padded)):
+        assert arr.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    assert tenor.accruals() is tenor.accruals()
+
+
 def test_stripped_libors_match_oracle(tenor, curve, libors):
     ref = oracles.libors_from_bonds()
     assert np.isnan(libors[0]) and np.isnan(libors[20])

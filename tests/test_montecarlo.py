@@ -246,6 +246,10 @@ def test_config_validation():
                 ("basket", 1, 2)):
         with pytest.raises(InvariantError, match="substitution"):
             MCConfig(substitution=sub)
+    # Its indices are integers: 2.5 is refused, not truncated to 2.
+    for sub in (("caplet", 2.5), ("swap", 2, 7.0), ("caplet", True)):
+        with pytest.raises(InvariantError, match="integer indices"):
+            MCConfig(substitution=sub)
     for threads in (0, -3):
         with pytest.raises(InvariantError, match="threads"):
             MCConfig(threads=threads)
@@ -262,6 +266,14 @@ def test_horizon_and_recording_guards(tenor, curve, params, fact):
     with pytest.raises(InvariantError, match="record_times"):
         simulate(tenor, curve, params, fact, 2.0,
                  MCConfig(paths=8, steps_per_year=2), record_times=[0.37])
+
+
+def test_numpy_integer_substitution_index(tenor, curve, params, fact):
+    cfg = MCConfig(paths=8, steps_per_year=1, substitution=("caplet", 2))
+    as_numpy = dataclasses.replace(cfg, substitution=("caplet", np.int64(2)))
+    got = mc_caplet(3, 0.02, tenor, curve, params, fact, as_numpy)
+    want = mc_caplet(3, 0.02, tenor, curve, params, fact, cfg)
+    assert (got.price, got.se) == (want.price, want.se)
 
 
 def test_substitution_swap_mode_runs(tenor, curve, params, fact):
