@@ -40,7 +40,8 @@ the same guarded branches as the value; the calibration's Jacobian is
 built from them.  Given arrays for its results (``out``), it writes every
 node array into the calling thread's work arrays, so that pricing a
 Fourier row allocates none.  Its two complex exponentials, e^{-dT} and phi
-itself, are built from one tangent per node (``_exp``).
+itself, are numpy's ``exp``: every argument has a non-positive real part
+on the contour, so neither needs guarding.
 """
 
 from __future__ import annotations
@@ -113,36 +114,6 @@ class CharFnParams:
             raise InvariantError("sigma_beta", "exceeds eps * |beta|")
 
 
-def _exp(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^z of a complex array into the complex array ``out`` (``z`` itself
-    allowed), from one tangent per point:
-
-        e^{x+iy} = e^x ((1 - t^2) + 2it) / (1 + t^2),   t = tan(y/2).
-
-    numpy's float64 tan is vectorized where its sin, cos and complex exp
-    are not, so this costs about half of ``np.exp`` where e^x does not
-    underflow (below x of about -708 numpy's real exp is scalar code too).
-    It agrees with ``np.exp`` to a few ulps of |e^z|, and is inf or nan
-    wherever ``np.exp`` is.  The two float work arrays are this thread's
-    (``_scratch``).
-    """
-    buf = _SCRATCH.arrays(out.shape)
-    t_sq, denom = buf("exp_t_sq", float), buf("exp_denom", float)
-    re, im = out.real, out.imag
-    np.multiply(z.imag, 0.5, out=im)
-    np.exp(z.real, out=re)
-    np.tan(im, out=im)
-    np.multiply(im, im, out=t_sq)
-    np.add(t_sq, 1.0, out=denom)
-    np.subtract(1.0, t_sq, out=t_sq)
-    t_sq /= denom  # cos y
-    im *= 2.0
-    im /= denom  # sin y
-    im *= re
-    re *= t_sq
-    return out
-
-
 def _deterministic_cf(z: np.ndarray, p: CharFnParams) -> np.ndarray:
     # eps = 0: v follows dv = kappa*(theta* - v)dt and the log-rate is
     # Gaussian with variance |beta|^2 int v + Gamma.
@@ -189,26 +160,14 @@ def heston_cf(z, p: CharFnParams, psi=None, tangents=None, out=None):
     if out is not None:
         return _heston_cf(z, p, psi, tangents, out)
     shape = z.shape
-    if z.size == 1:
-        # numpy runs an in-place product over one element as a reduction,
-        # which rounds a complex product differently; on two copies a point
-        # gets the value it has in any longer array.
-        z, psi = np.repeat(z, 2), np.repeat(psi, 2)
+    z, psi = np.atleast_1d(z), np.atleast_1d(psi)
     phi = np.empty(z.shape, dtype=complex)
     if tangents is None:
-        return _points(_heston_cf(z, p, psi, None, phi), shape)
-    d_phi = np.empty((np.shape(tangents)[0],) + z.shape, dtype=complex)
+        return _heston_cf(z, p, psi, None, phi).reshape(shape)[()]
+    k = np.shape(tangents)[0]
+    d_phi = np.empty((k,) + z.shape, dtype=complex)
     phi, d_phi = _heston_cf(z, p, psi, tangents, (phi, d_phi))
-    return _points(phi, shape), _points(d_phi, shape)
-
-
-def _points(values: np.ndarray, shape: tuple):
-    """``values`` (points on the last axes) for points of ``shape``, a
-    numpy scalar for shape (); a lone point's are those of its first copy."""
-    if math.prod(shape) != 1:
-        return values
-    values = values[..., :1].reshape(values.shape[:-1] + shape)
-    return values[()] if values.ndim == 0 else values
+    return phi.reshape(shape)[()], d_phi.reshape((k,) + shape)
 
 
 def _heston_cf(z: np.ndarray, p: CharFnParams, psi: np.ndarray, tangents,
@@ -223,7 +182,7 @@ def _heston_cf(z: np.ndarray, p: CharFnParams, psi: np.ndarray, tangents,
     # Every step writes into a work array with ``out=`` and keeps the
     # operand order of the expression it stands for (numpy's complex product
     # need not commute bitwise), so the values are bitwise those of the
-    # formulas evaluated into new arrays, with ``_exp`` for exp.
+    # formulas evaluated into new arrays.
     buf = _SCRATCH.arrays(z.shape)
     tmp = buf("tmp")
     mod, mod2 = buf("mod", float), buf("mod2", float)
@@ -236,10 +195,8 @@ def _heston_cf(z: np.ndarray, p: CharFnParams, psi: np.ndarray, tangents,
     np.sqrt(d, out=d)
     T = p.horizon
     dT = np.multiply(d, T, out=buf("dT"))
-    # Both complex exponentials, E here and phi at the end, take one
-    # tangent per node (``_exp``) in place of numpy's complex exp.
     E = np.negative(dT, out=buf("E"))
-    _exp(E, E)
+    np.exp(E, out=E)
 
     # a + d and a - d: the larger in modulus is formed directly, the other
     # from (a + d)(a - d) = -|beta|^2 psi eps^2 without cancellation.  The
@@ -303,9 +260,9 @@ def _heston_cf(z: np.ndarray, p: CharFnParams, psi: np.ndarray, tangents,
         gamma_term *= p.gamma_int
         exponent -= gamma_term
     if tangents is None:
-        return _exp(exponent, out)
+        return np.exp(exponent, out=out)
     phi, d_phi = out
-    _exp(exponent, phi)
+    np.exp(exponent, out=phi)
 
     # Forward-mode tangents.  At every node phi depends on the fields only
     # through a, w_sq and scalar factors, so the derivatives of the

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -36,19 +37,28 @@ def _open_out(path):
             yield fh
 
 
-def _json_default(obj):
+def _plain(obj):
+    """``obj`` as JSON values: a record (dataclass instance) as its fields,
+    an array as a list, and a float that is not finite as None, at any
+    depth."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
+        return _plain(dataclasses.asdict(obj))
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return _plain(obj.tolist())
+    return obj
 
 
 def _write_json(path, payload) -> None:
-    """``payload`` as indented JSON; a record (dataclass instance) is
-    written as its fields and an array as a list, at any depth."""
+    """``payload`` as indented strict JSON (``_plain``): no NaN or
+    Infinity token, which strict parsers reject, but null."""
     with _open_out(path) as out:
-        json.dump(payload, out, indent=2, default=_json_default)
+        json.dump(_plain(payload), out, indent=2, allow_nan=False)
         out.write("\n")
 
 

@@ -21,14 +21,13 @@ their node-only contour terms when it was constructed.  ``price_row`` then
 costs one CF call on the contour and one matrix-vector product, so a
 calibration builds its row once and prices every candidate against it.
 
-No sine, cosine or complex exponential is evaluated directly.  numpy's
-float64 tan is vectorized where those are scalar code, so every phase pair
+No sine or cosine is evaluated on the phases.  numpy's float64 tan is
+vectorized where its sin and cos are scalar code, so every phase pair
 comes from one tangent per node and strike, by the half-angle identity
 
-    (cos theta, sin theta) = ((1 - t^2), 2t) / (1 + t^2),  t = tan(theta/2),
+    (cos theta, sin theta) = ((1 - t^2), 2t) / (1 + t^2),  t = tan(theta/2).
 
-and the characteristic functions' exponentials from one tangent per node
-(``charfn._exp``, the same identity times e^{Re}).
+The characteristic functions' complex exponentials are numpy's ``exp``.
 
 The cost of a row does not depend on the state of the C heap.  A row
 allocates its phase matrix and builds it in place; a warm ``price_row``
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scratch import Scratch
-from .charfn import (_exp, caplet_cf_params, explosion_margin, heston_cf,
+from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
                      swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
 from .market_data import strip_libors, swap_context
@@ -330,7 +329,7 @@ def _invert(row: StrikeRow, values: np.ndarray, sigma_b: float,
     buf = _SCRATCH.arrays(rule.nodes.shape)
     black_values = np.multiply(rule.psi[:-1], -0.5 * sigma_b ** 2 * expiry,
                                out=buf("black"))
-    _exp(black_values, black_values)
+    np.exp(black_values, out=black_values)
     base = np.subtract(black_values, values[:-1], out=buf("base"))
     base /= rule.denom
     # Re(exp(-i k z) base) @ weights = phases @ (Re base, Im base) pairs.

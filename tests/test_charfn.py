@@ -24,7 +24,7 @@ from svlibor import (
     swaption_cf_params,
 )
 from svlibor.calibrate import BOUNDS, QUAD
-from svlibor.charfn import TANGENT_FIELDS, _exp, explosion_margin
+from svlibor.charfn import TANGENT_FIELDS, explosion_margin
 
 import oracles
 
@@ -315,12 +315,19 @@ def test_tangent_rows_combine_linearly(params, fact, tenor, libors):
     z = np.array([0.3 - 1.0j, 4.0, 12.0 - 1.0j])
     rows = np.array([[1.0, -2.0, 0.5, 0.0, 3.0], [0.0, 0.0, 0.0, 1.0, 0.0]])
     _, basis = heston_cf(z, p, tangents=np.eye(5))
-    _, combined = heston_cf(z, p, tangents=rows)
+    values, combined = heston_cf(z, p, tangents=rows)
     np.testing.assert_allclose(combined, rows @ basis, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(basis)))
-    value, scalar = heston_cf(z[0], p, tangents=rows)
-    assert value == heston_cf(z[0], p)
-    np.testing.assert_array_equal(scalar, combined[:, 0])
+    # Each point priced alone, as a scalar or a one-point array, has bitwise
+    # the value and tangents it has in the array.
+    for k in range(z.size):
+        for point in (z[k], z[k:k + 1]):
+            value, scalar = heston_cf(point, p, tangents=rows)
+            assert np.shape(value) == np.shape(point)
+            assert scalar.shape == (len(rows),) + np.shape(point)
+            assert value.tobytes() == values[k].tobytes()
+            assert heston_cf(point, p).tobytes() == values[k].tobytes()
+            assert scalar.tobytes() == combined[:, k].tobytes()
 
 
 def test_tangents_on_phi1_series(params, fact, tenor, libors):
@@ -365,35 +372,3 @@ def test_no_tangents_in_deterministic_limit(params, fact, tenor, libors):
     with pytest.raises(NotImplementedError):
         heston_cf(1.0 - 1.0j, p, tangents=np.eye(5))
 
-
-def test_exp_helper_matches_numpy():
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-700.0, 700.0, 20000) + 1j * rng.uniform(-1e4, 1e4, 20000)
-    z[:200] = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
-    want = np.exp(z)
-    got = _exp(z, np.empty_like(z))
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-    _exp(z, z)  # in place
-    np.testing.assert_array_equal(z, got)
-
-
-def test_exp_helper_non_finite_where_numpy_is():
-    # _invert raises QuadratureError on a non-finite CF value, so every
-    # value np.exp makes inf or nan must stay non-finite.
-    parts = (0.0, -1.0, 3.0, 710.0, -710.0, np.inf, -np.inf, np.nan)
-    z = np.array([complex(x, y) for x in parts for y in parts])
-    with np.errstate(all="ignore"):
-        want = np.isfinite(np.exp(z))
-        got = np.isfinite(_exp(z, np.empty_like(z)))
-    assert not want.all()
-    assert not np.any(want < got)
-
-
-def test_exp_helper_point_alone_as_in_array():
-    # numpy's vector loops handle an array's tail apart from its body.
-    rng = np.random.default_rng(4)
-    z = rng.uniform(-5.0, 5.0, 37) + 1j * rng.uniform(-1e3, 1e3, 37)
-    whole = _exp(z, np.empty_like(z))
-    for k in range(z.size):
-        alone = _exp(z[k:k + 1], np.empty(1, dtype=complex))
-        assert alone.tobytes() == whole[k:k + 1].tobytes()

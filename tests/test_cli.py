@@ -28,6 +28,14 @@ def write_small_market(tmp_path):
     return curve, model
 
 
+def strict_json(text):
+    """``text`` parsed as strict parsers do: a NaN or Infinity token is an
+    error."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestStrip:
     def test_matches_library(self, tmp_path, fixtures_dir, libors, tenor):
         out = tmp_path / "libors.csv"
@@ -180,6 +188,18 @@ class TestMcPrice:
         assert blob["paths"] == 2048 and blob["seed"] == 3
         assert 0.0 < blob["price"] < 0.1
         assert blob["se"] > 0.0
+
+    def test_one_path_writes_null_standard_error(self, tmp_path,
+                                                 fixtures_dir):
+        out = tmp_path / "mc.json"
+        assert main(["mc-price",
+                     "--curve", str(fixtures_dir / "curve_table.csv"),
+                     "--model", str(fixtures_dir / "model_table.json"),
+                     "--j", "3", "--strike", "0.01", "--paths", "1",
+                     "--out", str(out)]) == 0
+        blob = strict_json(out.read_text())
+        assert blob["se"] is None and blob["paths"] == 1
+        assert np.isfinite(blob["price"])
 
     def test_caplet_and_swaption_flags_conflict(self, fixtures_dir, capsys):
         rc = main(["mc-price", "--curve", str(fixtures_dir / "curve_table.csv"),
@@ -335,7 +355,11 @@ class TestCalibrate:
                               equal_nan=True)
         assert np.array_equal(got_tenor.dates, tenor.dates)
         assert np.array_equal(got_curve.bonds, curve.bonds)
-        fit = json.loads(out.read_text())["fits"][-1]
+        fits = strict_json(out.read_text())["fits"]
+        # Maturities without a panel are not fitted: null, not NaN.
+        assert [f["objective"] for f in fits[:-1]] == [None] * 4
+        assert [f["residual_rms"] for f in fits[:-1]] == [None] * 4
+        fit = fits[-1]
         assert fit["iterations"] > 0
         assert isinstance(fit["status"], int) and fit["message"]
         assert fit["penalties"] == 0
