@@ -8,21 +8,22 @@ negative).  Each L_j freezes at its own fixing date T_j; variances keep
 evolving since later Libors still reference them.
 
 Reproducibility: normals come from a counter-based generator (Philox)
-keyed by the seed with the path index in the counter's high bits, so every
-path owns a fixed stream regardless of how paths are grouped into blocks
-or threads.  A block builds one generator and resets its counter for each
-path, and lays the block's normals out step-major, (steps, paths, dim), so
-each step reads one contiguous slice.  Blocks have a fixed size, BLOCK =
-1024 paths, and are stacked in index order, which makes results bitwise
-identical across thread counts.  A worker thread holds one block's normals,
-steps * 1024 * dim * 8 bytes: 26 MB for 152 steps and dim = 21.  Results
-also do not depend on the block size, bitwise, for any path count: a block
-whose path count is not a multiple of PAD = 8 (the kernel width measured
-with OpenBLAS on x86-64) is padded up to one with the next paths' own
-streams, and the padded paths are dropped before anything reads the
-snapshots.  Unpadded, the BLAS edge kernel that serves a block's ragged
-last paths may round their last bit differently for other block sizes or
-row counts.
+keyed by the seed.  Paths fall into fixed groups of GROUP = 1024, and the
+normals of step s for the paths of group g are read in path order from the
+stream with counter (0, 0, g, s); under antithetic sampling one row per
+pair i >> 1, negated on odd paths.  A block draws each step's (paths, dim)
+normals just before the step, one generator call per group, into one
+array that every step reuses, so a worker holds one step's normals however
+many steps it simulates, and a time's values do not depend on the horizon
+simulated.  Blocks have a fixed size, BLOCK = 2048 paths, a multiple of
+GROUP, and are stacked in index order, which makes results bitwise
+identical across thread counts.  Results also do not depend on the block
+size, bitwise, for any path count: a block whose path count is not a
+multiple of PAD = 8 (the kernel width measured with OpenBLAS on x86-64) is
+padded up to one with the next rows of its last group's stream, and the
+padded paths are dropped before anything reads the snapshots.  Unpadded,
+the BLAS edge kernel that serves a block's ragged last paths may round
+their last bit differently for other block sizes or row counts.
 
 Each step is a few BLAS products and in-place elementwise updates on a
 (rows, paths) state: one product of the step's normals with the stacked
@@ -73,12 +74,20 @@ __all__ = [
     "deflated_bond_means",
 ]
 
-# Fixed so the path-to-block assignment never depends on the thread count.
-BLOCK = 1024
+# Paths share a normal stream per step in fixed groups of GROUP paths.
+GROUP = 1024
+# Paths stepped together, a multiple of GROUP so that every block starts at
+# a group; fixed so the path-to-block assignment never depends on the
+# thread count.
+BLOCK = 2048
 # Blocks simulate a multiple of PAD paths, so that every path goes through
 # the BLAS kernel's full-width columns.
 PAD = 8
-CHUNK = 16  # paths drawn before each copy into a block's step-major normals
+# Multiply-adds per BLAS product.  OpenBLAS runs a product below 2**19 on
+# the calling thread and splits larger ones over its own threads, which then
+# compete with the worker threads for the cores unless BLAS is pinned to one
+# thread.
+SERIAL_PRODUCT = 2**19
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,12 @@ class MCConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("paths", "steps_per_year", "seed", "threads"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                raise InvariantError(name,
+                                     f"expected an integer, got {value!r}")
         if self.paths < 1:
             raise InvariantError("paths", "need at least one path")
         if self.steps_per_year < 1:
@@ -225,6 +240,11 @@ class _Precomp:
         if self.mh:
             load[n + nv:, self.m:-1] = gamma
         self.load = load
+        # Paths per product: the widest power of two up to GROUP that keeps
+        # the noise product, the largest, within SERIAL_PRODUCT.
+        self.span = GROUP
+        while self.span > PAD and self.span * load.size > SERIAL_PRODUCT:
+            self.span //= 2
 
         # X_j updates on the step starting at grid[s] while T_j > grid[s],
         # so the live Libors are j0(s)..n-1; steps with one j0 form a
@@ -280,33 +300,42 @@ def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
     return np.asarray(times)
 
 
-def _block_normals(p0: int, p1: int, pre: _Precomp, cfg: MCConfig) -> np.ndarray:
-    """Step-major normals (n_steps, paths, dim) for paths p0..p1-1.
+def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig):
+    """``draw(s)``: the (P, dim) normals of step s for paths p0..p0+P-1.
 
-    Path i draws from Philox keyed by the seed with counter i << 128 (under
-    antithetic sampling, pair i >> 1, negated on odd paths).  Resetting one
-    generator's counter gives the stream of a freshly built generator.
-    Paths are drawn into a contiguous chunk first, so the step-major copy
-    writes runs of CHUNK paths rather than single rows.
+    Group g = path // GROUP reads step s from Philox keyed by the seed with
+    counter (0, 0, g, s): one row per path, in path order, or under
+    antithetic sampling one row per pair, copied to the even path and
+    negated on the odd one.  Resetting one generator's counter gives the
+    stream of a freshly built generator.  ``draw`` refills and returns the
+    same array on every call.
     """
-    out = np.empty((pre.n_steps, p1 - p0, pre.dim))
+    if p0 % GROUP:
+        raise InvariantError("BLOCK", "blocks must start at a path group")
     bitgen = np.random.Philox(key=cfg.seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # buffer empty, so a new counter restarts the stream
-    chunk = np.empty((CHUNK, pre.n_steps, pre.dim))
-    for i0 in range(0, p1 - p0, CHUNK):
-        size = min(CHUNK, p1 - p0 - i0)
-        for k, path in enumerate(range(p0 + i0, p0 + i0 + size)):
-            if cfg.antithetic and path % 2:
-                # Blocks and chunks start at even paths: the partner is k - 1.
-                np.negative(chunk[k - 1], out=chunk[k])
-                continue
-            stream = path >> 1 if cfg.antithetic else path
-            state["state"]["counter"][:] = (0, 0, stream, 0)
+    counter = state["state"]["counter"]
+    out = np.empty((P, dim))
+    groups = [((p0 + c0) // GROUP, out[c0:c0 + GROUP])
+              for c0 in range(0, P, GROUP)]
+    pairs = np.empty((min(P, GROUP) // 2, dim)) if cfg.antithetic else None
+
+    def draw(s: int) -> np.ndarray:
+        for g, z in groups:
+            counter[:] = (0, 0, g, s)
             bitgen.state = state
-            gen.standard_normal(out=chunk[k])
-        out[:, i0:i0 + size] = chunk[:size].transpose(1, 0, 2)
-    return out
+            if pairs is None:
+                gen.standard_normal(out=z)
+                continue
+            half = pairs[:z.shape[0] // 2]
+            gen.standard_normal(out=half)
+            by_pair = z.reshape(-1, 2, dim)
+            by_pair[:, 0] = half
+            np.negative(half, out=by_pair[:, 1])
+        return out
+
+    return draw
 
 
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
@@ -318,7 +347,13 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
     but neither checked nor reported."""
     keep = p1 - p0
     P = -(-keep // PAD) * PAD
-    normals = _block_normals(p0, p0 + P, pre, cfg)
+    draw = _step_normals(p0, P, pre.dim, cfg)
+    spans = [slice(c0, c0 + pre.span) for c0 in range(0, P, pre.span)]
+
+    def product(a, b, out):
+        for cols in spans:
+            np.matmul(a, b[:, cols], out=out[:, cols])
+
     n, nv = pre.n, pre.nv
     # The state is (rows, paths) so that every elementwise operation runs
     # over contiguous paths; work arrays are allocated once per block, and
@@ -357,11 +392,11 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
             c *= delta_col
             np.add(one_minus_da, c, out=work)
             c /= work
-            np.matmul(seg.load * pre.sqrt_dt[s], normals[s].T, out=W)
+            product(seg.load * pre.sqrt_dt[s], draw(s).T, W)
 
             drift_dt = -pre.dt[s]
             np.multiply(c, sqv, out=work)
-            np.matmul(seg.G * drift_dt, work, out=dX)
+            product(seg.G * drift_dt, work, dX)
             dX *= sqv
             np.multiply(vsel, half_beta_sq * drift_dt, out=work)
             dX += work
@@ -370,7 +405,7 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
             dX += noise
             if pre.mh:
                 dX += half_gam_sq * drift_dt
-                np.matmul(seg.Ggam * drift_dt, c, out=work)
+                product(seg.Ggam * drift_dt, c, work)
                 dX += work
                 dX += W[-nl:]
             X_live += dX

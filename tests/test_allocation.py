@@ -8,6 +8,9 @@ one-shot ``caplet_price``.  Temporaries of a few hundred KB per row would
 let the C heap hand memory back to the system and fault it in again on the
 next row, so that a row's cost depended on the heap's state.  Threads
 pricing the same row at once get the prices of a serial run.
+
+A Monte Carlo block draws each step's normals just before the step, so
+what it holds does not grow with the number of steps it simulates.
 """
 
 import sys
@@ -19,6 +22,7 @@ import pytest
 
 from svlibor.charfn import caplet_cf_params
 from svlibor.fourier import caplet_price, caplet_row, price_row
+from svlibor.montecarlo import MCConfig, mc_caplets
 
 J = 5
 # A transient allowance for the Python objects of a call (CF parameters,
@@ -98,3 +102,18 @@ def test_threads_pricing_one_row_agree_with_serial(strikes, cfp, tenor,
     for prices, d_prices in (r for out in results for r in out):
         np.testing.assert_array_equal(prices, serial[0])
         np.testing.assert_array_equal(d_prices, serial[1])
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_horizon(tenor, curve,
+                                                           params, fact):
+    # One block of 2,048 paths on one thread: the caplet on L_18 simulates
+    # to T_19 (152 steps), the one on L_5 to T_6 (48 steps); both keep two
+    # Libor snapshots.
+    cfg = MCConfig(paths=2048, threads=1)
+    K = np.array([0.02, 0.03])
+
+    def peak(j):
+        return transient_peak(
+            lambda: mc_caplets({j: K}, tenor, curve, params, fact, cfg))
+
+    assert peak(18) <= 1.25 * peak(5)

@@ -257,6 +257,15 @@ def test_config_validation():
         with pytest.raises(InvariantError, match="seed"):
             MCConfig(seed=seed)
     MCConfig(seed=2**128 - 1)
+    # Counts and the seed are integers: 1.5 is refused, not read as 1, and
+    # True is not a count.
+    for field, bad in (("seed", 1.5), ("paths", True), ("paths", 16.5),
+                       ("paths", 16.0), ("steps_per_year", 2.5),
+                       ("threads", 1.5), ("threads", False), ("seed", "1")):
+        with pytest.raises(InvariantError, match=f"{field}.*integer"):
+            MCConfig(**{field: bad})
+    MCConfig(paths=np.int64(16), steps_per_year=np.int32(2),
+             seed=np.uint64(3), threads=np.int8(2))
 
 
 def test_horizon_and_recording_guards(tenor, curve, params, fact):
@@ -294,36 +303,97 @@ def test_expiry_frozen_after_fixing(tenor, curve, params, fact):
     assert not np.array_equal(out[1.0][0][:, 5], out[2.0][0][:, 5])
 
 
+def _group_stream(seed: int, g: int, s: int, rows: int, dim: int,
+                  antithetic: bool) -> np.ndarray:
+    """Step s of path group g as the module docstring specifies it."""
+    gen = np.random.Generator(
+        np.random.Philox(key=seed, counter=(g << 128) | (s << 192)))
+    if not antithetic:
+        return gen.standard_normal((rows, dim))
+    pairs = gen.standard_normal((rows // 2, dim))
+    return np.stack([pairs, -pairs], axis=1).reshape(rows, dim)
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
-def test_block_normals_are_per_path_philox_streams(tenor, curve, params,
-                                                   fact, antithetic):
-    # The RNG contract of the module docstring: path i draws the stream of
-    # Philox(key=seed, counter=i << 128), or under antithetic sampling the
-    # stream of pair i >> 1, negated on odd paths.  Covers a full block and
-    # a partial last one.
-    cfg = MCConfig(paths=montecarlo.BLOCK + 4, steps_per_year=2, seed=11,
-                   antithetic=antithetic)
-    pre = montecarlo._Precomp(tenor, curve, params, fact, 1.5, cfg)
-    for p0, p1 in [(0, montecarlo.BLOCK), (montecarlo.BLOCK, cfg.paths)]:
-        block = montecarlo._block_normals(p0, p1, pre, cfg)
-        assert block.shape == (pre.n_steps, p1 - p0, pre.dim)
-        for i, path in enumerate(range(p0, p1)):
-            stream = path >> 1 if antithetic else path
-            gen = np.random.Generator(
-                np.random.Philox(key=cfg.seed, counter=stream << 128))
-            expected = gen.standard_normal((pre.n_steps, pre.dim))
-            if antithetic and path % 2:
-                expected = -expected
-            np.testing.assert_array_equal(block[:, i], expected)
+def test_step_normals_are_per_group_philox_streams(antithetic):
+    # The RNG contract of the module docstring: the normals of step s for
+    # the paths of group g = path // GROUP are read in path order from
+    # Philox(key=seed, counter=(0, 0, g, s)), or under antithetic sampling
+    # one row per pair, negated on odd paths.  Covers a first block of full
+    # groups and a block starting at group 2 that ends in a partial group.
+    group, dim = montecarlo.GROUP, 21
+    cfg = MCConfig(seed=11, antithetic=antithetic)
+    for p0, P in ((0, montecarlo.BLOCK), (montecarlo.BLOCK, group + 8)):
+        draw = montecarlo._step_normals(p0, P, dim, cfg)
+        for s in (0, 1, 151):
+            z = draw(s)
+            assert z.shape == (P, dim)
+            for c0 in range(0, P, group):
+                rows = min(group, P - c0)
+                want = _group_stream(cfg.seed, (p0 + c0) // group, s, rows,
+                                     dim, antithetic)
+                np.testing.assert_array_equal(z[c0:c0 + rows], want)
+    # A block that does not start at a group would read another stream.
+    with pytest.raises(InvariantError, match="BLOCK"):
+        montecarlo._step_normals(group // 2, 8, dim, cfg)
+
+
+def test_values_at_a_time_do_not_depend_on_the_horizon(tenor, curve, params,
+                                                       fact):
+    # Every step reads its own streams, so simulating further does not move
+    # a bit of what comes before, at any thread count.  The paths fill one
+    # block and end in a partial group of the next.
+    t5, t10 = float(tenor.dates[5]), float(tenor.dates[10])
+    for threads in (1, 2):
+        cfg = MCConfig(paths=montecarlo.BLOCK + 1000, steps_per_year=2,
+                       seed=3, threads=threads)
+        short = simulate(tenor, curve, params, fact, t5, cfg)
+        long = simulate(tenor, curve, params, fact, t10, cfg)
+        for t, (L, v) in short.items():
+            assert L.tobytes() == long[t][0].tobytes()
+            assert v.tobytes() == long[t][1].tobytes()
+
+
+def test_swaption_call_reads_the_caplet_calls_normals(tenor, curve, params,
+                                                      fact, monkeypatch):
+    # A swap-substituted swaption to T_5 draws, block by block and step by
+    # step, exactly the normals the true-model caplet call to T_19 draws:
+    # the simulations share their first steps' noise, whatever the model.
+    real = montecarlo._step_normals
+    seen = {}
+
+    def recording(p0, P, dim, cfg):
+        draw = real(p0, P, dim, cfg)
+
+        def record(s):
+            z = draw(s)
+            seen[cfg.substitution, p0, s] = z.tobytes()
+            return z
+        return record
+
+    monkeypatch.setattr(montecarlo, "_step_normals", recording)
+    base = dict(paths=montecarlo.BLOCK + 1000, steps_per_year=2, seed=5,
+                threads=2)
+    K = np.array([0.02])
+    mc_caplets({19: K}, tenor, curve, params, fact, MCConfig(**base))
+    sub = ("swap", 5, 10)
+    mc_swaptions({(5, 10): K}, tenor, curve, params, fact,
+                 MCConfig(substitution=sub, **base))
+    caplet = {key[1:]: z for key, z in seen.items() if key[0] is None}
+    swaption = {key[1:]: z for key, z in seen.items() if key[0] == sub}
+    assert {s for _, s in swaption} == set(range(10))
+    assert {p0 for p0, _ in swaption} == {0, montecarlo.BLOCK}
+    assert len(caplet) == 2 * 38
+    assert all(caplet[key] == z for key, z in swaption.items())
 
 
 def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
                                              monkeypatch):
-    # Every path owns its Philox stream and blocks are reduced in path
-    # order, so the block size, which only bounds memory, must not move a
-    # bit.  Both counts leave a partial last block at either size; 3003
-    # leaves one of 955 or 3003 paths (954 or 3002 antithetic), none a
-    # multiple of PAD.
+    # Every group of paths owns its Philox stream per step and blocks are
+    # reduced in path order, so the block size, a multiple of the group,
+    # must not move a bit.  Both counts leave a partial last block at every
+    # size; 3003 leaves one of 955 or 3003 paths (954 or 3002 antithetic),
+    # none a multiple of PAD.
     def run(paths):
         base = dict(paths=paths, steps_per_year=2, seed=4)
         K = np.array([0.01, 0.02, 0.03])
@@ -353,11 +423,15 @@ def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
         return out
 
     counts = (5000, 3003)
-    assert all(paths % montecarlo.BLOCK for paths in counts)
-    assert montecarlo.BLOCK < 4096
+    sizes = (montecarlo.GROUP, 4096)
+    assert all(paths % block for paths in counts
+               for block in (montecarlo.BLOCK, *sizes))
+    assert all(block % montecarlo.GROUP == 0 and block != montecarlo.BLOCK
+               for block in sizes)
     default = [run(paths) for paths in counts]
-    monkeypatch.setattr(montecarlo, "BLOCK", 4096)
-    assert [run(paths) for paths in counts] == default
+    for block in sizes:
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        assert [run(paths) for paths in counts] == default
 
 
 @pytest.mark.parametrize("substitution", [None, ("caplet", 6), ("swap", 3, 8)])
@@ -420,9 +494,10 @@ def test_simulate_matches_euler_oracle(tenor, curve, params, loadings, libors,
     out = simulate(tenor, curve, params, fact, 2.0, cfg)
     grid = np.linspace(0.0, 2.0, 9)
     dim = fact.m + params.m_hat + 1
-    normals = [np.random.Generator(np.random.Philox(key=cfg.seed,
-                                                    counter=path << 128))
-               .standard_normal((grid.size - 1, dim)).tolist()
+    # Eight paths are one partial group: step s reads counter (0, 0, 0, s).
+    steps = [_group_stream(cfg.seed, 0, s, cfg.paths, dim, False)
+             for s in range(grid.size - 1)]
+    normals = [[step[path].tolist() for step in steps]
                for path in range(cfg.paths)]
     paths = euler_libor_paths(normals, grid.tolist(), **_oracle_inputs(
         tenor, curve, params, fact, libors, substitution))
