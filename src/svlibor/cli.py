@@ -99,26 +99,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strip", help="strip forward Libors from a curve")
     _add_io(p, model=False)
 
-    p = sub.add_parser("price-caplet", help="caplet price table")
-    _add_io(p)
-    _add_mc(p)
-    p.add_argument("--j", type=int, required=True, help="expiry index")
-    p.add_argument("--strike", type=float, default=None)
-    p.add_argument("--strikes", type=_strike_list, default=None)
-    p.add_argument("--no-mc", action="store_true",
-                   help="skip the Monte Carlo columns")
-    p.add_argument("--dump-effective", action="store_true",
-                   help="emit effective affine parameters as JSON and exit")
-
-    p = sub.add_parser("price-swaption", help="payer swaption price table")
-    _add_io(p)
-    _add_mc(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--strike", type=float, default=None)
-    p.add_argument("--strikes", type=_strike_list, default=None)
-    p.add_argument("--no-mc", action="store_true")
-    p.add_argument("--dump-effective", action="store_true")
+    for command, instrument, indices in (
+            ("price-caplet", "caplet", {"--j": "expiry index"}),
+            ("price-swaption", "payer swaption",
+             {"--p": "expiry index (start of the swap)",
+              "--q": "end index of the swap"})):
+        p = sub.add_parser(command, help=f"{instrument} price table")
+        _add_io(p)
+        _add_mc(p)
+        for flag, text in indices.items():
+            p.add_argument(flag, type=int, required=True, help=text)
+        p.add_argument("--strikes", "--strike", dest="strikes",
+                       type=_strike_list, default=None,
+                       help="comma-separated strikes")
+        p.add_argument("--no-mc", action="store_true",
+                       help="skip the Monte Carlo columns")
+        p.add_argument(
+            "--dump-effective", action="store_true",
+            help="emit effective affine parameters as JSON and exit")
 
     p = sub.add_parser("mc-price", help="Monte Carlo price of one instrument")
     _add_io(p)
@@ -164,14 +162,6 @@ def _mc_from(args, substitution=None) -> MCConfig:
                     threads=args.threads, antithetic=args.antithetic)
 
 
-def _strikes_from(args) -> np.ndarray:
-    if args.strikes is not None:
-        return np.array(args.strikes)
-    if args.strike is not None:
-        return np.array([args.strike])
-    raise SvLiborError("one of --strike / --strikes is required")
-
-
 def _write_table(out, strikes, fourier, mc_results):
     writer = csv.writer(out)
     writer.writerow(["strike", "fourier_price", "mc_price", "mc_se",
@@ -198,42 +188,32 @@ def _cmd_strip(args) -> int:
     return 0
 
 
-def _cmd_price_caplet(args) -> int:
+def _cmd_price(args) -> int:
     tenor, curve, params = _load_market(args)
     fact = build_factorization(params, tenor)
     libors = strip_libors(curve, tenor)
+    caplet = args.command == "price-caplet"
+    index = (args.j,) if caplet else (args.p, args.q)
     if args.dump_effective:
-        _write_json(args.out, effective_caplet_params(args.j, params, fact,
-                                                      tenor, libors))
+        if caplet:
+            eff = effective_caplet_params(args.j, params, fact, tenor, libors)
+        else:
+            ctx = swap_context(args.p, args.q, curve, tenor)
+            eff = swap_effective_params(ctx, params, fact, tenor, libors)
+        _write_json(args.out, eff)
         return 0
-    strikes = _strikes_from(args)
-    fourier = caplet_price(args.j, strikes, tenor, curve, params, fact,
-                           libors=libors)
+    if args.strikes is None:
+        raise SvLiborError("one of --strike / --strikes is required")
+    strikes = np.array(args.strikes)
+    price, mc_price = ((caplet_price, mc_caplets) if caplet
+                       else (swaption_price, mc_swaptions))
+    fourier = price(*index, strikes, tenor, curve, params, fact,
+                    libors=libors)
     mc = None
     if not args.no_mc:
-        mc = mc_caplets({args.j: strikes}, tenor, curve, params,
-                        fact, _mc_from(args))[args.j]
-    with _open_out(args.out) as out:
-        _write_table(out, strikes, fourier, mc)
-    return 0
-
-
-def _cmd_price_swaption(args) -> int:
-    tenor, curve, params = _load_market(args)
-    fact = build_factorization(params, tenor)
-    libors = strip_libors(curve, tenor)
-    if args.dump_effective:
-        ctx = swap_context(args.p, args.q, curve, tenor)
-        _write_json(args.out, swap_effective_params(ctx, params, fact, tenor,
-                                                    libors))
-        return 0
-    strikes = _strikes_from(args)
-    fourier = swaption_price(args.p, args.q, strikes, tenor, curve, params,
-                             fact, libors=libors)
-    mc = None
-    if not args.no_mc:
-        mc = mc_swaptions({(args.p, args.q): strikes}, tenor,
-                          curve, params, fact, _mc_from(args))[(args.p, args.q)]
+        key = args.j if caplet else index
+        mc = mc_price({key: strikes}, tenor, curve, params, fact,
+                      _mc_from(args))[key]
     with _open_out(args.out) as out:
         _write_table(out, strikes, fourier, mc)
     return 0
@@ -309,8 +289,8 @@ def _cmd_correlations(args) -> int:
 
 _COMMANDS = {
     "strip": _cmd_strip,
-    "price-caplet": _cmd_price_caplet,
-    "price-swaption": _cmd_price_swaption,
+    "price-caplet": _cmd_price,
+    "price-swaption": _cmd_price,
     "mc-price": _cmd_mc_price,
     "calibrate": _cmd_calibrate,
     "implied-vol": _cmd_implied_vol,

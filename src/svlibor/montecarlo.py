@@ -254,7 +254,7 @@ class _Precomp:
         cuts = np.concatenate([[0], np.flatnonzero(np.diff(j0)) + 1,
                                [self.n_steps]])
         self.segments = [_Segment(self, int(j0[s0]), range(s0, s1))
-                         for s0, s1 in zip(cuts[:-1], cuts[1:])]
+                         for s0, s1 in zip(cuts[:-1], cuts[1:]) if s1 > s0]
 
 
 class _Segment:

@@ -10,8 +10,8 @@ import pytest
 from svlibor.cli import main
 from svlibor.fourier import black76, caplet_price, swaption_price
 from svlibor.market_data import strip_libors
-from svlibor.model import build_factorization
-from svlibor.montecarlo import MCConfig, mc_swaptions
+from svlibor.model import build_factorization, load_params
+from svlibor.montecarlo import MCConfig, mc_caplets, mc_swaptions
 
 
 def write_small_market(tmp_path):
@@ -170,6 +170,73 @@ class TestPriceSwaption:
         # One entry per Brownian factor of W, one per expiry 1..n-1.
         assert len(blob["sigma_avg"]) == len(blob["beta"]) == tenor.n - 1
         assert blob["gamma"] == [] and blob["expiry"] == 2.0
+
+
+class TestPriceTables:
+    MC = ["--paths", "512", "--steps-per-year", "4", "--seed", "3"]
+
+    @pytest.mark.parametrize("command,index,key,mc_price", [
+        ("price-caplet", ["--j", "5"], 5, mc_caplets),
+        ("price-swaption", ["--p", "2", "--q", "10"], (2, 10), mc_swaptions)])
+    def test_mc_columns_match_library(self, tmp_path, fixtures_dir, tenor,
+                                      curve, params, fact, command, index,
+                                      key, mc_price):
+        out = tmp_path / "table.csv"
+        rc = main([command, "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--strikes", "0.01,0.02,0.03", "--out", str(out)]
+                  + index + self.MC)
+        assert rc == 0
+        want = mc_price({key: np.array([0.01, 0.02, 0.03])}, tenor, curve,
+                        params, fact,
+                        MCConfig(paths=512, steps_per_year=4, seed=3))[key]
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 3
+        for row, res in zip(rows, want):
+            fourier, mc = float(row["fourier_price"]), float(row["mc_price"])
+            assert (mc, float(row["mc_se"])) == (res.price, res.se)
+            assert float(row["abs_error"]) == abs(fourier - mc)
+            assert float(row["rel_error"]) == abs(fourier - mc) / abs(mc)
+
+    @pytest.mark.parametrize("command,index", [
+        ("price-caplet", ["--j", "5"]),
+        ("price-swaption", ["--p", "2", "--q", "10"])])
+    def test_strike_is_a_second_spelling_of_strikes(self, tmp_path,
+                                                    fixtures_dir, command,
+                                                    index):
+        outs = []
+        for flag in ("--strike", "--strikes"):
+            outs.append(tmp_path / f"{flag.strip('-')}.csv")
+            rc = main([command,
+                       "--curve", str(fixtures_dir / "curve_table.csv"),
+                       "--model", str(fixtures_dir / "model_table.json"),
+                       flag, "0.015", "--out", str(outs[-1])]
+                      + index + self.MC)
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 2
+
+    def test_model_file_with_gaussian_part(self, tmp_path, fixtures_dir,
+                                           tenor, curve, libors):
+        payload = json.loads((fixtures_dir / "model_table.json").read_text())
+        model = tmp_path / "gaussian.json"
+        model.write_text(json.dumps(
+            {**payload, "gamma": np.full((19, 2), 0.001).tolist()}))
+        base = ["price-caplet",
+                "--curve", str(fixtures_dir / "curve_table.csv"),
+                "--model", str(model), "--j", "5"]
+        table, eff = tmp_path / "caplet.csv", tmp_path / "eff.json"
+        assert main(base + ["--strikes", "0.01,0.02", "--no-mc",
+                            "--out", str(table)]) == 0
+        assert main(base + ["--dump-effective", "--out", str(eff)]) == 0
+        params = load_params(model)
+        expected = caplet_price(5, np.array([0.01, 0.02]), tenor, curve,
+                                params, build_factorization(params, tenor),
+                                libors=libors)
+        got = [float(row["fourier_price"])
+               for row in csv.DictReader(table.open())]
+        np.testing.assert_array_equal(got, expected)
+        assert json.loads(eff.read_text())["gamma"] == [0.001, 0.001]
 
 
 class TestMcPrice:

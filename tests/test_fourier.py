@@ -435,6 +435,14 @@ def test_implied_vol_bounds():
         assert implied_vol(D * (F - K), F, K, T, D) == 0.0
     with pytest.raises(ArbitrageBoundError):
         implied_vol(D * F * 1.0001, F, K, T, D)
+    # Above the intrinsic bound, but below the at-the-money price at the
+    # grid floor vol 1e-6 (1.6e-8 here).
+    with pytest.warns(UserWarning, match="vol grid floor"):
+        assert implied_vol(1e-9, F, F, T, D) == 0.0
+    # Inside the band, but at an expiry of 1e-6 years (about 30 s) half the
+    # upper bound needs a vol beyond the bracket's cap.
+    with pytest.raises(ArbitrageBoundError, match="below 80"):
+        implied_vol(0.5 * D * F, F, 0.04, 1e-6, D)
 
 
 @pytest.mark.parametrize("field, forward, expiry, discount", [

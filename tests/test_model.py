@@ -246,6 +246,26 @@ def test_load_params_round_trip(tmp_path, params):
         load_params(path)
 
 
+def test_load_params_reads_gaussian_loadings(tmp_path, fixtures_dir):
+    # The file's gamma has one row per expiry 1..n-1, and a 1-D array is
+    # one Gaussian factor; row 0 is the zero padding slot.
+    payload = json.loads((fixtures_dir / "model_table.json").read_text())
+    path = tmp_path / "params.json"
+    for gamma, m_hat in ((np.linspace(0.001, 0.002, 19), 1),
+                         (np.full((19, 2), 0.001), 2)):
+        path.write_text(json.dumps({**payload, "gamma": gamma.tolist()}))
+        loaded = load_params(path)
+        assert loaded.m_hat == m_hat and loaded.gamma.shape == (20, m_hat)
+        np.testing.assert_array_equal(loaded.gamma[0], np.zeros(m_hat))
+        np.testing.assert_array_equal(loaded.gamma[1:],
+                                      gamma.reshape(19, m_hat))
+    path.write_text(json.dumps({**payload,
+                                "gamma": np.full((18, 2), 0.001).tolist()}))
+    with pytest.raises(InvariantError, match="gamma") as exc:
+        load_params(path)
+    assert exc.value.field == "gamma"
+
+
 @given(
     rho=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     eps=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),

@@ -277,6 +277,27 @@ def test_horizon_and_recording_guards(tenor, curve, params, fact):
                  MCConfig(paths=8, steps_per_year=2), record_times=[0.37])
 
 
+def test_zero_horizon_records_the_initial_state(tenor, curve, params, fact,
+                                                 libors):
+    # Time 0 is a record time: a zero-horizon request steps nothing and
+    # reports the initial state.
+    cfg = MCConfig(paths=64, steps_per_year=2)
+    n = tenor.n
+    assert simulate(tenor, curve, params, fact, 0.0, cfg) == {}
+    L, v = simulate(tenor, curve, params, fact, 0.0, cfg,
+                    record_times=[0.0])[0.0]
+    assert L.shape == v.shape == (64, n)
+    np.testing.assert_allclose(L[:, 1:], np.tile(libors[1:n], (64, 1)),
+                               rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(v[:, 1:], np.tile(params.theta[1:], (64, 1)))
+    means, ses = deflated_bond_means(tenor, curve, params, fact, cfg,
+                                     [0.0])[0.0]
+    assert np.isnan(means[0]) and np.isnan(ses[0])
+    want = curve.bonds[1:n + 1] / curve.bonds[n]
+    np.testing.assert_allclose(means[1:], want, rtol=1e-13, atol=0)
+    assert np.all(ses[1:] < 1e-14)
+
+
 def test_numpy_integer_substitution_index(tenor, curve, params, fact):
     cfg = MCConfig(paths=8, steps_per_year=1, substitution=("caplet", 2))
     as_numpy = dataclasses.replace(cfg, substitution=("caplet", np.int64(2)))
