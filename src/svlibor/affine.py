@@ -17,12 +17,11 @@ from .market_data import SwapContext, TenorStructure
 from .model import ModelParams, VolFactorization
 
 __all__ = [
+    "CapletMap",
     "EffectiveCapletParams",
     "SwapEffectiveParams",
-    "caplet_drift_slope",
-    "effective_caplet_map",
+    "caplet_map",
     "effective_caplet_params",
-    "effective_caplet_partials",
     "swap_averaged_vol_params",
     "swap_effective_params",
 ]
@@ -76,90 +75,89 @@ def _drift_loads(params: ModelParams, libors: np.ndarray,
     return c
 
 
-def caplet_drift_slope(j: int, params: ModelParams, fact: VolFactorization,
-                       tenor: TenorStructure, libors: np.ndarray) -> float:
-    """Drift slope C_j of expiry j, the input of ``effective_caplet_map``.
+@dataclass(frozen=True)
+class CapletMap:
+    """Expiry j's caplet map from x = (|beta_j|, kappa_j, eps_j, rho_j) to
+    its variance parameters under the T_{j+1}-forward measure.
 
-    C_j = sum_{k>j} sqrt(theta_k/theta_j) c_k (e_j . beta_k) is the frozen
-    drift's tail sum over k > j with sigma_j = rho_j eps_j e_j factored out.
-    It holds no parameter that the calibration of expiry j moves.
+    It holds what none of x moves: the drift slope C_j = sum_{k>j}
+    sqrt(theta_k/theta_j) c_k (e_j . beta_k), the frozen drift's tail sum
+    over k > j with sigma_j = rho_j eps_j e_j factored out; e_j . e_j;
+    theta_j; T_j and gamma_j.  ``at`` gives
+
+        kappa_eff = kappa_j - rho_j eps_j C_j,
+        theta_eff = kappa_j theta_j / kappa_eff,
+        sigma . beta = rho_j eps_j |beta_j| (e_j . e_j).
     """
+
+    j: int
+    slope: float
+    ee: float
+    theta: float
+    expiry: float
+    gamma: np.ndarray
+
+    def at(self, x) -> EffectiveCapletParams:
+        """The caplet's parameters at x; DegenerateDriftError for a
+        non-positive kappa_eff."""
+        beta, kappa, eps, rho = x
+        kappa_eff = float(kappa - rho * eps * self.slope)
+        if kappa_eff <= 0.0:
+            raise DegenerateDriftError(f"kappa_eff(j={self.j})", kappa_eff)
+        return EffectiveCapletParams(
+            kappa_eff=kappa_eff, theta_eff=float(kappa * self.theta
+                                                 / kappa_eff),
+            beta_norm=float(beta), gamma=self.gamma, eps=float(eps),
+            sigma_beta=float(rho * eps * beta * self.ee), expiry=self.expiry,
+            v0=self.theta)
+
+    def partials(self, x, kappa_eff: float) -> np.ndarray:
+        """Partials of the caplet CF inputs in x.
+
+        Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the
+        order of ``charfn.TANGENT_FIELDS``; columns are x = (|beta_j|,
+        kappa_j, eps_j, rho_j).  ``kappa_eff`` is that of ``at(x)``.
+        """
+        beta, kappa, eps, rho = x
+        slope, ee, theta = self.slope, self.ee, self.theta
+        d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
+        # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
+        #               / kappa_eff.
+        d_theta = -(theta * kappa / kappa_eff ** 2) * d_kappa
+        d_theta[1] += theta / kappa_eff
+        return np.array([
+            d_kappa,
+            d_theta,
+            [0.0, 0.0, 1.0, 0.0],
+            [rho * eps * ee, 0.0, rho * beta * ee, eps * beta * ee],
+            [2.0 * beta, 0.0, 0.0, 0.0],
+        ])
+
+
+def caplet_map(j: int, params: ModelParams, fact: VolFactorization,
+               tenor: TenorStructure, libors: np.ndarray) -> CapletMap:
+    """Expiry j's ``CapletMap``; IndexError for j outside 1..n-1.  None of
+    its fields moves with expiry j's own entries of ``params``."""
     n = params.n
     if not (1 <= j <= n - 1):
         raise IndexError(f"expiry index {j} outside 1..{n - 1}")
     c = _drift_loads(params, libors, tenor)
     tail = slice(j + 1, n)
-    return float(np.sum(np.sqrt(params.theta[tail] / params.theta[j])
-                        * c[tail] * params.beta_norm[tail]
-                        * (fact.loadings[tail] @ fact.loadings[j])))
-
-
-def effective_caplet_map(j: int, x, slope: float, ee: float,
-                         theta: float) -> tuple[float, float, float]:
-    """(kappa_eff, theta_eff, sigma . beta) of expiry j at its parameters
-    x = (|beta_j|, kappa_j, eps_j, rho_j).
-
-    The other inputs are constants of the maturity: ``slope`` =
-    ``caplet_drift_slope``, ``ee`` = e_j . e_j and ``theta`` = theta_j.
-
-        kappa_eff = kappa_j - rho_j eps_j C_j,
-        theta_eff = kappa_j theta_j / kappa_eff,
-        sigma . beta = rho_j eps_j |beta_j| (e_j . e_j).
-
-    Raises DegenerateDriftError for a non-positive kappa_eff.
-    """
-    beta, kappa, eps, rho = x
-    kappa_eff = float(kappa - rho * eps * slope)
-    if kappa_eff <= 0.0:
-        raise DegenerateDriftError(f"kappa_eff(j={j})", kappa_eff)
-    return (kappa_eff, float(kappa * theta / kappa_eff),
-            float(rho * eps * beta * ee))
-
-
-def effective_caplet_partials(x, slope: float, ee: float, theta: float,
-                              kappa_eff: float) -> np.ndarray:
-    """Partials of the caplet CF inputs in expiry j's calibrated parameters.
-
-    Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the order
-    of ``charfn.TANGENT_FIELDS``; columns are x = (|beta_j|, kappa_j,
-    eps_j, rho_j).  The inputs are those of ``effective_caplet_map``, and
-    ``kappa_eff`` is its (positive) output at x.
-    """
-    beta, kappa, eps, rho = x
-    d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
-    # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
-    #               / kappa_eff.
-    d_theta = -(theta * kappa / kappa_eff ** 2) * d_kappa
-    d_theta[1] += theta / kappa_eff
-    return np.array([
-        d_kappa,
-        d_theta,
-        [0.0, 0.0, 1.0, 0.0],
-        [rho * eps * ee, 0.0, rho * beta * ee, eps * beta * ee],
-        [2.0 * beta, 0.0, 0.0, 0.0],
-    ])
+    e_j = fact.loadings[j]
+    slope = np.sum(np.sqrt(params.theta[tail] / params.theta[j]) * c[tail]
+                   * params.beta_norm[tail] * (fact.loadings[tail] @ e_j))
+    return CapletMap(j=j, slope=float(slope), ee=float(e_j @ e_j),
+                     theta=float(params.theta[j]),
+                     expiry=float(tenor.dates[j]), gamma=params.gamma[j])
 
 
 def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
                             tenor: TenorStructure,
                             libors: np.ndarray) -> EffectiveCapletParams:
-    """Variance parameters of v_j under the T_{j+1}-forward measure:
-    ``effective_caplet_map`` at expiry j's entries of ``params``."""
-    slope = caplet_drift_slope(j, params, fact, tenor, libors)
-    e_j = fact.loadings[j]
-    x = (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j])
-    kappa_eff, theta_eff, sigma_beta = effective_caplet_map(
-        j, x, slope, float(e_j @ e_j), params.theta[j])
-    return EffectiveCapletParams(
-        kappa_eff=kappa_eff,
-        theta_eff=theta_eff,
-        beta_norm=float(params.beta_norm[j]),
-        gamma=params.gamma[j],
-        eps=float(params.eps[j]),
-        sigma_beta=sigma_beta,
-        expiry=float(tenor.dates[j]),
-        v0=float(params.theta[j]),
-    )
+    """Variance parameters of v_j under the T_{j+1}-forward measure: expiry
+    j's ``CapletMap`` at its entries of ``params``."""
+    return caplet_map(j, params, fact, tenor, libors).at(
+        (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j]))
 
 
 def swap_averaged_vol_params(ctx: SwapContext, params: ModelParams,

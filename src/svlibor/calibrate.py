@@ -8,18 +8,18 @@ against the Fourier pricer, started from the neighbouring maturity's fit.
 
 Each candidate's strike row is priced with the package's graded static
 quadrature at half the default node count (``QUAD``, 768 nodes).
-The strike row (phases, displaced strikes, forward, discount) and the
-drift slope C_j are built once per maturity.  A candidate maps through
-``affine.effective_caplet_map`` straight to its characteristic-function
-inputs and their partials, then costs one tangent characteristic-function
-call and one matrix-vector product, which give the residuals and their
-exact Jacobian in (|beta|, kappa, eps, rho) together.  The prices move
-smoothly with the candidate, which the least-squares solve needs.  Over
-the whole search box, for strikes 0.6-1.6 times the forward, the rule
-agrees with an adaptive reference at ``tol=1e-12`` to 1e-8 relative, down
-to that reference's own absolute error (checked by test).  Wider strikes
-need the default 1536 nodes (``fourier.DEFAULT_QUAD``), which fit reports
-use.
+The strike row (phases, displaced strikes, forward, discount) and expiry
+j's ``affine.CapletMap`` are built once per maturity.  A candidate goes
+through that map and ``charfn.cf_params_of``, the path every caplet price
+takes, to its characteristic-function inputs and their partials, then
+costs one tangent characteristic-function call and one matrix-vector
+product, which give the residuals and their exact Jacobian in (|beta|,
+kappa, eps, rho) together.  The prices move smoothly with the candidate,
+which the least-squares solve needs.  Over the whole search box, for
+strikes 0.6-1.6 times the forward, the rule agrees with an adaptive
+reference at ``tol=1e-12`` to 1e-8 relative, down to that reference's own
+absolute error (checked by test).  Wider strikes need the default 1536
+nodes (``fourier.DEFAULT_QUAD``), which fit reports use.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .affine import (caplet_drift_slope, effective_caplet_map,
-                     effective_caplet_partials)
-from .charfn import CharFnParams
+from .affine import caplet_map
+from .charfn import cf_params_of
 from .errors import (ArbitrageBoundError, InvariantError, StrikeError,
                      SvLiborError)
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
@@ -138,25 +137,20 @@ class _CapletPricer:
     ``calibrate_maturity`` builds one and prices every candidate
     (|beta_j|, kappa_j, eps_j, rho_j) with it.  Its constructor builds what
     no candidate moves, from the Libors stripped from ``curve`` and the
-    loadings of ``params.corr_decay``: the drift slope C_j, e_j . e_j,
-    theta_j, T_j, Gamma_j and the strike row, which refuses K + alpha_j < 0
-    (StrikeError).  A candidate maps through ``effective_caplet_map``
-    straight to its CharFnParams and their partials, then costs one tangent
-    characteristic-function call.  Prices are bitwise those of a fresh
-    ``caplet_price`` call with the candidate in slot j.
+    loadings of ``params.corr_decay``: expiry j's ``CapletMap`` (``map``)
+    and the strike row (``row``), which refuses K + alpha_j < 0
+    (StrikeError).  A candidate goes through ``map.at`` and
+    ``cf_params_of`` to its CharFnParams, and through ``map.partials`` to
+    their partials, then costs one tangent characteristic-function call.
+    Prices are bitwise those of a fresh ``caplet_price`` call with the
+    candidate in slot j.
     """
 
     def __init__(self, j: int, strikes, tenor, curve, params: ModelParams):
         libors = strip_libors(curve, tenor)
-        loadings = build_loadings(tenor, params.corr_decay)
-        self.j, self.strikes = j, np.asarray(strikes)
-        fact = factorize_vols(params, loadings)
-        self.slope = caplet_drift_slope(j, params, fact, tenor, libors)
-        self.ee = float(loadings[j] @ loadings[j])
-        self.theta = float(params.theta[j])
-        self.horizon = float(tenor.dates[j])
-        gamma = params.gamma[j]
-        self.gamma_int = float(gamma @ gamma) * self.horizon
+        fact = factorize_vols(params, build_loadings(tenor, params.corr_decay))
+        self.strikes = np.asarray(strikes)
+        self.map = caplet_map(j, params, fact, tenor, libors)
         self.row = caplet_row(j, self.strikes, tenor, curve, params, QUAD,
                               libors)
 
@@ -165,14 +159,8 @@ class _CapletPricer:
         ``caplet_cf_params``, and their partials in the candidate (rows
         ``charfn.TANGENT_FIELDS``, columns |beta|, kappa, eps, rho)."""
         x = tuple(map(float, candidate))
-        kappa_eff, theta_eff, sigma_beta = effective_caplet_map(
-            self.j, x, self.slope, self.ee, self.theta)
-        cfp = CharFnParams(kappa_star=kappa_eff, theta_star=theta_eff,
-                           eps=x[2], sigma_beta=sigma_beta, beta_sq=x[0] ** 2,
-                           gamma_int=self.gamma_int, horizon=self.horizon,
-                           v0=self.theta)
-        return cfp, effective_caplet_partials(x, self.slope, self.ee,
-                                              self.theta, kappa_eff)
+        eff = self.map.at(x)
+        return cf_params_of(eff), self.map.partials(x, eff.kappa_eff)
 
     def price(self, candidate):
         """Prices of the strike row and their partials in the candidate, one

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scratch import Scratch
-from .affine import effective_caplet_params, swap_effective_params
+from .affine import (EffectiveCapletParams, effective_caplet_params,
+                     swap_effective_params)
 from .errors import InvariantError
 from .market_data import swap_context
 
@@ -62,6 +63,7 @@ __all__ = [
     "explosion_margin",
     "black_cf",
     "caplet_cf_params",
+    "cf_params_of",
     "swaption_cf_params",
 ]
 
@@ -366,20 +368,24 @@ def black_cf(z, sigma_b: float, horizon: float):
     return np.exp(-0.5 * sigma_b ** 2 * horizon * (z * z + 1j * z))
 
 
-def caplet_cf_params(j: int, params, fact, tenor, libors) -> CharFnParams:
-    """Assemble the caplet characteristic function inputs for expiry j."""
-    eff = effective_caplet_params(j, params, fact, tenor, libors)
-    gamma_sq = float(eff.gamma @ eff.gamma)
+def cf_params_of(eff: EffectiveCapletParams) -> CharFnParams:
+    """The characteristic function inputs of a caplet's parameters."""
     return CharFnParams(
         kappa_star=eff.kappa_eff,
         theta_star=eff.theta_eff,
         eps=eff.eps,
         sigma_beta=eff.sigma_beta,
         beta_sq=eff.beta_norm ** 2,
-        gamma_int=gamma_sq * eff.expiry,
+        gamma_int=float(eff.gamma @ eff.gamma) * eff.expiry,
         horizon=eff.expiry,
         v0=eff.v0,
     )
+
+
+def caplet_cf_params(j: int, params, fact, tenor, libors) -> CharFnParams:
+    """Assemble the caplet characteristic function inputs for expiry j."""
+    return cf_params_of(effective_caplet_params(j, params, fact, tenor,
+                                                libors))
 
 
 def swaption_cf_params(p: int, q: int, params, fact, tenor, curve,

@@ -25,7 +25,8 @@ THREADS_ENV = "SVLIBOR_THREADS"
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    """A CSV cell: ``x`` to 17 significant digits, empty if not finite."""
+    return format(float(x), ".17g") if math.isfinite(x) else ""
 
 
 @contextlib.contextmanager

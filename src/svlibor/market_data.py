@@ -60,8 +60,9 @@ class TenorStructure:
         if dates[0] != 0.0:
             raise InvariantError("dates", "T_0 must be 0")
         day_counts = np.diff(dates)
-        if not np.all(day_counts > 0.0):
-            raise InvariantError("dates", "tenor dates must be strictly increasing")
+        if not np.all((day_counts > 0.0) & (day_counts < np.inf)):
+            raise InvariantError("dates", "tenor dates must be finite and "
+                                 "strictly increasing")
         accruals = np.append(day_counts, np.nan)
         for name, arr in (("day_counts", day_counts), ("_accruals", accruals)):
             arr.setflags(write=False)
@@ -86,8 +87,8 @@ class DiscountCurve:
         raw = np.asarray(self.bonds, dtype=float)
         if raw.ndim != 1 or raw.size < 2:
             raise InvariantError("bonds", "need at least B_1 and B_2")
-        if np.any(raw <= 0.0):
-            raise CurveError("non-positive bond price in curve")
+        if not np.all(raw > 0.0):
+            raise CurveError("bond price in curve is not a positive number")
         if np.any(raw > 1.0):
             raise CurveError("bond price above par in curve")
         padded = np.concatenate(([1.0], raw))

@@ -46,13 +46,14 @@ __all__ = [
 
 _SCALAR_FIELDS = ("alpha", "beta_norm", "rho", "kappa", "theta", "eps")
 
-# field: (test that flags an invalid entry, message), for expiries 1..n-1.
+# field: (test that every valid entry passes, message), for expiries
+# 1..n-1.  NaN fails each test; a non-finite entry is refused before them.
 _CHECKS = {
-    "kappa": (lambda x: x <= 0.0, "mean-reversion speed must be positive"),
-    "theta": (lambda x: x <= 0.0, "mean-reversion level must be positive"),
-    "eps": (lambda x: x < 0.0, "vol of vol must be non-negative"),
-    "rho": (lambda x: np.abs(x) > 1.0, "correlation must lie in [-1, 1]"),
-    "beta_norm": (lambda x: x < 0.0, "loading norm must be non-negative"),
+    "kappa": (lambda x: x > 0.0, "mean-reversion speed must be positive"),
+    "theta": (lambda x: x > 0.0, "mean-reversion level must be positive"),
+    "eps": (lambda x: x >= 0.0, "vol of vol must be non-negative"),
+    "rho": (lambda x: np.abs(x) <= 1.0, "correlation must lie in [-1, 1]"),
+    "beta_norm": (lambda x: x >= 0.0, "loading norm must be non-negative"),
 }
 
 
@@ -98,6 +99,8 @@ class ModelParams:
             arr = _read_only(getattr(self, name))
             if arr.shape != (n,):
                 raise InvariantError(name, f"expected padded length {n}")
+            if not np.all(np.isfinite(arr[1:])):
+                raise InvariantError(name, "entries must be finite")
             object.__setattr__(self, name, arr)
         gamma = _read_only(np.zeros((n, 0)) if self.gamma is None
                            else self.gamma)
@@ -105,11 +108,13 @@ class ModelParams:
             raise InvariantError("gamma", f"expected shape ({n}, m_hat)")
         object.__setattr__(self, "gamma", gamma)
 
-        for name, (bad, message) in _CHECKS.items():
-            if np.any(bad(getattr(self, name)[1:])):
+        for name, (valid, message) in _CHECKS.items():
+            if not np.all(valid(getattr(self, name)[1:])):
                 raise InvariantError(name, message)
-        if self.corr_decay < 0.0:
-            raise InvariantError("corr_decay", "decay rate must be >= 0")
+        if not np.all(np.isfinite(gamma[1:])):
+            raise InvariantError("gamma", "loadings must be finite")
+        if not 0.0 <= self.corr_decay < np.inf:
+            raise InvariantError("corr_decay", "decay rate must be finite, >= 0")
 
     @property
     def n(self) -> int:
@@ -171,7 +176,7 @@ class VolFactorization:
         for name in ("loadings", "sigma", "sigma_bar"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
         norms = np.linalg.norm(self.loadings[1:], axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise InvariantError("loadings", "rows must be unit vectors")
 
     @property
@@ -188,8 +193,8 @@ def build_loadings(tenor, decay: float) -> np.ndarray:
     """
     n = tenor.n
     k = n - 1
-    if decay < 0.0:
-        raise InvariantError("corr_decay", "decay rate must be >= 0")
+    if not 0.0 <= decay < np.inf:
+        raise InvariantError("corr_decay", "decay rate must be finite, >= 0")
     expiries = tenor.dates[1:n]
     corr = np.exp(-decay * np.abs(expiries[:, None] - expiries[None, :]))
     if decay == 0.0 and k > 1:

@@ -24,8 +24,7 @@ from svlibor import (
     swap_context,
     swap_effective_params,
 )
-from svlibor.affine import (caplet_drift_slope, effective_caplet_map,
-                            effective_caplet_partials)
+from svlibor.affine import caplet_map
 from svlibor.calibrate import _CapletPricer
 from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
 
@@ -163,27 +162,29 @@ def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
         work_fact = factorize_vols(work, loadings)
         for j in range(1, 20):
             eff = effective_caplet_params(j, work, work_fact, tenor, libors)
-            slope = caplet_drift_slope(j, work, work_fact, tenor, libors)
+            cmap = caplet_map(j, work, work_fact, tenor, libors)
+            slope = cmap.slope
             rho_eps = work.rho[j] * work.eps[j]
             ee = float(loadings[j] @ loadings[j])
             assert eff.kappa_eff == work.kappa[j] - rho_eps * slope
             assert eff.sigma_beta == rho_eps * work.beta_norm[j] * ee
             x = (work.beta_norm[j], work.kappa[j], work.eps[j], work.rho[j])
+            at = cmap.at(x)
             assert (eff.kappa_eff, eff.theta_eff, eff.sigma_beta) == \
-                effective_caplet_map(j, x, slope, ee, work.theta[j])
+                (at.kappa_eff, at.theta_eff, at.sigma_beta)
 
             x = (other.beta_norm[j], other.kappa[j], other.eps[j],
                  other.rho[j])
             moved = work.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
                                      rho=x[3])
             moved_fact = factorize_vols(moved, loadings)
-            assert caplet_drift_slope(j, moved, moved_fact, tenor,
-                                      libors) == slope
+            assert caplet_map(j, moved, moved_fact, tenor,
+                              libors).slope == slope
             pricer = _CapletPricer(j, [libors[j]], tenor, curve, work)
             assert pricer.cf_params(x)[0] == caplet_cf_params(
                 j, moved, moved_fact, tenor, libors)
     with pytest.raises(IndexError, match="outside 1..19"):
-        caplet_drift_slope(20, params, fact, tenor, libors)
+        caplet_map(20, params, fact, tenor, libors)
 
 
 @pytest.mark.parametrize("j, x", [
@@ -198,13 +199,11 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
         params = params.with_expiry(j, beta_norm=x[0], kappa=x[1], eps=x[2],
                                     rho=x[3])
     fact = factorize_vols(params, loadings)
-    slope = caplet_drift_slope(j, params, fact, tenor, libors)
     eff = effective_caplet_params(j, params, fact, tenor, libors)
     x0 = np.array([params.beta_norm[j], params.kappa[j], params.eps[j],
                    params.rho[j]])
-    partials = effective_caplet_partials(x0, slope,
-                                         float(loadings[j] @ loadings[j]),
-                                         params.theta[j], eff.kappa_eff)
+    partials = caplet_map(j, params, fact, tenor, libors).partials(
+        x0, eff.kappa_eff)
     assert partials.shape == (len(TANGENT_FIELDS), 4)
 
     def fields(x):

@@ -198,6 +198,23 @@ class TestPriceTables:
             assert float(row["abs_error"]) == abs(fourier - mc)
             assert float(row["rel_error"]) == abs(fourier - mc) / abs(mc)
 
+    def test_undefined_mc_figures_are_empty_cells(self, tmp_path,
+                                                  fixtures_dir):
+        # One path has no standard error, and a zero MC price no relative
+        # error: the cells are empty, as the --no-mc columns are, not nan.
+        out = tmp_path / "one.csv"
+        rc = main(["price-caplet",
+                   "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--j", "5", "--strikes", "0.02,0.5", "--paths", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "nan" not in out.read_text()
+        rows = list(csv.DictReader(out.open()))
+        assert [row["mc_se"] for row in rows] == ["", ""]
+        assert float(rows[0]["rel_error"]) > 0.0
+        assert float(rows[1]["mc_price"]) == 0.0 and rows[1]["rel_error"] == ""
+
     @pytest.mark.parametrize("command,index", [
         ("price-caplet", ["--j", "5"]),
         ("price-swaption", ["--p", "2", "--q", "10"])])

@@ -121,6 +121,8 @@ def test_tenor_validation():
         TenorStructure(np.array([0.0, 2.0, 1.0, 3.0]))
     with pytest.raises(InvariantError, match="dates"):
         TenorStructure(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InvariantError, match="dates"):
+        TenorStructure(np.array([0.0, 1.0, np.inf]))
 
 
 def test_curve_validation():
@@ -128,6 +130,16 @@ def test_curve_validation():
         DiscountCurve(np.array([0.99, -0.5]))
     with pytest.raises(CurveError):
         DiscountCurve(np.array([1.2, 0.9]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CurveError):
+            DiscountCurve(np.array([0.97, bad, 0.91]))
+
+
+def test_load_curve_refuses_nan_bond(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("T,B\n1,0.97\n2,nan\n3,0.91\n")
+    with pytest.raises(CurveError):
+        load_curve(path)
 
 
 def test_curve_tenor_length_mismatch(tenor):

@@ -13,6 +13,7 @@ from svlibor import (
     InvariantError,
     ModelParams,
     TenorStructure,
+    VolFactorization,
     build_factorization,
     build_loadings,
     correlation_matrices,
@@ -150,6 +151,41 @@ def test_params_validation():
             ModelParams.from_arrays(**broken)
     with pytest.raises(InvariantError, match="corr_decay"):
         ModelParams.from_arrays(corr_decay=-0.1, **base)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", float("nan")), ("alpha", float("inf")),
+    ("corr_decay", float("nan")), ("theta", float("inf")),
+    ("rho", float("nan")), ("eps", float("nan")), ("beta_norm", float("inf")),
+])
+def test_model_file_refuses_non_finite(tmp_path, fixtures_dir, field, value):
+    # json reads NaN and Infinity tokens; the entry must be refused where it
+    # enters, not priced into a non-finite characteristic function.
+    payload = json.loads((fixtures_dir / "model_table.json").read_text())
+    if field == "corr_decay":
+        payload[field] = value
+    else:
+        payload[field][3] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvariantError, match=field) as exc:
+        load_params(path)
+    assert exc.value.field == field
+
+
+def test_build_loadings_refuses_non_finite_decay(tenor):
+    for decay in (float("nan"), float("inf")):
+        with pytest.raises(InvariantError, match="corr_decay"):
+            build_loadings(tenor, decay)
+
+
+def test_factorization_refuses_nan_loading_row(tenor):
+    loadings = np.array(build_loadings(tenor, 0.073))
+    loadings[4] = np.nan
+    zeros = np.zeros(tenor.n)
+    with pytest.raises(InvariantError, match="loadings"):
+        VolFactorization(loadings=loadings, sigma=zeros[:, None] * loadings,
+                         sigma_bar=zeros)
 
 
 def test_with_expiry_replaces_one_slot(params):
