@@ -244,7 +244,8 @@ def _cmd_mc_price(args) -> int:
         res = mc_swaption(args.p, args.q, args.strike, tenor, curve, params,
                           fact, cfg)
     payload = {"price": res.price, "se": res.se, "paths": res.paths,
-               "steps_per_year": cfg.steps_per_year, "seed": cfg.seed}
+               "steps_per_year": cfg.steps_per_year, "seed": cfg.seed,
+               "steps": res.steps, "elapsed_s": res.elapsed}
     _write_json(args.out, payload)
     return 0
 

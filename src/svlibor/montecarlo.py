@@ -15,31 +15,38 @@ pair i >> 1, negated on odd paths.  A block draws each step's (paths, dim)
 normals just before the step, one generator call per group, into one
 array that every step reuses, so a worker holds one step's normals however
 many steps it simulates, and a time's values do not depend on the horizon
-simulated.  Blocks have a fixed size, BLOCK = 2048 paths, a multiple of
-GROUP, and are stacked in index order, which makes results bitwise
-identical across thread counts.  Results also do not depend on the block
-size, bitwise, for any path count: a block whose path count is not a
-multiple of PAD = 8 (the kernel width measured with OpenBLAS on x86-64) is
-padded up to one with the next rows of its last group's stream, and the
-padded paths are dropped before anything reads the snapshots.  Unpadded,
-the BLAS edge kernel that serves a block's ragged last paths may round
-their last bit differently for other block sizes or row counts.
+simulated.  A block is one group, BLOCK = GROUP paths, and blocks are
+stacked in index order, which makes results bitwise identical across
+thread counts.  Results also do not depend on the block size (any
+multiple of GROUP), bitwise, for any path count: a block whose path count
+is not a multiple of PAD = 8 (the kernel width measured with OpenBLAS on
+x86-64) is padded up to one with the next rows of its last group's stream,
+and the padded paths are dropped before anything reads the snapshots.
+Unpadded, the BLAS edge kernel that serves a block's ragged last paths may
+round their last bit differently for other block sizes or row counts.
 
 Each step is a few BLAS products and in-place elementwise updates on a
 (rows, paths) state: one product of the step's normals with the stacked
 loadings [beta; sigma | sigbar; gamma] gives every noise term, and one
 with the strictly upper coupling matrix G_jk = beta_j . beta_k (k > j)
-gives the drift sums.  Only live rows are stepped.  Between two tenor
-dates (a segment) the unfixed Libors X_j0..X_{n-1} are a suffix of the
-rows; a fixed Libor keeps its value.  Of the variances, the estimators
-step only the rows a live Libor reads (one row under caplet
+gives the drift sums.  Only rows something reads are stepped.  X_j's drift
+sums over k > j only, so no Libor at or above the lowest one a payoff
+reads (``first``) depends on those below it, and the estimators never step
+them; ``simulate`` reports, and steps, every Libor.  Between two tenor
+dates (a segment) the stepped unfixed Libors X_j0..X_{n-1} are a suffix of
+the rows; a fixed Libor keeps its value.  Of the variances, the estimators
+step only the rows a stepped Libor reads (one row under caplet
 substitution), and ``simulate``, which reports variances, steps every row
 it reports.  The row slices of the state, loadings and couplings are taken
 once per segment; each step scales them by its own dt.
 
 One collector, ``_collect``, runs the blocks on ``MCConfig.threads``
 workers, applies a reader to each block's snapshots in the worker thread
-and stacks the results in block order.  The pricers and
+and stacks the results in block order.  Each worker holds one set of work
+arrays for the call, sized to the stepped rows and one block: the state,
+the step's products and its normals, reset in place for every block it
+runs, so a call's memory does not grow with the path count and its arrays
+are not faulted in again block after block.  The pricers and
 ``deflated_bond_means`` read payoffs for ``_estimate``, the one mean and
 standard-error reduction; ``simulate`` reads the snapshots themselves.
 
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import time
 from dataclasses import dataclass
 
@@ -76,10 +84,10 @@ __all__ = [
 
 # Paths share a normal stream per step in fixed groups of GROUP paths.
 GROUP = 1024
-# Paths stepped together, a multiple of GROUP so that every block starts at
-# a group; fixed so the path-to-block assignment never depends on the
-# thread count.
-BLOCK = 2048
+# Paths stepped together: one group, so that every block starts at a group
+# and a worker holds one group's arrays; fixed so the path-to-block
+# assignment never depends on the thread count.
+BLOCK = GROUP
 # Blocks simulate a multiple of PAD paths, so that every path goes through
 # the BLAS kernel's full-width columns.
 PAD = 8
@@ -146,17 +154,19 @@ class _Precomp:
     """Constant arrays shared by all path blocks of one simulation.
 
     ``variance`` says whether snapshots report the variances; without it
-    only the variance rows that a live Libor reads are stepped.
+    only the variance rows that a stepped Libor reads are stepped.  Libors
+    below ``first`` are never stepped: no Libor at or above it reads them.
     """
 
     def __init__(self, tenor, curve, params, fact, horizon: float,
-                 cfg: MCConfig, variance: bool = False):
+                 cfg: MCConfig, variance: bool = False, first: int = 1):
         n = tenor.n
         if params.n != n:
             raise InvariantError("params", "parameter set and tenor disagree on n")
         if horizon > tenor.dates[n - 1] + 1e-12:
             raise InvariantError("horizon", "cannot simulate past T_{n-1}")
         self.n = n
+        self.first = first
         self.m = fact.m
         self.mh = params.m_hat
         self.dim = self.m + self.mh + 1
@@ -211,6 +221,10 @@ class _Precomp:
         x0[1:] = np.log(libors[1:n] + self.alpha[1:])
         self.x0 = x0
         self.v0 = v0
+        # Snapshot columns of the Libors below ``first``, never stepped.
+        self.L0 = np.exp(x0[:first]) - self.alpha[:first]
+        # The lowest variance row stepped.
+        self.vfirst = 0 if variance else int(self.vmap[first])
 
         self.grid = _time_grid(tenor, horizon, cfg.steps_per_year)
         self.dt = np.diff(self.grid)
@@ -247,25 +261,29 @@ class _Precomp:
             self.span //= 2
 
         # X_j updates on the step starting at grid[s] while T_j > grid[s],
-        # so the live Libors are j0(s)..n-1; steps with one j0 form a
-        # segment.
+        # so the stepped Libors are j0(s)..n-1, none below ``first``; steps
+        # with one j0 form a segment.
         j0 = 1 + np.searchsorted(tenor.dates[1:n], self.grid[:-1] + 1e-12,
                                  side="right")
+        j0 = np.maximum(j0, first)
         cuts = np.concatenate([[0], np.flatnonzero(np.diff(j0)) + 1,
                                [self.n_steps]])
         self.segments = [_Segment(self, int(j0[s0]), range(s0, s1))
                          for s0, s1 in zip(cuts[:-1], cuts[1:]) if s1 > s0]
+        # Noise rows of the widest segment.
+        self.noise_rows = max((seg.load.shape[0] for seg in self.segments),
+                              default=0)
 
 
 class _Segment:
     """The steps between two fixings and the state rows they update.
 
-    Libor rows j0..n-1 are live; a fixed Libor keeps its value, so its row
-    is not stepped.  Variance rows vlo..nv-1 are stepped: the rows the live
-    Libors read, or every row when snapshots report the variances.
-    ``vsel`` picks each live Libor's variance out of the stepped rows: a
-    slice (one shared row broadcasts) or, under swap substitution, an index
-    array.
+    Libor rows j0..n-1 are stepped: the live ones at or above ``first``; a
+    fixed Libor keeps its value.  Variance rows vlo..nv-1 are stepped: the
+    rows the stepped Libors read, or every row when snapshots report the
+    variances.  ``vsel`` picks each stepped Libor's variance out of the
+    stepped rows: a slice (one shared row broadcasts) or, under swap
+    substitution, an index array.
     """
 
     def __init__(self, pre: _Precomp, j0: int, steps: range):
@@ -300,7 +318,8 @@ def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
     return np.asarray(times)
 
 
-def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig):
+def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig, out=None,
+                  pairs=None):
     """``draw(s)``: the (P, dim) normals of step s for paths p0..p0+P-1.
 
     Group g = path // GROUP reads step s from Philox keyed by the seed with
@@ -308,7 +327,8 @@ def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig):
     antithetic sampling one row per pair, copied to the even path and
     negated on the odd one.  Resetting one generator's counter gives the
     stream of a freshly built generator.  ``draw`` refills and returns the
-    same array on every call.
+    same array on every call: ``out`` if given, with ``pairs``, a
+    (min(P, GROUP) // 2, dim) array, holding the pair rows.
     """
     if p0 % GROUP:
         raise InvariantError("BLOCK", "blocks must start at a path group")
@@ -316,16 +336,18 @@ def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig):
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # buffer empty, so a new counter restarts the stream
     counter = state["state"]["counter"]
-    out = np.empty((P, dim))
+    if out is None:
+        out = np.empty((P, dim))
     groups = [((p0 + c0) // GROUP, out[c0:c0 + GROUP])
               for c0 in range(0, P, GROUP)]
-    pairs = np.empty((min(P, GROUP) // 2, dim)) if cfg.antithetic else None
+    if cfg.antithetic and pairs is None:
+        pairs = np.empty((min(P, GROUP) // 2, dim))
 
     def draw(s: int) -> np.ndarray:
         for g, z in groups:
             counter[:] = (0, 0, g, s)
             bitgen.state = state
-            if pairs is None:
+            if not cfg.antithetic:
                 gen.standard_normal(out=z)
                 continue
             half = pairs[:z.shape[0] // 2]
@@ -338,37 +360,73 @@ def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig):
     return draw
 
 
+def _padded(paths: int) -> int:
+    """Paths a block of ``paths`` simulates: the next multiple of PAD."""
+    return -(-paths // PAD) * PAD
+
+
+class _Workspace:
+    """One worker's arrays for blocks of P simulated paths.
+
+    The state, the step's products and one step's normals, over the rows a
+    block steps: Libors first..n-1 and variances vfirst..nv-1.  A segment
+    uses the leading rows of the work arrays.  Every block a worker runs in
+    one call reuses them, so each value is written before it is read.
+    """
+
+    def __init__(self, pre: _Precomp, P: int, cfg: MCConfig):
+        nx, nv = pre.n - pre.first, pre.nv - pre.vfirst
+        self.P = P
+        self.z = np.empty((P, pre.dim))
+        self.pairs = (np.empty((min(P, GROUP) // 2, pre.dim))
+                      if cfg.antithetic else None)
+        self.X, self.c, self.work, self.dX = (np.empty((nx, P))
+                                              for _ in range(4))
+        self.v, self.vplus, self.sqrt_v = (np.empty((nv, P))
+                                           for _ in range(3))
+        self.W = np.empty((pre.noise_rows, P))
+
+
 def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
-                    record: dict[int, float]) -> dict[float, tuple]:
+                    record: dict[int, float],
+                    ws: _Workspace | None = None) -> dict[float, tuple]:
     """Snapshots {t: (L, v_used)} of paths p0..p1-1; v_used is None unless
     ``pre.variance`` is set, because the estimators read only the Libors.
+    The Libors below ``pre.first`` keep their time-0 values in L.
 
     The block is padded up to a multiple of PAD paths, which are simulated
-    but neither checked nor reported."""
+    but neither checked nor reported.  It runs on ``ws`` (new arrays when
+    None), which must be sized for the padded block."""
     keep = p1 - p0
-    P = -(-keep // PAD) * PAD
-    draw = _step_normals(p0, P, pre.dim, cfg)
+    P = _padded(keep)
+    if ws is None:
+        ws = _Workspace(pre, P, cfg)
+    draw = _step_normals(p0, P, pre.dim, cfg, ws.z, ws.pairs)
     spans = [slice(c0, c0 + pre.span) for c0 in range(0, P, pre.span)]
 
     def product(a, b, out):
         for cols in spans:
             np.matmul(a, b[:, cols], out=out[:, cols])
 
-    n, nv = pre.n, pre.nv
+    n, nv, lo, vfirst = pre.n, pre.nv, pre.first, pre.vfirst
     # The state is (rows, paths) so that every elementwise operation runs
-    # over contiguous paths; work arrays are allocated once per block, and
-    # a segment uses their leading rows.
-    X = np.repeat(pre.x0[:, None], P, axis=1)
-    v = np.repeat(pre.v0[:, None], P, axis=1)
-    vplus_all, sqrt_v_all = np.empty((nv, P)), np.empty((nv, P))
-    c_all, work_all, dX_all = (np.empty((n, P)) for _ in range(3))
-    W_all = np.empty((pre.load.shape[0], P))
+    # over contiguous paths; X row i is Libor lo + i, v row i variance
+    # vfirst + i.
+    X, v = ws.X, ws.v
+    X[:] = pre.x0[lo:, None]
+    v[:] = pre.v0[vfirst:, None]
+    alpha_col = pre.alpha[lo:, None]
 
     def snapshot():
-        L = np.ascontiguousarray((np.exp(X[:, :keep]) - pre.alpha[:, None]).T)
+        L = np.empty((keep, n))
+        L[:, :lo] = pre.L0
+        # c is free here: each step writes it before reading it.
+        Lx = np.exp(X[:, :keep], out=ws.c[:, :keep])
+        Lx -= alpha_col
+        L[:, lo:] = Lx.T
         if not pre.variance:
             return L, None
-        return L, np.ascontiguousarray(v[pre.vmap, :keep].T)
+        return L, np.ascontiguousarray(v[pre.vmap - vfirst, :keep].T)
 
     snaps: dict[float, tuple] = {}
     if 0 in record:
@@ -376,11 +434,12 @@ def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
     for seg in pre.segments:
         j0, vlo = seg.j0, seg.vlo
         nl = n - j0
-        # Views of the live rows; slicing leading rows keeps them contiguous.
-        X_live, v_live = X[j0:], v[vlo:]
-        vplus, sqrt_v = vplus_all[:nv - vlo], sqrt_v_all[:nv - vlo]
-        c, work, dX = c_all[:nl], work_all[:nl], dX_all[:nl]
-        W = W_all[:seg.load.shape[0]]
+        # Views of the stepped rows; slicing leading rows keeps them
+        # contiguous.
+        X_live, v_live = X[j0 - lo:], v[vlo - vfirst:]
+        vplus, sqrt_v = ws.vplus[:nv - vlo], ws.sqrt_v[:nv - vlo]
+        c, work, dX = ws.c[:nl], ws.work[:nl], ws.dX[:nl]
+        W = ws.W[:seg.load.shape[0]]
         delta_col, one_minus_da = pre.delta_col[j0:], pre.one_minus_da[j0:]
         half_beta_sq, half_gam_sq = pre.half_beta_sq[j0:], pre.half_gam_sq[j0:]
         theta_v = pre.theta_v[vlo:]
@@ -446,22 +505,38 @@ def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list[np.ndarray]:
 
     ``read`` returns a list of arrays with paths along axis 0 and runs in
     the worker, so a finished block keeps only those arrays; they are
-    stacked in block order, whatever order the blocks finish in.  The
-    thread pool is imported here, so that importing the package does not
-    load ``concurrent.futures`` and ``logging``.
+    copied into the call's (paths, ...) results in block order, whatever
+    order the blocks finish in, and dropped.  Each worker runs its blocks
+    on one ``_Workspace``, kept for the call only; a last block of another
+    padded size replaces it.  The thread pool is imported here, so that
+    importing the package does not load ``concurrent.futures`` and
+    ``logging``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     record = _record_map(pre, times)
     bounds = [(p0, min(p0 + BLOCK, cfg.paths))
               for p0 in range(0, cfg.paths, BLOCK)]
+    local = threading.local()
 
     def run(block):
-        return read(_simulate_block(*block, pre, cfg, record))
+        P = _padded(block[1] - block[0])
+        ws = getattr(local, "ws", None)
+        if ws is None or ws.P != P:
+            ws = local.ws = None  # drop the old arrays before allocating
+            ws = local.ws = _Workspace(pre, P, cfg)
+        return read(_simulate_block(*block, pre, cfg, record, ws))
 
+    out = None
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        parts = list(pool.map(run, bounds))
-    return [np.concatenate(cols) for cols in zip(*parts)]
+        for (p0, p1), part in zip(bounds, pool.map(run, bounds)):
+            if out is None:
+                out = [np.empty((cfg.paths,) + a.shape[1:], a.dtype)
+                       for a in part]
+            for o, a in zip(out, part):
+                o[p0:p1] = a
+            del part  # not held while the next block runs
+    return out
 
 
 def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
@@ -470,27 +545,31 @@ def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
 
     L is (paths, n) in the padded column convention; v_used holds the
     variance actually driving each Libor column (relevant under
-    substitution).
+    substitution).  No times simulate nothing: {}.
     """
     pre = _Precomp(tenor, curve, params, fact, horizon, cfg, variance=True)
     if record_times is None:
         record_times = [t for t in tenor.dates if 0.0 < t <= horizon]
     times = list(_record_map(pre, record_times).values())
+    if not times:
+        return {}
     cols = _collect(pre, cfg, times,
                     lambda snaps: [a for t in times for a in snaps[t]])
     return dict(zip(times, zip(cols[::2], cols[1::2])))
 
 
-def _estimate(tenor, curve, params, fact, cfg: MCConfig, times,
-              payoffs) -> tuple[list[tuple[np.ndarray, np.ndarray]], float, int]:
+def _estimate(tenor, curve, params, fact, cfg: MCConfig, times, payoffs,
+              first: int
+              ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float, int]:
     """[(mean, se)] over paths of each (paths, k) array ``payoffs`` reads,
     with the elapsed seconds and the step count of the one simulation to
-    the last of ``times``.  Antithetic pairs are averaged first.  No times
-    simulate nothing: ([], 0.0, 0)."""
+    the last of ``times``.  ``payoffs`` reads no Libor below ``first``.
+    Antithetic pairs are averaged first.  No times simulate nothing:
+    ([], 0.0, 0)."""
     if not times:
         return [], 0.0, 0
     start = time.perf_counter()
-    pre = _Precomp(tenor, curve, params, fact, max(times), cfg)
+    pre = _Precomp(tenor, curve, params, fact, max(times), cfg, first=first)
     stats = []
     for x in _collect(pre, cfg, times, payoffs):
         if cfg.antithetic:
@@ -566,7 +645,7 @@ def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
         return out
 
     stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
-                                      payoffs)
+                                      payoffs, min(live, default=1))
     return _results(targets, live, stats, elapsed, steps,
                     float(curve.bonds[n]), cfg)
 
@@ -605,7 +684,8 @@ def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
 
     times = sorted({float(tenor.dates[p]) for p, _ in live})
     stats, elapsed, steps = _estimate(tenor, curve, params, fact, cfg, times,
-                                      payoffs)
+                                      payoffs, min((p for p, _ in live),
+                                                   default=1))
     return _results(legs, live, stats, elapsed, steps, float(curve.bonds[n]),
                     cfg)
 
@@ -635,6 +715,7 @@ def deflated_bond_means(tenor, curve, params, fact, cfg: MCConfig,
         return [_deflated_bonds(snaps[t][0], delta, j)
                 for t, j in zip(times, first)]
 
-    stats, _, _ = _estimate(tenor, curve, params, fact, cfg, times, payoffs)
+    stats, _, _ = _estimate(tenor, curve, params, fact, cfg, times, payoffs,
+                            min(first, default=1))
     return {t: tuple(np.r_[np.full(j, np.nan), x] for x in ms)
             for t, j, ms in zip(times, first, stats)}

@@ -10,7 +10,9 @@ next row, so that a row's cost depended on the heap's state.  Threads
 pricing the same row at once get the prices of a serial run.
 
 A Monte Carlo block draws each step's normals just before the step, so
-what it holds does not grow with the number of steps it simulates.
+what it holds does not grow with the number of steps it simulates, and a
+worker runs every block of a call on one set of arrays, so what it holds
+does not grow with the number of paths either.
 """
 
 import sys
@@ -104,16 +106,59 @@ def test_threads_pricing_one_row_agree_with_serial(strikes, cfp, tenor,
         np.testing.assert_array_equal(d_prices, serial[1])
 
 
+def test_monte_carlo_workers_keep_their_own_arrays(tenor, curve, params,
+                                                   fact):
+    # More workers than cores, switching often, over eight blocks: a work
+    # array shared between workers would let one overwrite another's state
+    # mid-block and move a bit of the serial result.
+    K = np.array([0.02, 0.03])
+
+    def run(threads):
+        cfg = MCConfig(paths=8 * 1024 - 100, steps_per_year=2, seed=12,
+                       threads=threads)
+        res = mc_caplets({3: K}, tenor, curve, params, fact, cfg)
+        return [(r.price, r.se) for r in res[3]]
+
+    serial = run(1)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(run(4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert out == [serial]
+
+
 def test_monte_carlo_memory_does_not_grow_with_the_horizon(tenor, curve,
                                                            params, fact):
-    # One block of 2,048 paths on one thread: the caplet on L_18 simulates
-    # to T_19 (152 steps), the one on L_5 to T_6 (48 steps); both keep two
-    # Libor snapshots.
+    # Two blocks of 1,024 paths on one thread, both stepping L_5..L_19:
+    # with the caplet on L_18 the call simulates to T_19 (152 steps), with
+    # the one on L_5 alone to T_6 (48 steps).
     cfg = MCConfig(paths=2048, threads=1)
     K = np.array([0.02, 0.03])
 
-    def peak(j):
-        return transient_peak(
-            lambda: mc_caplets({j: K}, tenor, curve, params, fact, cfg))
+    def peak(expiries):
+        return transient_peak(lambda: mc_caplets(
+            dict.fromkeys(expiries, K), tenor, curve, params, fact, cfg))
 
-    assert peak(18) <= 1.25 * peak(5)
+    assert peak((5, 18)) <= 1.25 * peak((5,))
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_paths(tenor, curve,
+                                                         params, fact):
+    # On one thread, four blocks of 1,024 paths hold one block's arrays,
+    # plus the per-path payoffs: the call's (paths, strikes) result and the
+    # blocks' parts on their way into it.
+    K = np.array([0.02, 0.03])
+
+    def peak(paths):
+        cfg = MCConfig(paths=paths, threads=1)
+        return transient_peak(
+            lambda: mc_caplets({5: K}, tenor, curve, params, fact, cfg))
+
+    payoffs = 2 * 4096 * K.size * 8
+    assert peak(4096) <= 1.25 * peak(1024) + payoffs

@@ -266,12 +266,33 @@ class TestMcPrice:
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(base + ["--out", str(out1)]) == 0
         assert main(base + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        blob = json.loads(out1.read_text())
-        assert set(blob) == {"price", "se", "paths", "steps_per_year", "seed"}
+        # Everything but the timing repeats exactly.
+        blob, again = (json.loads(out.read_text()) for out in (out1, out2))
+        assert set(blob) == {"price", "se", "paths", "steps_per_year", "seed",
+                             "steps", "elapsed_s"}
+        del blob["elapsed_s"], again["elapsed_s"]
+        assert blob == again
         assert blob["paths"] == 2048 and blob["seed"] == 3
         assert 0.0 < blob["price"] < 0.1
         assert blob["se"] > 0.0
+
+    def test_reports_steps_and_elapsed_seconds(self, tmp_path, fixtures_dir,
+                                               tenor, curve, params, fact):
+        # The caplet on L_3 pays at T_4: 16 steps at 4 a year, so the run's
+        # path-steps/s is paths * steps / elapsed_s.
+        out = tmp_path / "mc.json"
+        assert main(["mc-price",
+                     "--curve", str(fixtures_dir / "curve_table.csv"),
+                     "--model", str(fixtures_dir / "model_table.json"),
+                     "--out", str(out)] + self.ARGS) == 0
+        blob = strict_json(out.read_text())
+        cfg = MCConfig(paths=2048, steps_per_year=4, seed=3,
+                       substitution=("caplet", 3))
+        want = mc_caplets({3: np.array([0.01])}, tenor, curve, params, fact,
+                          cfg)[3][0]
+        assert blob["steps"] == want.steps == 16
+        assert isinstance(blob["elapsed_s"], float) and blob["elapsed_s"] > 0.0
+        assert blob["paths"] * blob["steps"] / blob["elapsed_s"] > 0.0
 
     def test_one_path_writes_null_standard_error(self, tmp_path,
                                                  fixtures_dir):

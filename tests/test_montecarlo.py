@@ -268,6 +268,21 @@ def test_config_validation():
              seed=np.uint64(3), threads=np.int8(2))
 
 
+def test_no_record_times_simulate_nothing(tenor, curve, params, fact,
+                                         monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate ran blocks with no time to record")
+
+    monkeypatch.setattr(montecarlo, "_collect", no_simulation)
+    cfg = MCConfig(paths=4096, steps_per_year=2)
+    assert simulate(tenor, curve, params, fact, 10.0, cfg,
+                    record_times=[]) == {}
+    assert simulate(tenor, curve, params, fact, 0.0, cfg) == {}
+    # The horizon is still checked.
+    with pytest.raises(InvariantError, match="horizon"):
+        simulate(tenor, curve, params, fact, 19.5, cfg, record_times=[])
+
+
 def test_horizon_and_recording_guards(tenor, curve, params, fact):
     with pytest.raises(InvariantError, match="horizon"):
         simulate(tenor, curve, params, fact, 19.5,
@@ -344,7 +359,7 @@ def test_step_normals_are_per_group_philox_streams(antithetic):
     # groups and a block starting at group 2 that ends in a partial group.
     group, dim = montecarlo.GROUP, 21
     cfg = MCConfig(seed=11, antithetic=antithetic)
-    for p0, P in ((0, montecarlo.BLOCK), (montecarlo.BLOCK, group + 8)):
+    for p0, P in ((0, 2 * group), (2 * group, group + 8)):
         draw = montecarlo._step_normals(p0, P, dim, cfg)
         for s in (0, 1, 151):
             z = draw(s)
@@ -383,8 +398,8 @@ def test_swaption_call_reads_the_caplet_calls_normals(tenor, curve, params,
     real = montecarlo._step_normals
     seen = {}
 
-    def recording(p0, P, dim, cfg):
-        draw = real(p0, P, dim, cfg)
+    def recording(p0, P, dim, cfg, *buffers):
+        draw = real(p0, P, dim, cfg, *buffers)
 
         def record(s):
             z = draw(s)
@@ -406,6 +421,27 @@ def test_swaption_call_reads_the_caplet_calls_normals(tenor, curve, params,
     assert {p0 for p0, _ in swaption} == {0, montecarlo.BLOCK}
     assert len(caplet) == 2 * 38
     assert all(caplet[key] == z for key, z in swaption.items())
+
+
+def test_lower_expiries_and_legs_move_no_other_result(tenor, curve, params,
+                                                      fact):
+    # The estimators step no Libor below the lowest one a payoff reads.  A
+    # lower request steps more rows, which must not move a bit of the
+    # prices and SEs of the others, at any thread count.
+    K = np.array([0.01, 0.02, 0.03])
+
+    def rows(res, keys):
+        return [(r.price, r.se, r.steps) for key in keys for r in res[key]]
+
+    for threads in (1, 2):
+        cfg = MCConfig(paths=3003, steps_per_year=2, seed=8, threads=threads)
+        low = mc_caplets({1: K, 5: K, 11: K}, tenor, curve, params, fact, cfg)
+        high = mc_caplets({5: K, 11: K}, tenor, curve, params, fact, cfg)
+        assert rows(low, (5, 11)) == rows(high, (5, 11))
+        low = mc_swaptions({(2, 10): K, (10, 20): K}, tenor, curve, params,
+                           fact, cfg)
+        high = mc_swaptions({(10, 20): K}, tenor, curve, params, fact, cfg)
+        assert rows(low, [(10, 20)]) == rows(high, [(10, 20)])
 
 
 def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
@@ -444,7 +480,7 @@ def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
         return out
 
     counts = (5000, 3003)
-    sizes = (montecarlo.GROUP, 4096)
+    sizes = (2048, 4096)
     assert all(paths % block for paths in counts
                for block in (montecarlo.BLOCK, *sizes))
     assert all(block % montecarlo.GROUP == 0 and block != montecarlo.BLOCK
