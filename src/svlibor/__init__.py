@@ -24,8 +24,8 @@ from .market_data import (CapletPanel, DiscountCurve, SwapContext,
 from .model import (ModelParams, VolFactorization, build_factorization,
                     build_loadings, correlation_matrices, factorize_vols,
                     instantaneous_correlations, load_params)
-from .montecarlo import (MCConfig, MCResult, deflated_bond_means, mc_caplet,
-                         mc_caplets, mc_swaption, mc_swaptions, simulate)
+from .montecarlo import (MCConfig, MCResult, deflated_bond_means, mc_caplets,
+                         mc_swaptions, simulate)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,8 @@ __all__ = [
     "carr_madan_cv", "correlation_matrices", "deflated_bond_means",
     "effective_caplet_params", "factorize_vols", "fit_report_rows",
     "heston_cf", "implied_vol", "instantaneous_correlations", "load_curve",
-    "load_panel", "load_params", "mc_caplet", "mc_caplets", "mc_swaption",
-    "mc_swaptions", "panel_market_prices", "simulate", "strip_libors",
+    "load_panel", "load_params", "mc_caplets", "mc_swaptions",
+    "panel_market_prices", "simulate", "strip_libors",
     "swap_averaged_vol_params", "swap_context", "swap_effective_params",
     "swaption_cf_params", "swaption_price",
 ]

@@ -19,7 +19,7 @@ from .errors import SvLiborError
 from .fourier import caplet_price, implied_vol, swaption_price
 from .market_data import load_curve, load_panel, strip_libors, swap_context
 from .model import build_factorization, correlation_matrices, load_params
-from .montecarlo import MCConfig, mc_caplet, mc_caplets, mc_swaption, mc_swaptions
+from .montecarlo import MCConfig, mc_caplets, mc_swaptions
 
 THREADS_ENV = "SVLIBOR_THREADS"
 
@@ -238,11 +238,10 @@ def _cmd_mc_price(args) -> int:
             raise SvLiborError("--substitute swap needs --p/--q")
         substitution = ("swap", args.p, args.q)
     cfg = _mc_from(args, substitution)
-    if is_caplet:
-        res = mc_caplet(args.j, args.strike, tenor, curve, params, fact, cfg)
-    else:
-        res = mc_swaption(args.p, args.q, args.strike, tenor, curve, params,
-                          fact, cfg)
+    key, mc_price = ((args.j, mc_caplets) if is_caplet
+                     else ((args.p, args.q), mc_swaptions))
+    res = mc_price({key: [args.strike]}, tenor, curve, params, fact,
+                   cfg)[key][0]
     payload = {"price": res.price, "se": res.se, "paths": res.paths,
                "steps_per_year": cfg.steps_per_year, "seed": cfg.seed,
                "steps": res.steps, "elapsed_s": res.elapsed}

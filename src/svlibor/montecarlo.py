@@ -11,19 +11,19 @@ Reproducibility: normals come from a counter-based generator (Philox)
 keyed by the seed.  Paths fall into fixed groups of GROUP = 1024, and the
 normals of step s for the paths of group g are read in path order from the
 stream with counter (0, 0, g, s); under antithetic sampling one row per
-pair i >> 1, negated on odd paths.  A block draws each step's (paths, dim)
-normals just before the step, one generator call per group, into one
-array that every step reuses, so a worker holds one step's normals however
-many steps it simulates, and a time's values do not depend on the horizon
-simulated.  A block is one group, BLOCK = GROUP paths, and blocks are
-stacked in index order, which makes results bitwise identical across
-thread counts.  Results also do not depend on the block size (any
-multiple of GROUP), bitwise, for any path count: a block whose path count
-is not a multiple of PAD = 8 (the kernel width measured with OpenBLAS on
-x86-64) is padded up to one with the next rows of its last group's stream,
-and the padded paths are dropped before anything reads the snapshots.
-Unpadded, the BLAS edge kernel that serves a block's ragged last paths may
-round their last bit differently for other block sizes or row counts.
+pair i >> 1, negated on odd paths.  A group is the unit of simulation (a
+block): it draws each step's (paths, dim) normals just before the step,
+in one generator call, into one array that every step reuses, so a worker
+holds one step's normals however many steps it simulates, and a time's
+values do not depend on the horizon simulated.  Groups are combined in
+index order, which makes results bitwise identical across thread counts.
+A path's values also do not depend, bitwise, on how many paths follow it:
+a last group whose path count is not a multiple of PAD = 8 (the kernel
+width measured with OpenBLAS on x86-64) is padded up to one with the next
+rows of its stream, and the padded paths are dropped before anything reads
+the snapshots.  Unpadded, the BLAS edge kernel that serves a group's
+ragged last paths may round their last bit differently for other row
+counts.
 
 Each step is a few BLAS products and in-place elementwise updates on a
 (rows, paths) state: one product of the step's normals with the stacked
@@ -40,15 +40,18 @@ substitution), and ``simulate``, which reports variances, steps every row
 it reports.  The row slices of the state, loadings and couplings are taken
 once per segment; each step scales them by its own dt.
 
-One collector, ``_collect``, runs the blocks on ``MCConfig.threads``
-workers, applies a reader to each block's snapshots in the worker thread
-and stacks the results in block order.  Each worker holds one set of work
-arrays for the call, sized to the stepped rows and one block: the state,
-the step's products and its normals, reset in place for every block it
-runs, so a call's memory does not grow with the path count and its arrays
-are not faulted in again block after block.  The pricers and
-``deflated_bond_means`` read payoffs for ``_estimate``, the one mean and
-standard-error reduction; ``simulate`` reads the snapshots themselves.
+One collector, ``_collect``, runs the groups on ``MCConfig.threads``
+workers, applies a reader to each group's snapshots in the worker thread
+and returns the readers' results in group order.  Each worker holds one
+set of work arrays for the call, sized to the stepped rows and one group:
+the state, the step's products and its normals, reset in place for every
+group it runs, so its arrays are not faulted in again group after group.
+The pricers and ``deflated_bond_means`` read payoffs for ``_estimate``,
+the one mean and standard-error reduction: the worker reduces a group's
+payoffs to (count, mean, M2) per column and the groups are folded in
+order, so no call holds a per-path payoff and an estimator's memory does
+not grow with the path count.  ``simulate`` reads the snapshots
+themselves and stacks them.
 
 Substitution modes reproduce the single-variance comparison models:
 "caplet-j" drives every Libor with v_j; "swap-pq" drives the Libors of the
@@ -75,19 +78,13 @@ __all__ = [
     "MCConfig",
     "MCResult",
     "simulate",
-    "mc_caplet",
     "mc_caplets",
-    "mc_swaption",
     "mc_swaptions",
     "deflated_bond_means",
 ]
 
 # Paths share a normal stream per step in fixed groups of GROUP paths.
 GROUP = 1024
-# Paths stepped together: one group, so that every block starts at a group
-# and a worker holds one group's arrays; fixed so the path-to-block
-# assignment never depends on the thread count.
-BLOCK = GROUP
 # Blocks simulate a multiple of PAD paths, so that every path goes through
 # the BLAS kernel's full-width columns.
 PAD = 8
@@ -151,7 +148,7 @@ class MCResult:
 
 
 class _Precomp:
-    """Constant arrays shared by all path blocks of one simulation.
+    """Constant arrays shared by all path groups of one simulation.
 
     ``variance`` says whether snapshots report the variances; without it
     only the variance rows that a stepped Libor reads are stepped.  Libors
@@ -318,59 +315,46 @@ def _time_grid(tenor, horizon: float, steps_per_year: int) -> np.ndarray:
     return np.asarray(times)
 
 
-def _step_normals(p0: int, P: int, dim: int, cfg: MCConfig, out=None,
-                  pairs=None):
-    """``draw(s)``: the (P, dim) normals of step s for paths p0..p0+P-1.
+def _step_normals(g: int, cfg: MCConfig, out: np.ndarray, pairs):
+    """``draw(s)``: fills ``out`` with the normals of step s for the first
+    ``len(out)`` paths of group g and returns it.
 
-    Group g = path // GROUP reads step s from Philox keyed by the seed with
-    counter (0, 0, g, s): one row per path, in path order, or under
-    antithetic sampling one row per pair, copied to the even path and
-    negated on the odd one.  Resetting one generator's counter gives the
-    stream of a freshly built generator.  ``draw`` refills and returns the
-    same array on every call: ``out`` if given, with ``pairs``, a
-    (min(P, GROUP) // 2, dim) array, holding the pair rows.
+    Group g reads step s from Philox keyed by the seed with counter
+    (0, 0, g, s): one row per path, in path order, or under antithetic
+    sampling one row per pair into ``pairs`` (half the rows of ``out``),
+    copied to the even path and negated on the odd one.  Resetting one
+    generator's counter gives the stream of a freshly built generator.
     """
-    if p0 % GROUP:
-        raise InvariantError("BLOCK", "blocks must start at a path group")
     bitgen = np.random.Philox(key=cfg.seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # buffer empty, so a new counter restarts the stream
     counter = state["state"]["counter"]
-    if out is None:
-        out = np.empty((P, dim))
-    groups = [((p0 + c0) // GROUP, out[c0:c0 + GROUP])
-              for c0 in range(0, P, GROUP)]
-    if cfg.antithetic and pairs is None:
-        pairs = np.empty((min(P, GROUP) // 2, dim))
 
     def draw(s: int) -> np.ndarray:
-        for g, z in groups:
-            counter[:] = (0, 0, g, s)
-            bitgen.state = state
-            if not cfg.antithetic:
-                gen.standard_normal(out=z)
-                continue
-            half = pairs[:z.shape[0] // 2]
-            gen.standard_normal(out=half)
-            by_pair = z.reshape(-1, 2, dim)
-            by_pair[:, 0] = half
-            np.negative(half, out=by_pair[:, 1])
+        counter[:] = (0, 0, g, s)
+        bitgen.state = state
+        if not cfg.antithetic:
+            return gen.standard_normal(out=out)
+        gen.standard_normal(out=pairs)
+        by_pair = out.reshape(-1, 2, out.shape[1])
+        by_pair[:, 0] = pairs
+        np.negative(pairs, out=by_pair[:, 1])
         return out
 
     return draw
 
 
 def _padded(paths: int) -> int:
-    """Paths a block of ``paths`` simulates: the next multiple of PAD."""
+    """Paths a group of ``paths`` simulates: the next multiple of PAD."""
     return -(-paths // PAD) * PAD
 
 
 class _Workspace:
-    """One worker's arrays for blocks of P simulated paths.
+    """One worker's arrays for groups of P simulated paths.
 
     The state, the step's products and one step's normals, over the rows a
-    block steps: Libors first..n-1 and variances vfirst..nv-1.  A segment
-    uses the leading rows of the work arrays.  Every block a worker runs in
+    group steps: Libors first..n-1 and variances vfirst..nv-1.  A segment
+    uses the leading rows of the work arrays.  Every group a worker runs in
     one call reuses them, so each value is written before it is read.
     """
 
@@ -378,8 +362,7 @@ class _Workspace:
         nx, nv = pre.n - pre.first, pre.nv - pre.vfirst
         self.P = P
         self.z = np.empty((P, pre.dim))
-        self.pairs = (np.empty((min(P, GROUP) // 2, pre.dim))
-                      if cfg.antithetic else None)
+        self.pairs = np.empty((P // 2, pre.dim)) if cfg.antithetic else None
         self.X, self.c, self.work, self.dX = (np.empty((nx, P))
                                               for _ in range(4))
         self.v, self.vplus, self.sqrt_v = (np.empty((nv, P))
@@ -387,21 +370,19 @@ class _Workspace:
         self.W = np.empty((pre.noise_rows, P))
 
 
-def _simulate_block(p0: int, p1: int, pre: _Precomp, cfg: MCConfig,
+def _simulate_block(g: int, pre: _Precomp, cfg: MCConfig,
                     record: dict[int, float],
-                    ws: _Workspace | None = None) -> dict[float, tuple]:
-    """Snapshots {t: (L, v_used)} of paths p0..p1-1; v_used is None unless
-    ``pre.variance`` is set, because the estimators read only the Libors.
-    The Libors below ``pre.first`` keep their time-0 values in L.
+                    ws: _Workspace) -> dict[float, tuple]:
+    """Snapshots {t: (L, v_used)} of the paths of group g; v_used is None
+    unless ``pre.variance`` is set, because the estimators read only the
+    Libors.  The Libors below ``pre.first`` keep their time-0 values in L.
 
-    The block is padded up to a multiple of PAD paths, which are simulated
-    but neither checked nor reported.  It runs on ``ws`` (new arrays when
-    None), which must be sized for the padded block."""
-    keep = p1 - p0
-    P = _padded(keep)
-    if ws is None:
-        ws = _Workspace(pre, P, cfg)
-    draw = _step_normals(p0, P, pre.dim, cfg, ws.z, ws.pairs)
+    The group is padded up to a multiple of PAD paths, which are simulated
+    but neither checked nor reported.  It runs on ``ws``, which must be
+    sized for the padded group."""
+    keep = min(GROUP, cfg.paths - g * GROUP)
+    P = ws.P
+    draw = _step_normals(g, cfg, ws.z, ws.pairs)
     spans = [slice(c0, c0 + pre.span) for c0 in range(0, P, pre.span)]
 
     def product(a, b, out):
@@ -500,43 +481,32 @@ def _record_map(pre: _Precomp, record_times) -> dict[int, float]:
     return record
 
 
-def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list[np.ndarray]:
-    """``read`` of every block's snapshots {t: (L, v_used)} at ``times``.
+def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list:
+    """``read`` of every group's snapshots {t: (L, v_used)} at ``times``, in
+    group order.
 
-    ``read`` returns a list of arrays with paths along axis 0 and runs in
-    the worker, so a finished block keeps only those arrays; they are
-    copied into the call's (paths, ...) results in block order, whatever
-    order the blocks finish in, and dropped.  Each worker runs its blocks
-    on one ``_Workspace``, kept for the call only; a last block of another
-    padded size replaces it.  The thread pool is imported here, so that
-    importing the package does not load ``concurrent.futures`` and
+    ``read`` runs in the worker, so a finished group keeps only what it
+    returns, whatever order the groups finish in.  Each worker runs its
+    groups on one ``_Workspace``, kept for the call only; a last group of
+    another padded size replaces it.  The thread pool is imported here, so
+    that importing the package does not load ``concurrent.futures`` and
     ``logging``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     record = _record_map(pre, times)
-    bounds = [(p0, min(p0 + BLOCK, cfg.paths))
-              for p0 in range(0, cfg.paths, BLOCK)]
     local = threading.local()
 
-    def run(block):
-        P = _padded(block[1] - block[0])
+    def run(g):
+        P = _padded(min(GROUP, cfg.paths - g * GROUP))
         ws = getattr(local, "ws", None)
         if ws is None or ws.P != P:
             ws = local.ws = None  # drop the old arrays before allocating
             ws = local.ws = _Workspace(pre, P, cfg)
-        return read(_simulate_block(*block, pre, cfg, record, ws))
+        return read(_simulate_block(g, pre, cfg, record, ws))
 
-    out = None
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for (p0, p1), part in zip(bounds, pool.map(run, bounds)):
-            if out is None:
-                out = [np.empty((cfg.paths,) + a.shape[1:], a.dtype)
-                       for a in part]
-            for o, a in zip(out, part):
-                o[p0:p1] = a
-            del part  # not held while the next block runs
-    return out
+        return list(pool.map(run, range(-(-cfg.paths // GROUP))))
 
 
 def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
@@ -553,37 +523,60 @@ def simulate(tenor, curve, params, fact, horizon: float, cfg: MCConfig,
     times = list(_record_map(pre, record_times).values())
     if not times:
         return {}
-    cols = _collect(pre, cfg, times,
-                    lambda snaps: [a for t in times for a in snaps[t]])
+    # Each group's columns come last first, so that popping stacks one
+    # column at a time and drops its parts before stacking the next.
+    groups = _collect(pre, cfg, times, lambda snaps: [
+        a for t in reversed(times) for a in reversed(snaps[t])])
+    cols = [np.concatenate([g.pop() for g in groups])
+            for _ in range(2 * len(times))]
     return dict(zip(times, zip(cols[::2], cols[1::2])))
 
 
 def _estimate(tenor, curve, params, fact, cfg: MCConfig, times, payoffs,
               first: int
               ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float, int]:
-    """[(mean, se)] over paths of each (paths, k) array ``payoffs`` reads,
-    with the elapsed seconds and the step count of the one simulation to
-    the last of ``times``.  ``payoffs`` reads no Libor below ``first``.
-    Antithetic pairs are averaged first.  No times simulate nothing:
-    ([], 0.0, 0)."""
+    """[(mean, se)] over paths of each of the (paths, k) arrays that
+    ``payoffs`` reads from a group's snapshots, with the elapsed seconds and
+    the step count of the one simulation to the last of ``times``.
+    ``payoffs`` reads no Libor below ``first``.
+
+    The worker reduces each group's payoffs to (count, mean, M2) per
+    column, antithetic pairs averaged first (GROUP is even, so no pair
+    straddles two groups).  The groups are folded in group order by Chan's
+    pairwise update (Chan, Golub & LeVeque 1983), so the thread count moves
+    no bit.  No times simulate nothing: ([], 0.0, 0)."""
     if not times:
         return [], 0.0, 0
     start = time.perf_counter()
     pre = _Precomp(tenor, curve, params, fact, max(times), cfg, first=first)
+
+    def moments(snaps):
+        out = []
+        for x in payoffs(snaps):
+            if cfg.antithetic:
+                x = x.reshape(-1, 2, x.shape[1]).mean(axis=1)
+            mean = x.mean(axis=0)
+            out.append((x.shape[0], mean, np.square(x - mean).sum(axis=0)))
+        return out
+
     stats = []
-    for x in _collect(pre, cfg, times, payoffs):
-        if cfg.antithetic:
-            x = x.reshape(x.shape[0] // 2, 2, -1).mean(axis=1)
-        count = x.shape[0]
-        se = (np.sqrt(x.var(axis=0, ddof=1) / count) if count > 1
-              else np.full(x.shape[1], np.nan))
-        stats.append((x.mean(axis=0), se))
+    for first_group, *rest in zip(*_collect(pre, cfg, times, moments)):
+        count, mean, m2 = first_group
+        for count_b, mean_b, m2_b in rest:
+            d = mean_b - mean
+            total = count + count_b
+            mean = mean + d * (count_b / total)
+            m2 = m2 + m2_b + d * d * (count * count_b / total)
+            count = total
+        se = (np.sqrt(m2 / (count - 1) / count) if count > 1
+              else np.full(mean.shape, np.nan))
+        stats.append((mean, se))
     return stats, time.perf_counter() - start, pre.n_steps
 
 
 def _deflated_bonds(L: np.ndarray, delta: np.ndarray, p: int) -> np.ndarray:
     """D[:, r-p] = B_r(t)/B_n(t) = prod_{k=r}^{n-1} (1 + delta_k L_k(t)),
-    r = p..n, from the Libors L = L(t) of a block."""
+    r = p..n, from the Libors L = L(t) of a group."""
     growth = 1.0 + delta[p:] * L[:, p:]  # columns k = p..n-1
     D = np.ones((L.shape[0], growth.shape[1] + 1))
     D[:, :-1] = np.cumprod(growth[:, ::-1], axis=1)[:, ::-1]
@@ -650,13 +643,6 @@ def mc_caplets(targets: dict[int, np.ndarray], tenor, curve, params, fact,
                     float(curve.bonds[n]), cfg)
 
 
-def mc_caplet(j: int, strike: float, tenor, curve, params, fact,
-              cfg: MCConfig) -> MCResult:
-    """Single caplet price; see mc_caplets."""
-    return mc_caplets({j: np.atleast_1d(float(strike))},
-                      tenor, curve, params, fact, cfg)[j][0]
-
-
 def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
                  params, fact, cfg: MCConfig) -> dict[tuple[int, int], list[MCResult]]:
     """Price payer swaptions for several legs from one simulation.
@@ -688,13 +674,6 @@ def mc_swaptions(legs: dict[tuple[int, int], np.ndarray], tenor, curve,
                                                    default=1))
     return _results(legs, live, stats, elapsed, steps, float(curve.bonds[n]),
                     cfg)
-
-
-def mc_swaption(p: int, q: int, strike: float, tenor, curve, params, fact,
-                cfg: MCConfig) -> MCResult:
-    """Single payer swaption price; see mc_swaptions."""
-    return mc_swaptions({(p, q): np.atleast_1d(float(strike))},
-                        tenor, curve, params, fact, cfg)[(p, q)][0]
 
 
 def deflated_bond_means(tenor, curve, params, fact, cfg: MCConfig,

@@ -24,9 +24,7 @@ from svlibor import (
     caplet_price,
     deflated_bond_means,
     factorize_vols,
-    mc_caplet,
     mc_caplets,
-    mc_swaption,
     mc_swaptions,
     montecarlo,
     simulate,
@@ -62,25 +60,27 @@ def test_zero_vol_of_vol_freezes_variance(tenor, curve, params, loadings):
 
 
 def test_seed_and_thread_determinism(tenor, curve, params, fact):
-    base = dict(paths=8192, steps_per_year=4, seed=7)
-    first = mc_caplet(2, 0.02, tenor, curve, params, fact, MCConfig(**base))
-    again = mc_caplet(2, 0.02, tenor, curve, params, fact, MCConfig(**base))
-    threaded = mc_caplet(2, 0.02, tenor, curve, params, fact,
-                         MCConfig(threads=4, **base))
+    def price(**cfg):
+        return mc_caplets({2: [0.02]}, tenor, curve, params, fact,
+                          MCConfig(paths=8192, steps_per_year=4, **cfg))[2][0]
+
+    first = price(seed=7)
+    again = price(seed=7)
+    threaded = price(seed=7, threads=4)
     assert first.price == again.price
     assert first.se == again.se
     assert first.price == threaded.price
     assert first.se == threaded.se
-    other = mc_caplet(2, 0.02, tenor, curve, params, fact,
-                      MCConfig(paths=8192, steps_per_year=4, seed=8))
+    other = price(seed=8)
     assert other.price != first.price
 
 
 def test_estimators_do_not_depend_on_thread_count(tenor, curve, params, fact):
-    # Every estimator stacks its blocks in block order, so the worker count
-    # must not move a bit of a price, an SE or a deflated-bond mean.
+    # Every estimator folds its groups in group order, so the worker count
+    # must not move a bit of a price, an SE or a deflated-bond mean, also
+    # over a ragged last group (954 paths).
     def run(threads):
-        base = dict(paths=4096, steps_per_year=2, seed=9, threads=threads)
+        base = dict(paths=3002, steps_per_year=2, seed=9, threads=threads)
         K = np.array([0.01, 0.02, 0.03])
         caplets = mc_caplets({3: K, 19: K}, tenor, curve, params, fact,
                              MCConfig(antithetic=True, **base))
@@ -99,56 +99,83 @@ def test_estimators_do_not_depend_on_thread_count(tenor, curve, params, fact):
 def test_deflated_bond_means_match_simulated_ensemble(tenor, curve, params,
                                                       fact, antithetic):
     # B_j(t)/B_n(t) = prod_{k >= j} (1 + delta_k L_k(t)) from the ensemble
-    # `simulate` reports; matured bonds (T_j < t) are NaN.
-    cfg = MCConfig(paths=2048, steps_per_year=2, seed=6, antithetic=antithetic)
+    # `simulate` reports; matured bonds (T_j < t) are NaN.  The estimator
+    # folds per-group moments; 3003 paths (3002 antithetic) end in a ragged
+    # group.
     times = (1.0, 4.0, 6.0)
-    got = deflated_bond_means(tenor, curve, params, fact, cfg, times)
-    ens = simulate(tenor, curve, params, fact, 6.0, cfg, record_times=times)
     n = tenor.n
-    for t in times:
-        growth = 1.0 + tenor.day_counts * ens[t][0]
-        means, ses = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
-        for j in range(1, n + 1):
-            if tenor.dates[j] >= t:
-                defl = np.prod(growth[:, j:], axis=1)
-                if antithetic:
-                    defl = defl.reshape(-1, 2).mean(axis=1)
-                means[j] = defl.mean()
-                ses[j] = defl.std(ddof=1) / np.sqrt(defl.size)
-        assert np.isnan(means).sum() == int(np.sum(tenor.dates < t))
-        np.testing.assert_allclose(got[t][0], means, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(got[t][1], ses, rtol=1e-14, atol=0)
+    for paths in (2048, 3003 - antithetic):
+        cfg = MCConfig(paths=paths, steps_per_year=2, seed=6,
+                       antithetic=antithetic)
+        got = deflated_bond_means(tenor, curve, params, fact, cfg, times)
+        ens = simulate(tenor, curve, params, fact, 6.0, cfg,
+                       record_times=times)
+        for t in times:
+            growth = 1.0 + tenor.day_counts * ens[t][0]
+            means, ses = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+            for j in range(1, n + 1):
+                if tenor.dates[j] >= t:
+                    defl = np.prod(growth[:, j:], axis=1)
+                    if antithetic:
+                        defl = defl.reshape(-1, 2).mean(axis=1)
+                    means[j] = defl.mean()
+                    ses[j] = defl.std(ddof=1) / np.sqrt(defl.size)
+            assert np.isnan(means).sum() == int(np.sum(tenor.dates < t))
+            np.testing.assert_allclose(got[t][0], means, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(got[t][1], ses, rtol=1e-14, atol=0)
 
 
 def test_caplet_zero_strike_parity(tenor, curve, params, fact, libors):
-    res = mc_caplet(3, 0.0, tenor, curve, params, fact,
-                    MCConfig(paths=8192, steps_per_year=4))
+    res = mc_caplets({3: [0.0]}, tenor, curve, params, fact,
+                     MCConfig(paths=8192, steps_per_year=4))[3][0]
     parity = curve.bonds[4] * libors[3]
     assert abs(res.price - parity) <= 3.0 * res.se
 
 
 def test_far_otm_caplet_worthless(tenor, curve, params, fact):
-    res = mc_caplet(5, 0.5, tenor, curve, params, fact,
-                    MCConfig(paths=4096, steps_per_year=4))
+    res = mc_caplets({5: [0.5]}, tenor, curve, params, fact,
+                     MCConfig(paths=4096, steps_per_year=4))[5][0]
     assert res.price == 0.0
 
 
 def test_swaption_zero_strike_parity(tenor, curve, params, fact):
-    res = mc_swaption(2, 10, 0.0, tenor, curve, params, fact,
-                      MCConfig(paths=8192, steps_per_year=4))
+    res = mc_swaptions({(2, 10): [0.0]}, tenor, curve, params, fact,
+                       MCConfig(paths=8192, steps_per_year=4))[(2, 10)][0]
     parity = curve.bonds[2] - curve.bonds[10]
     assert abs(res.price - parity) <= 3.0 * res.se
 
 
-def test_step_halving_within_one_se(tenor, curve, params, fact):
-    # Discretization bias check pinned to the 5y ATM caplet.
-    cfg8 = MCConfig(paths=30000, steps_per_year=8, seed=0,
-                    substitution=("caplet", 5))
-    cfg16 = MCConfig(paths=30000, steps_per_year=16, seed=0,
-                     substitution=("caplet", 5))
+def test_step_halving_within_one_se(tenor, curve, params, fact,
+                                    monkeypatch):
+    # Discretization bias check pinned to the 5y ATM caplet.  The tenor
+    # dates are whole years, so the 16-a-year grid halves every step of the
+    # 8-a-year one.  The runs are coupled: coarse step s reads the Brownian
+    # increment of fine steps 2s and 2s + 1, (z(2s) + z(2s + 1)) / sqrt(2),
+    # so that their difference is the bias, not the noise of two
+    # independent runs.
+    assert np.array_equal(tenor.dates, np.round(tenor.dates))
     K = 0.0278511
-    coarse = mc_caplet(5, K, tenor, curve, params, fact, cfg8)
-    fine = mc_caplet(5, K, tenor, curve, params, fact, cfg16)
+
+    def price(steps_per_year):
+        cfg = MCConfig(paths=30000, steps_per_year=steps_per_year, seed=0,
+                       substitution=("caplet", 5))
+        return mc_caplets({5: [K]}, tenor, curve, params, fact, cfg)[5][0]
+
+    fine = price(16)
+    real = montecarlo._step_normals
+
+    def coarse_normals(g, cfg, out, pairs):
+        draw_fine = real(g, cfg, out, pairs)
+        first = np.empty_like(out)
+
+        def draw(s):
+            first[:] = draw_fine(2 * s)
+            out[:] = (first + draw_fine(2 * s + 1)) / np.sqrt(2.0)
+            return out
+        return draw
+
+    monkeypatch.setattr(montecarlo, "_step_normals", coarse_normals)
+    coarse = price(8)
     tol = max(coarse.se, fine.se)
     assert abs(coarse.price - fine.price) <= tol
 
@@ -156,7 +183,7 @@ def test_step_halving_within_one_se(tenor, curve, params, fact):
 def test_substituted_caplet_tracks_fourier(tenor, curve, params, fact):
     cfg = MCConfig(paths=16384, steps_per_year=8,
                    substitution=("caplet", 5))
-    res = mc_caplet(5, 0.02, tenor, curve, params, fact, cfg)
+    res = mc_caplets({5: [0.02]}, tenor, curve, params, fact, cfg)[5][0]
     four = caplet_price(5, 0.02, tenor, curve, params, fact)
     assert abs(res.price - four) <= 3.0 * res.se
 
@@ -167,18 +194,20 @@ def test_multi_expiry_batch_shares_paths(tenor, curve, params, fact):
                      MCConfig(paths=4096, steps_per_year=4))
     assert set(out) == {3, 5}
     assert len(out[3]) == 2 and len(out[5]) == 1
-    single = mc_caplet(3, 0.01, tenor, curve, params, fact,
-                       MCConfig(paths=4096, steps_per_year=4))
+    single = mc_caplets({3: [0.01]}, tenor, curve, params, fact,
+                        MCConfig(paths=4096, steps_per_year=4))[3][0]
     # Same paths, so agreement to float summation order (the reduction
     # tree differs between a strided column and a contiguous one).
     assert out[3][0].price == pytest.approx(single.price, rel=1e-12)
 
 
 def test_antithetic_smoke(tenor, curve, params, fact):
-    plain = mc_caplet(3, 0.02, tenor, curve, params, fact,
-                      MCConfig(paths=8192, steps_per_year=4))
-    anti = mc_caplet(3, 0.02, tenor, curve, params, fact,
-                     MCConfig(paths=8192, steps_per_year=4, antithetic=True))
+    def price(**cfg):
+        return mc_caplets({3: [0.02]}, tenor, curve, params, fact,
+                          MCConfig(paths=8192, steps_per_year=4, **cfg))[3][0]
+
+    plain = price()
+    anti = price(antithetic=True)
     assert anti.se > 0.0
     assert abs(anti.price - plain.price) <= 3.0 * np.hypot(plain.se, anti.se)
     with pytest.raises(InvariantError, match="paths"):
@@ -186,8 +215,8 @@ def test_antithetic_smoke(tenor, curve, params, fact):
 
 
 def test_result_fields(tenor, curve, params, fact):
-    res = mc_caplet(2, 0.02, tenor, curve, params, fact,
-                    MCConfig(paths=2048, steps_per_year=4))
+    res = mc_caplets({2: [0.02]}, tenor, curve, params, fact,
+                     MCConfig(paths=2048, steps_per_year=4))[2][0]
     assert res.paths == 2048
     assert res.se > 0.0
     assert res.elapsed >= 0.0
@@ -271,7 +300,7 @@ def test_config_validation():
 def test_no_record_times_simulate_nothing(tenor, curve, params, fact,
                                          monkeypatch):
     def no_simulation(*args, **kwargs):
-        raise AssertionError("simulate ran blocks with no time to record")
+        raise AssertionError("simulate ran groups with no time to record")
 
     monkeypatch.setattr(montecarlo, "_collect", no_simulation)
     cfg = MCConfig(paths=4096, steps_per_year=2)
@@ -316,14 +345,15 @@ def test_zero_horizon_records_the_initial_state(tenor, curve, params, fact,
 def test_numpy_integer_substitution_index(tenor, curve, params, fact):
     cfg = MCConfig(paths=8, steps_per_year=1, substitution=("caplet", 2))
     as_numpy = dataclasses.replace(cfg, substitution=("caplet", np.int64(2)))
-    got = mc_caplet(3, 0.02, tenor, curve, params, fact, as_numpy)
-    want = mc_caplet(3, 0.02, tenor, curve, params, fact, cfg)
+    got = mc_caplets({3: [0.02]}, tenor, curve, params, fact, as_numpy)[3][0]
+    want = mc_caplets({3: [0.02]}, tenor, curve, params, fact, cfg)[3][0]
     assert (got.price, got.se) == (want.price, want.se)
 
 
 def test_substitution_swap_mode_runs(tenor, curve, params, fact):
     cfg = MCConfig(paths=2048, steps_per_year=4, substitution=("swap", 2, 6))
-    res = mc_swaption(2, 6, 0.02, tenor, curve, params, fact, cfg)
+    res = mc_swaptions({(2, 6): [0.02]}, tenor, curve, params, fact,
+                       cfg)[(2, 6)][0]
     assert res.price > 0.0
 
 
@@ -355,33 +385,28 @@ def test_step_normals_are_per_group_philox_streams(antithetic):
     # The RNG contract of the module docstring: the normals of step s for
     # the paths of group g = path // GROUP are read in path order from
     # Philox(key=seed, counter=(0, 0, g, s)), or under antithetic sampling
-    # one row per pair, negated on odd paths.  Covers a first block of full
-    # groups and a block starting at group 2 that ends in a partial group.
-    group, dim = montecarlo.GROUP, 21
+    # one row per pair, negated on odd paths.  Covers a full group and a
+    # partial one, each drawn into the caller's arrays.
+    dim = 21
     cfg = MCConfig(seed=11, antithetic=antithetic)
-    for p0, P in ((0, 2 * group), (2 * group, group + 8)):
-        draw = montecarlo._step_normals(p0, P, dim, cfg)
+    for g, rows in ((0, montecarlo.GROUP), (2, 104)):
+        out = np.empty((rows, dim))
+        pairs = np.empty((rows // 2, dim)) if antithetic else None
+        draw = montecarlo._step_normals(g, cfg, out, pairs)
         for s in (0, 1, 151):
-            z = draw(s)
-            assert z.shape == (P, dim)
-            for c0 in range(0, P, group):
-                rows = min(group, P - c0)
-                want = _group_stream(cfg.seed, (p0 + c0) // group, s, rows,
-                                     dim, antithetic)
-                np.testing.assert_array_equal(z[c0:c0 + rows], want)
-    # A block that does not start at a group would read another stream.
-    with pytest.raises(InvariantError, match="BLOCK"):
-        montecarlo._step_normals(group // 2, 8, dim, cfg)
+            assert draw(s) is out
+            np.testing.assert_array_equal(
+                out, _group_stream(cfg.seed, g, s, rows, dim, antithetic))
 
 
 def test_values_at_a_time_do_not_depend_on_the_horizon(tenor, curve, params,
                                                        fact):
     # Every step reads its own streams, so simulating further does not move
     # a bit of what comes before, at any thread count.  The paths fill one
-    # block and end in a partial group of the next.
+    # group and end in a partial one.
     t5, t10 = float(tenor.dates[5]), float(tenor.dates[10])
     for threads in (1, 2):
-        cfg = MCConfig(paths=montecarlo.BLOCK + 1000, steps_per_year=2,
+        cfg = MCConfig(paths=montecarlo.GROUP + 1000, steps_per_year=2,
                        seed=3, threads=threads)
         short = simulate(tenor, curve, params, fact, t5, cfg)
         long = simulate(tenor, curve, params, fact, t10, cfg)
@@ -392,23 +417,23 @@ def test_values_at_a_time_do_not_depend_on_the_horizon(tenor, curve, params,
 
 def test_swaption_call_reads_the_caplet_calls_normals(tenor, curve, params,
                                                       fact, monkeypatch):
-    # A swap-substituted swaption to T_5 draws, block by block and step by
+    # A swap-substituted swaption to T_5 draws, group by group and step by
     # step, exactly the normals the true-model caplet call to T_19 draws:
     # the simulations share their first steps' noise, whatever the model.
     real = montecarlo._step_normals
     seen = {}
 
-    def recording(p0, P, dim, cfg, *buffers):
-        draw = real(p0, P, dim, cfg, *buffers)
+    def recording(g, cfg, out, pairs):
+        draw = real(g, cfg, out, pairs)
 
         def record(s):
             z = draw(s)
-            seen[cfg.substitution, p0, s] = z.tobytes()
+            seen[cfg.substitution, g, s] = z.tobytes()
             return z
         return record
 
     monkeypatch.setattr(montecarlo, "_step_normals", recording)
-    base = dict(paths=montecarlo.BLOCK + 1000, steps_per_year=2, seed=5,
+    base = dict(paths=montecarlo.GROUP + 1000, steps_per_year=2, seed=5,
                 threads=2)
     K = np.array([0.02])
     mc_caplets({19: K}, tenor, curve, params, fact, MCConfig(**base))
@@ -418,7 +443,7 @@ def test_swaption_call_reads_the_caplet_calls_normals(tenor, curve, params,
     caplet = {key[1:]: z for key, z in seen.items() if key[0] is None}
     swaption = {key[1:]: z for key, z in seen.items() if key[0] == sub}
     assert {s for _, s in swaption} == set(range(10))
-    assert {p0 for p0, _ in swaption} == {0, montecarlo.BLOCK}
+    assert {g for g, _ in swaption} == {0, 1}
     assert len(caplet) == 2 * 38
     assert all(caplet[key] == z for key, z in swaption.items())
 
@@ -444,51 +469,25 @@ def test_lower_expiries_and_legs_move_no_other_result(tenor, curve, params,
         assert rows(low, [(10, 20)]) == rows(high, [(10, 20)])
 
 
-def test_results_do_not_depend_on_block_size(tenor, curve, params, fact,
-                                             monkeypatch):
-    # Every group of paths owns its Philox stream per step and blocks are
-    # reduced in path order, so the block size, a multiple of the group,
-    # must not move a bit.  Both counts leave a partial last block at every
-    # size; 3003 leaves one of 955 or 3003 paths (954 or 3002 antithetic),
-    # none a multiple of PAD.
-    def run(paths):
-        base = dict(paths=paths, steps_per_year=2, seed=4)
-        K = np.array([0.01, 0.02, 0.03])
-        leg = {(2, 6): K}
-        priced = [
-            mc_caplets({3: K, 7: K}, tenor, curve, params, fact,
-                       MCConfig(**base)),
-            mc_caplets({5: K}, tenor, curve, params, fact,
-                       MCConfig(**dict(base, paths=paths // 2 * 2),
-                                antithetic=True)),
-            mc_swaptions(leg, tenor, curve, params, fact,
-                         MCConfig(substitution=("caplet", 4), **base)),
-            mc_swaptions(leg, tenor, curve, params, fact,
-                         MCConfig(substitution=("swap", 2, 6), **base)),
-        ]
-        out = [[(r.price, r.se) for rows in res.values() for r in rows]
-               for res in priced]
-        for sub in (None, ("caplet", 6), ("swap", 3, 8)):
-            ens = simulate(tenor, curve, params, fact, 4.0,
-                           MCConfig(substitution=sub, **base))
-            out.append({t: (L.tobytes(), v.tobytes())
-                        for t, (L, v) in ens.items()})
-        bonds = deflated_bond_means(tenor, curve, params, fact,
-                                    MCConfig(**base), (1.0, 4.0))
-        out.append({t: (m.tobytes(), s.tobytes())
-                    for t, (m, s) in bonds.items()})
-        return out
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_a_paths_values_do_not_depend_on_the_paths_after_it(
+        tenor, curve, params, fact, antithetic):
+    # Every group owns its Philox stream per step, and a ragged last group
+    # is padded to a multiple of PAD paths, so that the BLAS edge kernel
+    # serves no path: the first 3002 paths come out bitwise the same
+    # whether their last group simulates 954 of its paths (3002 in all, not
+    # a multiple of PAD) or all 1024 (5000).
+    def ensemble(paths, sub):
+        cfg = MCConfig(paths=paths, steps_per_year=2, seed=4,
+                       substitution=sub, antithetic=antithetic)
+        return simulate(tenor, curve, params, fact, 4.0, cfg)
 
-    counts = (5000, 3003)
-    sizes = (2048, 4096)
-    assert all(paths % block for paths in counts
-               for block in (montecarlo.BLOCK, *sizes))
-    assert all(block % montecarlo.GROUP == 0 and block != montecarlo.BLOCK
-               for block in sizes)
-    default = [run(paths) for paths in counts]
-    for block in sizes:
-        monkeypatch.setattr(montecarlo, "BLOCK", block)
-        assert [run(paths) for paths in counts] == default
+    for sub in (None, ("caplet", 6), ("swap", 3, 8)):
+        few, many = ensemble(3002, sub), ensemble(5000, sub)
+        assert few.keys() == many.keys()
+        for t, (L, v) in few.items():
+            assert L.tobytes() == many[t][0][:3002].tobytes()
+            assert v.tobytes() == many[t][1][:3002].tobytes()
 
 
 @pytest.mark.parametrize("substitution", [None, ("caplet", 6), ("swap", 3, 8)])
@@ -496,16 +495,21 @@ def test_unread_variance_rows_do_not_move_libors(tenor, curve, params, fact,
                                                  substitution):
     # The pricers step only the variance rows a live Libor reads; the
     # Libors must come out bitwise as when every variance row is stepped,
-    # also for a ragged block (1003 paths), which is padded to a multiple
+    # also for a ragged group (1003 paths), which is padded to a multiple
     # of PAD paths so that the BLAS edge kernel never serves a path.
     cfg = MCConfig(steps_per_year=2, seed=2, substitution=substitution)
     pruned = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg)
     full = montecarlo._Precomp(tenor, curve, params, fact, 6.0, cfg,
                                variance=True)
     record = montecarlo._record_map(pruned, [2.0, 4.0, 6.0])
+
+    def group(pre, sized):
+        ws = montecarlo._Workspace(pre, montecarlo._padded(sized.paths), sized)
+        return montecarlo._simulate_block(0, pre, sized, record, ws)
+
     for paths in (304, 1003):
-        a = montecarlo._simulate_block(0, paths, pruned, cfg, record)
-        b = montecarlo._simulate_block(0, paths, full, cfg, record)
+        sized = dataclasses.replace(cfg, paths=paths)
+        a, b = group(pruned, sized), group(full, sized)
         assert a.keys() == b.keys() == {2.0, 4.0, 6.0}
         for t in a:
             assert a[t][0].shape[0] == b[t][1].shape[0] == paths
