@@ -1,4 +1,4 @@
-"""Per-thread work arrays that the Fourier pricing path reuses across calls.
+"""Per-thread work arrays that the Fourier and Monte Carlo kernels reuse.
 
 A price row's characteristic-function values, their tangents and the
 inversion's integrand are all arrays over the rule's contour.  Allocating
@@ -13,6 +13,12 @@ takes until its next call on the same thread, so a function must not return
 them to code that may call it again while still holding them.  Every value
 is written before it is read, so results never depend on what an array
 held before.
+
+``charfn`` and ``fourier`` each keep a module-level instance, whose arrays a
+thread keeps from call to call.  Monte Carlo builds one instance per call
+and shares it between the call's worker threads: each worker allocates
+one set of arrays for its first path group and reuses it for the rest, and
+the arrays go with the instance and the workers when the call returns.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import threading
 import numpy as np
 
 # Shapes whose arrays a thread keeps in one Scratch: the nodes and the
-# contour of both the default and the calibration rule.  A call on a shape
-# evicted since its last call allocates its arrays again.
+# contour of both the default and the calibration rule, or a Monte Carlo
+# call's two, (paths,) for the state and its products and (dim,) for the
+# step's normals.  A call on a shape evicted since its last call allocates
+# its arrays again.
 KEEP_SHAPES = 4
 
 

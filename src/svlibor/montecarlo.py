@@ -42,10 +42,12 @@ once per segment; each step scales them by its own dt.
 
 One collector, ``_collect``, runs the groups on ``MCConfig.threads``
 workers, applies a reader to each group's snapshots in the worker thread
-and returns the readers' results in group order.  Each worker holds one
-set of work arrays for the call, sized to the stepped rows and one group:
-the state, the step's products and its normals, reset in place for every
-group it runs, so its arrays are not faulted in again group after group.
+and returns the readers' results in group order.  Each worker takes one
+set of work arrays from a ``_scratch.Scratch`` that lives for the call,
+sized to the stepped rows and the call's widest group: the state, the
+step's products and its normals, reset in place for every group it runs
+(a narrower last group uses their leading columns), so its arrays are not
+faulted in again group after group.
 The pricers and ``deflated_bond_means`` read payoffs for ``_estimate``,
 the one mean and standard-error reduction: the worker reduces a group's
 payoffs to (count, mean, M2) per column and the groups are folded in
@@ -64,12 +66,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import Scratch
 from .affine import swap_averaged_vol_params
 from .errors import InvariantError, SimulationError, StrikeError
 from .market_data import strip_libors, swap_context
@@ -349,40 +351,32 @@ def _padded(paths: int) -> int:
     return -(-paths // PAD) * PAD
 
 
-class _Workspace:
-    """One worker's arrays for groups of P simulated paths.
-
-    The state, the step's products and one step's normals, over the rows a
-    group steps: Libors first..n-1 and variances vfirst..nv-1.  A segment
-    uses the leading rows of the work arrays.  Every group a worker runs in
-    one call reuses them, so each value is written before it is read.
-    """
-
-    def __init__(self, pre: _Precomp, P: int, cfg: MCConfig):
-        nx, nv = pre.n - pre.first, pre.nv - pre.vfirst
-        self.P = P
-        self.z = np.empty((P, pre.dim))
-        self.pairs = np.empty((P // 2, pre.dim)) if cfg.antithetic else None
-        self.X, self.c, self.work, self.dX = (np.empty((nx, P))
-                                              for _ in range(4))
-        self.v, self.vplus, self.sqrt_v = (np.empty((nv, P))
-                                           for _ in range(3))
-        self.W = np.empty((pre.noise_rows, P))
-
-
 def _simulate_block(g: int, pre: _Precomp, cfg: MCConfig,
                     record: dict[int, float],
-                    ws: _Workspace) -> dict[float, tuple]:
+                    scratch: Scratch) -> dict[float, tuple]:
     """Snapshots {t: (L, v_used)} of the paths of group g; v_used is None
     unless ``pre.variance`` is set, because the estimators read only the
     Libors.  The Libors below ``pre.first`` keep their time-0 values in L.
 
     The group is padded up to a multiple of PAD paths, which are simulated
-    but neither checked nor reported.  It runs on ``ws``, which must be
-    sized for the padded group."""
+    but neither checked nor reported.  Its work arrays come from
+    ``scratch``, sized for the call's widest group over the rows a group
+    steps (Libors first..n-1, variances vfirst..nv-1); a narrower last
+    group runs on their leading columns and a segment on their leading
+    rows.  Each value is written before it is read."""
     keep = min(GROUP, cfg.paths - g * GROUP)
-    P = ws.P
-    draw = _step_normals(g, cfg, ws.z, ws.pairs)
+    P = _padded(keep)
+    width = _padded(min(GROUP, cfg.paths))
+    by_path = scratch.arrays((width,))
+    X, *libor_work = (by_path(name, float, pre.n - pre.first)[:, :P]
+                      for name in ("X", "c", "work", "dX"))
+    v, *var_work = (by_path(name, float, pre.nv - pre.vfirst)[:, :P]
+                    for name in ("v", "vplus", "sqrt_v"))
+    noise_terms = by_path("W", float, pre.noise_rows)[:, :P]
+    by_dim = scratch.arrays((pre.dim,))
+    pairs = (by_dim("pairs", float, width // 2)[:P // 2] if cfg.antithetic
+             else None)
+    draw = _step_normals(g, cfg, by_dim("z", float, width)[:P], pairs)
     spans = [slice(c0, c0 + pre.span) for c0 in range(0, P, pre.span)]
 
     def product(a, b, out):
@@ -393,7 +387,6 @@ def _simulate_block(g: int, pre: _Precomp, cfg: MCConfig,
     # The state is (rows, paths) so that every elementwise operation runs
     # over contiguous paths; X row i is Libor lo + i, v row i variance
     # vfirst + i.
-    X, v = ws.X, ws.v
     X[:] = pre.x0[lo:, None]
     v[:] = pre.v0[vfirst:, None]
     alpha_col = pre.alpha[lo:, None]
@@ -401,8 +394,9 @@ def _simulate_block(g: int, pre: _Precomp, cfg: MCConfig,
     def snapshot():
         L = np.empty((keep, n))
         L[:, :lo] = pre.L0
-        # c is free here: each step writes it before reading it.
-        Lx = np.exp(X[:, :keep], out=ws.c[:, :keep])
+        # c (libor_work[0]) is free here: each step writes it before
+        # reading it.
+        Lx = np.exp(X[:, :keep], out=libor_work[0][:, :keep])
         Lx -= alpha_col
         L[:, lo:] = Lx.T
         if not pre.variance:
@@ -415,12 +409,12 @@ def _simulate_block(g: int, pre: _Precomp, cfg: MCConfig,
     for seg in pre.segments:
         j0, vlo = seg.j0, seg.vlo
         nl = n - j0
-        # Views of the stepped rows; slicing leading rows keeps them
-        # contiguous.
+        # Views of the stepped rows, a suffix of the state and the leading
+        # rows of the work arrays.
         X_live, v_live = X[j0 - lo:], v[vlo - vfirst:]
-        vplus, sqrt_v = ws.vplus[:nv - vlo], ws.sqrt_v[:nv - vlo]
-        c, work, dX = ws.c[:nl], ws.work[:nl], ws.dX[:nl]
-        W = ws.W[:seg.load.shape[0]]
+        c, work, dX = (a[:nl] for a in libor_work)
+        vplus, sqrt_v = (a[:nv - vlo] for a in var_work)
+        W = noise_terms[:seg.load.shape[0]]
         delta_col, one_minus_da = pre.delta_col[j0:], pre.one_minus_da[j0:]
         half_beta_sq, half_gam_sq = pre.half_beta_sq[j0:], pre.half_gam_sq[j0:]
         theta_v = pre.theta_v[vlo:]
@@ -486,24 +480,19 @@ def _collect(pre: _Precomp, cfg: MCConfig, times, read) -> list:
     group order.
 
     ``read`` runs in the worker, so a finished group keeps only what it
-    returns, whatever order the groups finish in.  Each worker runs its
-    groups on one ``_Workspace``, kept for the call only; a last group of
-    another padded size replaces it.  The thread pool is imported here, so
-    that importing the package does not load ``concurrent.futures`` and
-    ``logging``.
+    returns, whatever order the groups finish in.  The workers take their
+    arrays from one ``Scratch`` built for the call, so each worker allocates
+    one set for its first group, runs every later group on it, and the call
+    keeps none of them.  The thread pool is imported here, so that importing
+    the package does not load ``concurrent.futures`` and ``logging``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     record = _record_map(pre, times)
-    local = threading.local()
+    scratch = Scratch()
 
     def run(g):
-        P = _padded(min(GROUP, cfg.paths - g * GROUP))
-        ws = getattr(local, "ws", None)
-        if ws is None or ws.P != P:
-            ws = local.ws = None  # drop the old arrays before allocating
-            ws = local.ws = _Workspace(pre, P, cfg)
-        return read(_simulate_block(g, pre, cfg, record, ws))
+        return read(_simulate_block(g, pre, cfg, record, scratch))
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(run, range(-(-cfg.paths // GROUP))))

@@ -11,9 +11,11 @@ pricing the same row at once get the prices of a serial run.
 
 A Monte Carlo path group draws each step's normals just before the step,
 so what it holds does not grow with the number of steps it simulates.  A
-worker runs every group of a call on one set of arrays and reduces each
-group's payoffs to per-column moments, so what a call holds does not grow
-with the number of paths either: no per-path payoff outlives its group.
+worker runs every group of a call, a ragged last one included, on one set
+of arrays that it takes from the call's own ``_scratch.Scratch``, and
+reduces each group's payoffs to per-column moments, so what a call holds
+does not grow with the number of paths either: no per-path payoff
+outlives its group.  The call keeps none of its arrays once it returns.
 """
 
 import sys
@@ -152,7 +154,9 @@ def test_monte_carlo_memory_does_not_grow_with_the_horizon(tenor, curve,
 def test_monte_carlo_memory_does_not_grow_with_the_paths(tenor, curve,
                                                          params, fact):
     # On one thread, sixteen groups of 1,024 paths hold one group's arrays
-    # and sixteen groups' moments, as one group does.
+    # and sixteen groups' moments, as one group does.  So does a ragged
+    # last group (16,284 paths end in one of 924), which runs on the
+    # leading columns of the same arrays instead of a set of its own.
     K = np.array([0.02, 0.03])
 
     def peak(paths):
@@ -160,4 +164,28 @@ def test_monte_carlo_memory_does_not_grow_with_the_paths(tenor, curve,
         return transient_peak(
             lambda: mc_caplets({5: K}, tenor, curve, params, fact, cfg))
 
-    assert peak(16384) <= 1.05 * peak(1024)
+    one_group = peak(1024)
+    for paths in (16384, 16284):
+        assert peak(paths) <= 1.05 * one_group
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_call_keeps_no_arrays(tenor, curve, params, fact,
+                                          threads):
+    # The workers' arrays live for one call: a warm call leaves nothing of
+    # them behind, on one worker or several.
+    cfg = MCConfig(paths=3000, threads=threads)
+    K = np.array([0.02, 0.03])
+
+    def call():
+        mc_caplets({5: K}, tenor, curve, params, fact, cfg)
+
+    call()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        call()
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end - start <= SMALL

@@ -164,6 +164,16 @@ def test_load_curve_errors(tmp_path):
     with pytest.raises(ParseError, match=r":3: bad discount factor"):
         load_curve(bad_cell)
 
+    wide = tmp_path / "wide.csv"
+    wide.write_text("T,B\n1,0.99\n2,0.98,x\n")
+    with pytest.raises(ParseError, match=r":3: expected 2 columns, got 3"):
+        load_curve(wide)
+
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("T,B\n")
+    with pytest.raises(ParseError, match="no data rows"):
+        load_curve(header_only)
+
     with pytest.raises(ParseError):
         load_curve(tmp_path / "missing.csv")
 
@@ -195,6 +205,21 @@ def test_load_panel_rejects_mixed_kinds(tmp_path):
         load_panel(path)
 
 
+def test_load_panel_errors(tmp_path):
+    header = "expiry_index,strike,quote,quote_kind\n"
+    for name, text, message in (
+            ("empty", "", "empty panel file"),
+            ("hdr", "expiry,strike,quote,kind\n3,0.01,0.009,vol\n",
+             "expected header"),
+            ("wide", header + "3,0.01,0.009\n", r":2: expected 4 columns, got 3"),
+            ("expiry", header + "3.5,0.01,0.009,vol\n",
+             r":2: bad expiry index: '3.5'")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_panel(path)
+
+
 def test_panel_validation():
     with pytest.raises(InvariantError, match="strikes"):
         CapletPanel(expiry=3, strikes=np.array([0.02, 0.01]),
@@ -204,6 +229,14 @@ def test_panel_validation():
                     quotes=np.array([1.0, -1.0]))
     with pytest.raises(InvariantError):
         CapletPanel(expiry=0, strikes=np.array([0.01]), quotes=np.array([1.0]))
+    with pytest.raises(InvariantError, match="non-empty"):
+        CapletPanel(expiry=3, strikes=np.array([]), quotes=np.array([]))
+    with pytest.raises(InvariantError, match="length mismatch"):
+        CapletPanel(expiry=3, strikes=np.array([0.01, 0.02]),
+                    quotes=np.array([1.0]))
+    with pytest.raises(InvariantError, match="quote_kind"):
+        CapletPanel(expiry=3, strikes=np.array([0.01]),
+                    quotes=np.array([1.0]), quote_kind="bid")
 
 
 def test_panel_rejects_non_finite_entries():

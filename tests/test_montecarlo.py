@@ -29,6 +29,7 @@ from svlibor import (
     montecarlo,
     simulate,
 )
+from svlibor._scratch import Scratch
 from svlibor.affine import swap_averaged_vol_params
 from svlibor.market_data import swap_context
 
@@ -319,6 +320,26 @@ def test_horizon_and_recording_guards(tenor, curve, params, fact):
     with pytest.raises(InvariantError, match="record_times"):
         simulate(tenor, curve, params, fact, 2.0,
                  MCConfig(paths=8, steps_per_year=2), record_times=[0.37])
+    # A parameter set of another n does not fit the tenor.
+    short = ModelParams.from_arrays(
+        alpha=params.alpha[1:10], beta_norm=params.beta_norm[1:10],
+        rho=params.rho[1:10], kappa=params.kappa[1:10],
+        theta=params.theta[1:10], eps=params.eps[1:10],
+        corr_decay=params.corr_decay)
+    cfg = MCConfig(paths=8, steps_per_year=2)
+    with pytest.raises(InvariantError, match="params"):
+        simulate(tenor, curve, short, fact, 2.0, cfg)
+    # Expiries, substituted expiries and legs lie on the tenor.
+    K = [0.02]
+    for j in (0, 20):
+        with pytest.raises(IndexError, match="substitution expiry"):
+            mc_caplets({3: K}, tenor, curve, params, fact,
+                       dataclasses.replace(cfg, substitution=("caplet", j)))
+        with pytest.raises(IndexError, match="expiry index"):
+            mc_caplets({j: K}, tenor, curve, params, fact, cfg)
+    for leg in ((3, 3), (0, 5), (5, 21)):
+        with pytest.raises(IndexError, match="need 1 <= p < q"):
+            mc_swaptions({leg: K}, tenor, curve, params, fact, cfg)
 
 
 def test_zero_horizon_records_the_initial_state(tenor, curve, params, fact,
@@ -504,8 +525,7 @@ def test_unread_variance_rows_do_not_move_libors(tenor, curve, params, fact,
     record = montecarlo._record_map(pruned, [2.0, 4.0, 6.0])
 
     def group(pre, sized):
-        ws = montecarlo._Workspace(pre, montecarlo._padded(sized.paths), sized)
-        return montecarlo._simulate_block(0, pre, sized, record, ws)
+        return montecarlo._simulate_block(0, pre, sized, record, Scratch())
 
     for paths in (304, 1003):
         sized = dataclasses.replace(cfg, paths=paths)
