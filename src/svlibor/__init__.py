@@ -8,8 +8,7 @@ from .affine import (EffectiveCapletParams, SwapEffectiveParams,
                      effective_caplet_params, swap_averaged_vol_params,
                      swap_effective_params)
 from .calibrate import (CalibrationResult, MaturityFit, calibrate_all,
-                        calibrate_maturity, fit_report_rows,
-                        panel_market_prices)
+                        calibrate_maturity, fit_report_rows)
 from .charfn import (CharFnParams, black_cf, caplet_cf_params, heston_cf,
                      swaption_cf_params)
 from .errors import (ArbitrageBoundError, CorrelationError, CurveError,
@@ -23,7 +22,7 @@ from .market_data import (CapletPanel, DiscountCurve, SwapContext,
                           strip_libors, swap_context)
 from .model import (ModelParams, VolFactorization, build_factorization,
                     build_loadings, correlation_matrices, factorize_vols,
-                    instantaneous_correlations, load_params)
+                    load_params)
 from .montecarlo import (MCConfig, MCResult, deflated_bond_means, mc_caplets,
                          mc_swaptions, simulate)
 
@@ -41,9 +40,8 @@ __all__ = [
     "calibrate_all", "calibrate_maturity", "caplet_cf_params", "caplet_price",
     "carr_madan_cv", "correlation_matrices", "deflated_bond_means",
     "effective_caplet_params", "factorize_vols", "fit_report_rows",
-    "heston_cf", "implied_vol", "instantaneous_correlations", "load_curve",
-    "load_panel", "load_params", "mc_caplets", "mc_swaptions",
-    "panel_market_prices", "simulate", "strip_libors",
+    "heston_cf", "implied_vol", "load_curve", "load_panel", "load_params",
+    "mc_caplets", "mc_swaptions", "simulate", "strip_libors",
     "swap_averaged_vol_params", "swap_context", "swap_effective_params",
     "swaption_cf_params", "swaption_price",
 ]

@@ -42,7 +42,6 @@ from .model import ModelParams, build_loadings, factorize_vols
 __all__ = [
     "MaturityFit",
     "CalibrationResult",
-    "panel_market_prices",
     "objective",
     "calibrate_maturity",
     "calibrate_all",
@@ -113,8 +112,8 @@ class CalibrationResult:
         }
 
 
-def panel_market_prices(panel: CapletPanel, tenor, curve,
-                        params: ModelParams) -> np.ndarray:
+def _market_prices(panel: CapletPanel, tenor, curve,
+                   params: ModelParams) -> np.ndarray:
     """Panel quotes as prices; vol quotes run through Black-76 on the
     displaced forward and strikes of ``params`` (the Libors stripped from
     ``curve``)."""
@@ -253,7 +252,7 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     with K + alpha_j < 0 raises StrikeError before the first eval.
     """
     j = panel.expiry
-    market = panel_market_prices(panel, tenor, curve, params)
+    market = _market_prices(panel, tenor, curve, params)
     pricer = _CapletPricer(j, panel.strikes, tenor, curve, params)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
@@ -438,7 +437,7 @@ def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
     rows = []
     for panel in sorted(panels, key=lambda p: p.expiry):
         j = panel.expiry
-        market = panel_market_prices(panel, tenor, curve, params)
+        market = _market_prices(panel, tenor, curve, params)
         model = caplet_price(j, panel.strikes, tenor, curve, params, fact,
                              DEFAULT_QUAD, libors)
         discount = float(delta[j] * curve.bonds[j + 1])

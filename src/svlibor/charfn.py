@@ -108,8 +108,11 @@ class CharFnParams:
             raise InvariantError("horizon", "need T > 0")
         if self.v0 <= 0.0:
             raise InvariantError("v0", "initial variance must be positive")
-        if self.beta_sq < 0.0 or self.gamma_int < 0.0:
-            raise InvariantError("beta_sq", "squared loadings must be >= 0")
+        if self.beta_sq < 0.0:
+            raise InvariantError("beta_sq", "squared loading must be >= 0")
+        if self.gamma_int < 0.0:
+            raise InvariantError("gamma_int", "integrated squared Gaussian "
+                                 "loading must be >= 0")
         # Cauchy-Schwarz: |sigma . beta| <= |sigma| |beta| <= eps |beta|.
         bound = self.eps * np.sqrt(self.beta_sq) + 1e-12
         if abs(self.sigma_beta) > bound:

@@ -39,7 +39,6 @@ __all__ = [
     "build_loadings",
     "factorize_vols",
     "build_factorization",
-    "instantaneous_correlations",
     "correlation_matrices",
     "load_params",
 ]
@@ -230,58 +229,48 @@ def build_factorization(params: ModelParams, tenor) -> VolFactorization:
     return factorize_vols(params, build_loadings(tenor, params.corr_decay))
 
 
-def _libor_vol_sq(j: int, v_j: float, params: ModelParams) -> float:
-    gamma_sq = float(params.gamma[j] @ params.gamma[j])
-    return gamma_sq + v_j * params.beta_norm[j] ** 2
-
-
-def instantaneous_correlations(j: int, jp: int, v_j: float, v_jp: float,
-                               params: ModelParams,
-                               fact: VolFactorization) -> tuple[float, float, float]:
-    """Instantaneous correlations (Cor_LL, Cor_Lv, Cor_vv) at state (v_j, v_jp).
-
-    Cor_LL couples L_j with L_jp, Cor_Lv couples L_j with v_jp, Cor_vv
-    couples v_j with v_jp.  With gamma = 0 the Libor correlation reduces to
-    e_j . e_jp = r_jjp independently of the variance state.
-    """
-    if v_j < 0.0 or v_jp < 0.0:
-        raise InvariantError("v", "variance state must be non-negative")
-    E, sig, sigbar = fact.loadings, fact.sigma, fact.sigma_bar
-    beta_j = params.beta_norm[j] * E[j]
-    beta_jp = params.beta_norm[jp] * E[jp]
-    var_j = _libor_vol_sq(j, v_j, params)
-    var_jp = _libor_vol_sq(jp, v_jp, params)
-    if var_j <= 0.0 or var_jp <= 0.0:
-        raise CorrelationError(
-            f"Libor volatility vanishes at j={j} or j'={jp} (v=0 and gamma=0)")
-    if params.eps[j] <= 0.0 or params.eps[jp] <= 0.0:
-        raise CorrelationError(f"vol of vol vanishes at j={j} or j'={jp}")
-    cor_ll = ((params.gamma[j] @ params.gamma[jp]
-               + np.sqrt(v_j * v_jp) * (beta_j @ beta_jp))
-              / np.sqrt(var_j * var_jp))
-    cor_lv = np.sqrt(v_j) * (beta_j @ sig[jp]) / (np.sqrt(var_j) * params.eps[jp])
-    cor_vv = (sig[j] @ sig[jp] + sigbar[j] * sigbar[jp]) / (params.eps[j] * params.eps[jp])
-    return float(cor_ll), float(cor_lv), float(cor_vv)
-
-
 def correlation_matrices(params: ModelParams, fact: VolFactorization,
                          v: np.ndarray | None = None):
-    """All three correlation matrices over j, j' = 1..n-1 (padded, NaN fringe).
+    """Instantaneous correlation matrices (Cor_LL, Cor_Lv, Cor_vv) at state v.
 
-    ``v`` defaults to the initial state v_j(0) = theta_j.
+    Entry (j, j') of Cor_LL couples L_j with L_j', of Cor_Lv L_j with v_j',
+    and of Cor_vv v_j with v_j', for j, j' = 1..n-1; row and column 0 are
+    NaN.  ``v`` is a padded variance state and defaults to the initial state
+    v_j(0) = theta_j.  With B, Gamma and Sigma the matrices of rows
+    beta_j = |beta_j| e_j, gamma_j and sigma_j, and the Libor vols
+    s_j = sqrt(|gamma_j|^2 + v_j |beta_j|^2),
+
+        Cor_LL = (Gamma Gamma^T + sqrt(v) sqrt(v)^T * B B^T) / (s s^T),
+        Cor_Lv = (sqrt(v) * B Sigma^T) / (s eps^T),
+        Cor_vv = (Sigma Sigma^T + sigmabar sigmabar^T) / (eps eps^T),
+
+    with * and / elementwise.  With gamma = 0 the Libor correlation reduces
+    to e_j . e_j' = r_jj' whatever the state.  A negative state entry raises
+    InvariantError, and a vanishing s_j (v_j = 0 and gamma_j = 0) or eps_j
+    raises CorrelationError; each names the first expiry at fault.
     """
     n = params.n
-    if v is None:
-        v = params.theta
-    cor_ll = np.full((n, n), np.nan)
-    cor_lv = np.full((n, n), np.nan)
-    cor_vv = np.full((n, n), np.nan)
-    for j in range(1, n):
-        for jp in range(1, n):
-            cor_ll[j, jp], cor_lv[j, jp], cor_vv[j, jp] = \
-                instantaneous_correlations(j, jp, float(v[j]), float(v[jp]),
-                                           params, fact)
-    return cor_ll, cor_lv, cor_vv
+    v = np.asarray(params.theta if v is None else v, dtype=float)[1:n]
+    if np.any(v < 0.0):
+        raise InvariantError("v", "variance state must be non-negative at "
+                             f"j={1 + np.argmax(v < 0.0)}")
+    gamma, eps = params.gamma[1:], params.eps[1:]
+    s = np.sqrt(np.sum(gamma ** 2, axis=1) + v * params.beta_norm[1:] ** 2)
+    if np.any(s <= 0.0):
+        raise CorrelationError("Libor volatility vanishes at "
+                               f"j={1 + np.argmax(s <= 0.0)} (v=0 and gamma=0)")
+    if np.any(eps <= 0.0):
+        raise CorrelationError(
+            f"vol of vol vanishes at j={1 + np.argmax(eps <= 0.0)}")
+    B = params.beta_norm[1:, None] * fact.loadings[1:]
+    sig, sigbar = fact.sigma[1:], fact.sigma_bar[1:]
+    root_v = np.sqrt(v)
+    out = np.full((3, n, n), np.nan)
+    out[0, 1:, 1:] = ((gamma @ gamma.T + np.outer(root_v, root_v) * (B @ B.T))
+                      / np.outer(s, s))
+    out[1, 1:, 1:] = root_v[:, None] * (B @ sig.T) / np.outer(s, eps)
+    out[2, 1:, 1:] = (sig @ sig.T + np.outer(sigbar, sigbar)) / np.outer(eps, eps)
+    return tuple(out)
 
 
 def load_params(path) -> ModelParams:

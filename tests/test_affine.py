@@ -224,13 +224,25 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
                                    atol=1e-6 * np.max(np.abs(central)))
 
 
-def test_degenerate_drift_raises(params, tenor, libors):
+def test_degenerate_drift_raises(params, tenor, curve, libors):
     # A sluggish variance with strong positive rate-vol correlation makes
     # the correction overwhelm kappa.
     broken = params.with_expiry(1, kappa=1e-3, rho=0.999, eps=10.0)
     fact = build_factorization(broken, tenor)
     with pytest.raises(DegenerateDriftError):
         effective_caplet_params(1, broken, fact, tenor, libors)
+    # The swaption's annuity-averaged speed, with every expiry at
+    # kappa = 0.01, rho = 0.99, eps = 5 and |beta| = 0.5.
+    flat = np.full(params.n, np.nan)
+    flat[1:] = 1.0
+    broken = dataclasses.replace(params, kappa=0.01 * flat, rho=0.99 * flat,
+                                 eps=5.0 * flat, beta_norm=0.5 * flat)
+    with pytest.raises(DegenerateDriftError) as exc:
+        swap_effective_params(swap_context(2, 10, curve, tenor), broken,
+                              build_factorization(broken, tenor), tenor,
+                              libors)
+    assert exc.value.label == "kappa_eff(p=2,q=10)"
+    assert exc.value.value == pytest.approx(-0.477385, abs=1e-6)
 
 
 def test_swap_effective_vectors_are_read_only(params, fact, tenor, curve,

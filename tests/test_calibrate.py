@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import oracles
 import svlibor.calibrate
 from svlibor.calibrate import (BOUNDS, PENALTY, QUAD, START,
-                               CalibrationResult, _CapletPricer, calibrate_all,
-                               calibrate_maturity, fit_report_rows, objective,
-                               panel_market_prices)
+                               CalibrationResult, _CapletPricer,
+                               _market_prices, calibrate_all,
+                               calibrate_maturity, fit_report_rows, objective)
 from svlibor.charfn import caplet_cf_params, explosion_margin
 from svlibor.errors import (DecompositionError, DegenerateDriftError,
                             InvariantError, QuadratureError, StrikeError,
@@ -386,7 +386,7 @@ class TestPanelMarketPrices:
     def test_price_kind_passthrough(self, tenor, curve, params):
         panel = CapletPanel(expiry=3, strikes=np.array([0.01, 0.02]),
                             quotes=np.array([0.004, 0.002]))
-        out = panel_market_prices(panel, tenor, curve, params)
+        out = _market_prices(panel, tenor, curve, params)
         np.testing.assert_array_equal(out, [0.004, 0.002])
 
     def test_vol_kind_matches_black_oracle(self, tenor, curve, params,
@@ -396,7 +396,7 @@ class TestPanelMarketPrices:
         vols = np.array([0.22, 0.31])
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=vols,
                             quote_kind="vol")
-        out = panel_market_prices(panel, tenor, curve, params)
+        out = _market_prices(panel, tenor, curve, params)
         discount = float(curve.bonds[j + 1])  # delta_j = 1 on this grid
         expected = [discount * oracles.black_call(libors[j], 5.0, v, k)
                     for k, v in zip(strikes, vols)]

@@ -171,14 +171,16 @@ def test_swaption_cf_effective_vol_norm(params, fact, tenor, curve, libors):
 
 
 def test_params_validation():
-    with pytest.raises(InvariantError, match="eps"):
-        CharFnParams(kappa_star=1.0, theta_star=1.0, eps=-0.1,
-                     sigma_beta=0.0, beta_sq=0.01, gamma_int=0.0,
-                     horizon=1.0, v0=1.0)
-    with pytest.raises(InvariantError, match="horizon"):
-        CharFnParams(kappa_star=1.0, theta_star=1.0, eps=1.0,
-                     sigma_beta=0.0, beta_sq=0.01, gamma_int=0.0,
-                     horizon=0.0, v0=1.0)
+    # Each refusal names the field that failed.
+    base = dict(kappa_star=1.0, theta_star=1.0, eps=1.0, sigma_beta=0.0,
+                beta_sq=0.01, gamma_int=0.0, horizon=1.0, v0=1.0)
+    CharFnParams(**base)  # sanity
+    for field, bad in (("eps", -0.1), ("horizon", 0.0), ("v0", 0.0),
+                       ("beta_sq", -0.01), ("gamma_int", -1e-6),
+                       ("sigma_beta", 0.2)):  # |0.2| > eps |beta| = 0.1
+        with pytest.raises(InvariantError, match=field) as exc:
+            CharFnParams(**{**base, field: bad})
+        assert exc.value.field == field
 
 
 @given(z=st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from svlibor.cli import main
-from svlibor.fourier import black76, caplet_price, swaption_price
+from svlibor.fourier import (black76, caplet_price, implied_vol,
+                             swaption_price)
 from svlibor.market_data import strip_libors
 from svlibor.model import build_factorization, load_params
 from svlibor.montecarlo import MCConfig, mc_caplets, mc_swaptions
@@ -386,7 +387,10 @@ class TestMcPrice:
 
 class TestCalibrate:
     @pytest.mark.filterwarnings("ignore:no panel")
-    def test_small_market_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["price", "vol"])
+    def test_small_market_round_trip(self, tmp_path, kind):
+        # The vol panel quotes the Black vols of the same Fourier prices,
+        # on the displaced forward and strikes.
         curve_path, model_path = write_small_market(tmp_path)
         from svlibor.market_data import load_curve
         from svlibor.model import load_params
@@ -394,10 +398,17 @@ class TestCalibrate:
         params = load_params(model_path)
         libors = strip_libors(curve, tenor)
         strikes = np.linspace(0.5, 1.6, 4) * libors[5]
-        prices = caplet_price(5, strikes, tenor, curve, params)
+        quotes = caplet_price(5, strikes, tenor, curve, params)
+        if kind == "vol":
+            alpha = params.alpha[5]
+            discount = tenor.accruals()[5] * curve.bonds[6]
+            quotes = [implied_vol(p, libors[5] + alpha, k + alpha,
+                                  tenor.dates[5], discount)
+                      for k, p in zip(strikes, quotes)]
         panel_path = tmp_path / "panels.csv"
         lines = ["expiry_index,strike,quote,quote_kind"]
-        lines += [f"5,{k:.17g},{p:.17g},price" for k, p in zip(strikes, prices)]
+        lines += [f"5,{k:.17g},{q:.17g},{kind}"
+                  for k, q in zip(strikes, quotes)]
         panel_path.write_text("\n".join(lines) + "\n")
 
         out = tmp_path / "fit.json"

@@ -223,6 +223,10 @@ def test_carr_madan_zero_strike_prices_by_parity():
     assert got[0] == 0.9 * 0.03
     assert got[1] == pytest.approx(0.9 * black76(0.03, 1.0, 0.2, 0.03),
                                    abs=1e-12)
+    # A live strike needs a positive forward.
+    with pytest.raises(StrikeError, match="positive forward"):
+        carr_madan_cv(lambda z: pytest.fail("CF evaluated"), -0.03,
+                      [0.0, 0.03], 1.0, 0.9, 0.2)
 
 
 @pytest.mark.parametrize("j", [0, -1, 20])
@@ -431,6 +435,9 @@ def test_implied_vol_reprices_ill_conditioned_targets():
 
 def test_implied_vol_bounds():
     F, K, T, D = 0.03, 0.02, 2.0, 0.95
+    with pytest.raises(InvariantError, match="target_price") as exc:
+        implied_vol(np.nan, F, K, T, D)
+    assert exc.value.field == "target_price"
     with pytest.warns(UserWarning, match="intrinsic"):
         assert implied_vol(D * (F - K), F, K, T, D) == 0.0
     with pytest.raises(ArbitrageBoundError):

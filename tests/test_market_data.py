@@ -123,6 +123,9 @@ def test_tenor_validation():
         TenorStructure(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(InvariantError, match="dates"):
         TenorStructure(np.array([0.0, 1.0, np.inf]))
+    with pytest.raises(InvariantError, match="at least") as exc:
+        TenorStructure(np.array([0.0, 1.0]))
+    assert exc.value.field == "dates"
 
 
 def test_curve_validation():
@@ -133,6 +136,9 @@ def test_curve_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(CurveError):
             DiscountCurve(np.array([0.97, bad, 0.91]))
+    with pytest.raises(InvariantError, match="at least") as exc:
+        DiscountCurve(np.array([0.97]))
+    assert exc.value.field == "bonds"
 
 
 def test_load_curve_refuses_nan_bond(tmp_path):

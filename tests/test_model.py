@@ -1,5 +1,6 @@
 """Volatility factorization and instantaneous correlation structure."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svlibor import (
+    CorrelationError,
     DecompositionError,
     InvariantError,
     ModelParams,
@@ -17,12 +19,20 @@ from svlibor import (
     build_factorization,
     build_loadings,
     correlation_matrices,
-    instantaneous_correlations,
     load_params,
 )
 
 # e_1 . e_2 must equal r_12 = exp(-0.073 * 1) on the shipped tenor.
 E1_DOT_E2 = 0.9296008300257927
+
+
+def correlations_at(j, jp, v_j, v_jp, params, fact):
+    """(Cor_LL, Cor_Lv, Cor_vv) at (j, j') in a state that holds v_j and
+    v_j' (every other expiry at theta)."""
+    v = np.array(params.theta)
+    v[j], v[jp] = v_j, v_jp
+    return tuple(float(m[j, jp])
+                 for m in correlation_matrices(params, fact, v))
 
 
 def test_loading_gram_reproduces_correlation(tenor):
@@ -60,6 +70,15 @@ def test_two_period_structure_single_unit_vector():
 def test_decay_zero_is_singular(tenor):
     with pytest.raises(DecompositionError):
         build_loadings(tenor, 0.0)
+
+
+def test_tiny_decay_takes_the_jitter_path(tenor):
+    # At decay 1e-300 every r_ij rounds to 1: the plain factorization fails
+    # and the 1e-12 diagonal jitter makes the matrix positive definite.
+    E = build_loadings(tenor, 1e-300)[1:]
+    np.testing.assert_allclose(np.linalg.norm(E, axis=1), 1.0, rtol=0,
+                               atol=1e-12)
+    assert np.max(np.abs(E @ E.T - 1.0)) <= 2e-12
 
 
 def test_sigma_norms(fact, params):
@@ -103,7 +122,7 @@ def test_rho_zero_and_unit_limits(tenor, params):
 
 def test_self_correlations(params, fact):
     for j in (1, 7, 19):
-        ll, lv, vv = instantaneous_correlations(j, j, 1.0, 1.0, params, fact)
+        ll, lv, vv = correlations_at(j, j, 1.0, 1.0, params, fact)
         assert ll == pytest.approx(1.0, abs=1e-13)
         assert lv == pytest.approx(params.rho[j], abs=1e-13)
         assert vv == pytest.approx(1.0, abs=1e-13)
@@ -111,7 +130,7 @@ def test_self_correlations(params, fact):
 
 def test_libor_correlation_is_input_matrix(params, fact, loadings):
     # With gamma = 0 the Libor-Libor correlation is e_j . e_j' at any state.
-    ll, _, _ = instantaneous_correlations(3, 11, 0.7, 1.9, params, fact)
+    ll, _, _ = correlations_at(3, 11, 0.7, 1.9, params, fact)
     assert ll == pytest.approx(float(loadings[3] @ loadings[11]), abs=1e-13)
 
 
@@ -123,7 +142,7 @@ def test_vol_vol_correlation_decomposition(tenor):
         rho=np.full(19, 0.7), kappa=np.full(19, 2.0),
         theta=np.ones(19), eps=np.full(19, 1.0), corr_decay=40.0)
     fact = build_factorization(params, tenor)
-    _, _, vv = instantaneous_correlations(1, 19, 1.0, 1.0, params, fact)
+    _, _, vv = correlations_at(1, 19, 1.0, 1.0, params, fact)
     assert vv == pytest.approx(1.0 - 0.7 ** 2, abs=1e-10)
 
 
@@ -137,7 +156,25 @@ def test_correlation_matrices_shapes(params, fact):
     assert np.max(np.abs(vv[1:, 1:] - vv[1:, 1:].T)) <= 1e-13
 
 
-def test_params_validation():
+def test_correlation_matrices_refusals(tenor, params, fact):
+    # A negative state, a vanishing Libor vol (v = 0 with gamma = 0) and a
+    # vanishing vol of vol are refused, each naming the first expiry at
+    # fault.
+    v = np.array(params.theta)
+    v[4], v[9] = -0.1, -0.2
+    with pytest.raises(InvariantError, match="non-negative at j=4") as exc:
+        correlation_matrices(params, fact, v)
+    assert exc.value.field == "v"
+    v[4], v[9] = 0.0, 0.0
+    with pytest.raises(CorrelationError,
+                       match="Libor volatility vanishes at j=4"):
+        correlation_matrices(params, fact, v)
+    flat = params.with_expiry(4, eps=0.0)
+    with pytest.raises(CorrelationError, match="vol of vol vanishes at j=4"):
+        correlation_matrices(flat, build_factorization(flat, tenor))
+
+
+def test_params_validation(params):
     base = dict(alpha=np.zeros(3), beta_norm=np.full(3, 0.1),
                 rho=np.zeros(3), kappa=np.ones(3), theta=np.ones(3),
                 eps=np.ones(3))
@@ -151,6 +188,21 @@ def test_params_validation():
             ModelParams.from_arrays(**broken)
     with pytest.raises(InvariantError, match="corr_decay"):
         ModelParams.from_arrays(corr_decay=-0.1, **base)
+    # Shapes: an unpadded field of the wrong length, a padded field of the
+    # wrong length, a gamma without its padding row, a non-finite gamma.
+    nan_gamma = np.zeros((20, 1))
+    nan_gamma[5, 0] = np.nan
+    for field, build in (
+            ("alpha", lambda: ModelParams.from_arrays(
+                **{**base, "alpha": np.zeros(4)})),
+            ("alpha", lambda: dataclasses.replace(params,
+                                                  alpha=params.alpha[1:])),
+            ("gamma", lambda: dataclasses.replace(params,
+                                                  gamma=np.zeros((19, 1)))),
+            ("gamma", lambda: dataclasses.replace(params, gamma=nan_gamma))):
+        with pytest.raises(InvariantError, match=field) as exc:
+            build()
+        assert exc.value.field == field
 
 
 @pytest.mark.parametrize("field, value", [
@@ -334,7 +386,7 @@ def test_vol_vol_correlation_closed_form(rho_j, rho_jp, decay):
         rho=np.array([rho_j, rho_jp]), kappa=np.ones(2), theta=np.ones(2),
         eps=np.array([1.3, 0.4]), corr_decay=decay)
     fact = build_factorization(params, tenor)
-    _, _, vv = instantaneous_correlations(1, 2, 1.0, 1.0, params, fact)
+    _, _, vv = correlations_at(1, 2, 1.0, 1.0, params, fact)
     r = math.exp(-decay)
     expected = rho_j * rho_jp * r + math.sqrt((1 - rho_j ** 2) * (1 - rho_jp ** 2))
     assert vv == pytest.approx(expected, abs=1e-12)
