@@ -4,13 +4,11 @@ Curve stripping, approximate affine Fourier pricing with a Black control
 variate, full-model Monte Carlo, and per-maturity caplet calibration.
 """
 
-from .affine import (EffectiveCapletParams, SwapEffectiveParams,
-                     effective_caplet_params, swap_averaged_vol_params,
-                     swap_effective_params)
+from .affine import (CharFnParams, effective_caplet_params,
+                     swap_averaged_vol_params, swap_effective_params)
 from .calibrate import (CalibrationResult, MaturityFit, calibrate_all,
                         calibrate_maturity, fit_report_rows)
-from .charfn import (CharFnParams, black_cf, caplet_cf_params, heston_cf,
-                     swaption_cf_params)
+from .charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
 from .errors import (ArbitrageBoundError, CorrelationError, CurveError,
                      DecompositionError, DegenerateDriftError, InvariantError,
                      ParseError, QuadratureError, SimulationError, StrikeError,
@@ -32,10 +30,10 @@ __all__ = [
     "ArbitrageBoundError", "CalibrationResult",
     "CapletPanel", "CharFnParams", "CorrelationError", "CurveError",
     "DEFAULT_QUAD", "DecompositionError", "DegenerateDriftError",
-    "DiscountCurve", "EffectiveCapletParams", "InvariantError", "MCConfig",
+    "DiscountCurve", "InvariantError", "MCConfig",
     "MCResult", "MaturityFit", "ModelParams", "ParseError", "QuadratureConfig",
     "QuadratureError", "SimulationError", "StrikeError", "SvLiborError",
-    "SwapContext", "SwapEffectiveParams", "TenorStructure", "VolFactorization",
+    "SwapContext", "TenorStructure", "VolFactorization",
     "black76", "black_cf", "build_factorization", "build_loadings",
     "calibrate_all", "calibrate_maturity", "caplet_cf_params", "caplet_price",
     "carr_madan_cv", "correlation_matrices", "deflated_bond_means",

@@ -4,6 +4,10 @@ Freezing Libor-dependent drift coefficients at their time-0 values turns the
 variance dynamics under the payment measure (caplets) and the annuity
 measure (swaptions) into square-root processes with shifted mean reversion.
 The shift conserves the product kappa * theta.
+
+Both approximations end in ``CharFnParams``, the one record of the eight
+numbers the Heston-type characteristic function (``charfn.heston_cf``)
+reads; ``TANGENT_FIELDS`` names the five a tangent row moves.
 """
 
 from __future__ import annotations
@@ -12,55 +16,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDriftError
+from .errors import DegenerateDriftError, InvariantError
 from .market_data import SwapContext, TenorStructure
 from .model import ModelParams, VolFactorization
 
 __all__ = [
     "CapletMap",
-    "EffectiveCapletParams",
-    "SwapEffectiveParams",
+    "CharFnParams",
     "caplet_map",
     "effective_caplet_params",
     "swap_averaged_vol_params",
     "swap_effective_params",
 ]
 
+# The CharFnParams fields a ``heston_cf`` tangent row moves, in order.
+TANGENT_FIELDS = ("kappa_star", "theta_star", "eps", "sigma_beta", "beta_sq")
+
 
 @dataclass(frozen=True)
-class EffectiveCapletParams:
-    """Measure-changed variance parameters for the caplet on L_j.
+class CharFnParams:
+    """Inputs of the Heston-type characteristic function.
 
-    kappa_eff and theta_eff drive v_j under the T_{j+1}-forward measure;
-    the remaining fields pass through what the characteristic function
-    needs: |beta_j|, gamma_j, eps_j, sigma_j . beta_j, the expiry T_j and
-    the initial variance v0 = theta_j.
+    kappa_star, theta_star: effective mean reversion of the variance proxy.
+    eps: vol of vol norm.  sigma_beta: cross term sigma . beta coupling the
+    variance noise to the rate noise.  beta_sq: |beta|^2.  gamma_int:
+    integral of |gamma|^2 over [0, T].  horizon: T.  v0: initial variance.
     """
 
-    kappa_eff: float
-    theta_eff: float
-    beta_norm: float
-    gamma: np.ndarray
+    kappa_star: float
+    theta_star: float
     eps: float
     sigma_beta: float
-    expiry: float
+    beta_sq: float
+    gamma_int: float
+    horizon: float
     v0: float
 
-
-@dataclass(frozen=True)
-class SwapEffectiveParams:
-    """Averaged and measure-changed parameters for the swap leg [p, q]; its
-    vectors are read-only."""
-
-    kappa_avg: float
-    theta_avg: float
-    sigma_avg: np.ndarray
-    sigma_bar_avg: float
-    kappa_eff: float
-    theta_eff: float
-    beta: np.ndarray
-    gamma: np.ndarray
-    expiry: float
+    def __post_init__(self):
+        if self.eps < 0.0:
+            raise InvariantError("eps", "vol of vol must be >= 0")
+        if self.horizon <= 0.0:
+            raise InvariantError("horizon", "need T > 0")
+        if self.v0 <= 0.0:
+            raise InvariantError("v0", "initial variance must be positive")
+        if self.beta_sq < 0.0:
+            raise InvariantError("beta_sq", "squared loading must be >= 0")
+        if self.gamma_int < 0.0:
+            raise InvariantError("gamma_int", "integrated squared Gaussian "
+                                 "loading must be >= 0")
+        # Cauchy-Schwarz: |sigma . beta| <= |sigma| |beta| <= eps |beta|.
+        bound = self.eps * np.sqrt(self.beta_sq) + 1e-12
+        if abs(self.sigma_beta) > bound:
+            raise InvariantError("sigma_beta", "exceeds eps * |beta|")
 
 
 def _drift_loads(params: ModelParams, libors: np.ndarray,
@@ -78,16 +85,18 @@ def _drift_loads(params: ModelParams, libors: np.ndarray,
 @dataclass(frozen=True)
 class CapletMap:
     """Expiry j's caplet map from x = (|beta_j|, kappa_j, eps_j, rho_j) to
-    its variance parameters under the T_{j+1}-forward measure.
+    its characteristic-function inputs under the T_{j+1}-forward measure.
 
     It holds what none of x moves: the drift slope C_j = sum_{k>j}
     sqrt(theta_k/theta_j) c_k (e_j . beta_k), the frozen drift's tail sum
     over k > j with sigma_j = rho_j eps_j e_j factored out; e_j . e_j;
-    theta_j; T_j and gamma_j.  ``at`` gives
+    theta_j; T_j and Gamma_j = |gamma_j|^2 T_j.  ``at`` gives
 
-        kappa_eff = kappa_j - rho_j eps_j C_j,
-        theta_eff = kappa_j theta_j / kappa_eff,
-        sigma . beta = rho_j eps_j |beta_j| (e_j . e_j).
+        kappa_star = kappa_eff = kappa_j - rho_j eps_j C_j,
+        theta_star = kappa_j theta_j / kappa_eff,
+        sigma . beta = rho_j eps_j |beta_j| (e_j . e_j),
+
+    with eps_j, |beta_j|^2, Gamma_j, T_j and v0 = theta_j.
     """
 
     j: int
@@ -95,33 +104,32 @@ class CapletMap:
     ee: float
     theta: float
     expiry: float
-    gamma: np.ndarray
+    gamma_int: float
 
-    def at(self, x) -> EffectiveCapletParams:
-        """The caplet's parameters at x; DegenerateDriftError for a
+    def at(self, x) -> CharFnParams:
+        """The caplet's CF inputs at x; DegenerateDriftError for a
         non-positive kappa_eff."""
         beta, kappa, eps, rho = x
         kappa_eff = float(kappa - rho * eps * self.slope)
         if kappa_eff <= 0.0:
             raise DegenerateDriftError(f"kappa_eff(j={self.j})", kappa_eff)
-        return EffectiveCapletParams(
-            kappa_eff=kappa_eff, theta_eff=float(kappa * self.theta
-                                                 / kappa_eff),
-            beta_norm=float(beta), gamma=self.gamma, eps=float(eps),
-            sigma_beta=float(rho * eps * beta * self.ee), expiry=self.expiry,
-            v0=self.theta)
+        return CharFnParams(
+            kappa_star=kappa_eff,
+            theta_star=float(kappa * self.theta / kappa_eff),
+            eps=float(eps), sigma_beta=float(rho * eps * beta * self.ee),
+            beta_sq=float(beta) ** 2, gamma_int=self.gamma_int,
+            horizon=self.expiry, v0=self.theta)
 
     def partials(self, x, kappa_eff: float) -> np.ndarray:
         """Partials of the caplet CF inputs in x.
 
-        Rows are (kappa_eff, theta_eff, eps, sigma . beta, |beta|^2), the
-        order of ``charfn.TANGENT_FIELDS``; columns are x = (|beta_j|,
-        kappa_j, eps_j, rho_j).  ``kappa_eff`` is that of ``at(x)``.
+        Rows are the fields ``TANGENT_FIELDS``; columns are x = (|beta_j|,
+        kappa_j, eps_j, rho_j).  ``kappa_eff`` is ``at(x).kappa_star``.
         """
         beta, kappa, eps, rho = x
         slope, ee, theta = self.slope, self.ee, self.theta
         d_kappa = np.array([0.0, 1.0, -rho * slope, -eps * slope])
-        # d theta_eff = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
+        # d theta_star = theta_j (d kappa - (kappa / kappa_eff) d kappa_eff)
         #               / kappa_eff.
         d_theta = -(theta * kappa / kappa_eff ** 2) * d_kappa
         d_theta[1] += theta / kappa_eff
@@ -146,16 +154,18 @@ def caplet_map(j: int, params: ModelParams, fact: VolFactorization,
     e_j = fact.loadings[j]
     slope = np.sum(np.sqrt(params.theta[tail] / params.theta[j]) * c[tail]
                    * params.beta_norm[tail] * (fact.loadings[tail] @ e_j))
+    expiry = float(tenor.dates[j])
     return CapletMap(j=j, slope=float(slope), ee=float(e_j @ e_j),
-                     theta=float(params.theta[j]),
-                     expiry=float(tenor.dates[j]), gamma=params.gamma[j])
+                     theta=float(params.theta[j]), expiry=expiry,
+                     gamma_int=float(params.gamma[j] @ params.gamma[j])
+                     * expiry)
 
 
 def effective_caplet_params(j: int, params: ModelParams, fact: VolFactorization,
                             tenor: TenorStructure,
-                            libors: np.ndarray) -> EffectiveCapletParams:
-    """Variance parameters of v_j under the T_{j+1}-forward measure: expiry
-    j's ``CapletMap`` at its entries of ``params``."""
+                            libors: np.ndarray) -> CharFnParams:
+    """CF inputs of the caplet on L_j, v_j under the T_{j+1}-forward
+    measure: expiry j's ``CapletMap`` at its entries of ``params``."""
     return caplet_map(j, params, fact, tenor, libors).at(
         (params.beta_norm[j], params.kappa[j], params.eps[j], params.rho[j]))
 
@@ -174,13 +184,16 @@ def swap_averaged_vol_params(ctx: SwapContext, params: ModelParams,
 
 def swap_effective_params(ctx: SwapContext, params: ModelParams,
                           fact: VolFactorization, tenor: TenorStructure,
-                          libors: np.ndarray) -> SwapEffectiveParams:
-    """Averaged swap-rate loadings plus the annuity-measure drift shift.
+                          libors: np.ndarray) -> CharFnParams:
+    """CF inputs of the payer swaption on the leg [p, q]: averaged swap-rate
+    loadings plus the annuity-measure drift shift.
 
     beta_pq and gamma_pq are the xi-weighted sums of beta_j and gamma_j
     scaled by (L_j + alpha_j)/S at time 0.  The mean-reversion shift mirrors
     the caplet case with the averaged sigma_pq and the weight-mixed
-    correction sum; theta is rescaled to conserve kappa * theta.
+    correction sum; theta is rescaled to conserve kappa * theta.  The single
+    variance proxy has eps^2 = |sigma_pq|^2 + sigmabar_pq^2 and starts at
+    v0 = theta_pq.
     """
     kappa_avg, theta_avg, sigma_avg, sigma_bar_avg = \
         swap_averaged_vol_params(ctx, params, fact)
@@ -203,17 +216,15 @@ def swap_effective_params(ctx: SwapContext, params: ModelParams,
     kappa_eff = float(kappa_avg - correction)
     if kappa_eff <= 0.0:
         raise DegenerateDriftError(f"kappa_eff(p={ctx.p},q={ctx.q})", kappa_eff)
-    theta_eff = float(kappa_avg * theta_avg / kappa_eff)
-    for vector in (sigma_avg, beta_pq, gamma_pq):
-        vector.setflags(write=False)
-    return SwapEffectiveParams(
-        kappa_avg=kappa_avg,
-        theta_avg=theta_avg,
-        sigma_avg=sigma_avg,
-        sigma_bar_avg=sigma_bar_avg,
-        kappa_eff=kappa_eff,
-        theta_eff=theta_eff,
-        beta=beta_pq,
-        gamma=gamma_pq,
-        expiry=float(tenor.dates[ctx.p]),
+    expiry = float(tenor.dates[ctx.p])
+    eps_sq = float(sigma_avg @ sigma_avg) + sigma_bar_avg ** 2
+    return CharFnParams(
+        kappa_star=kappa_eff,
+        theta_star=float(kappa_avg * theta_avg / kappa_eff),
+        eps=float(np.sqrt(eps_sq)),
+        sigma_beta=float(sigma_avg @ beta_pq),
+        beta_sq=float(beta_pq @ beta_pq),
+        gamma_int=float(gamma_pq @ gamma_pq) * expiry,
+        horizon=expiry,
+        v0=theta_avg,
     )

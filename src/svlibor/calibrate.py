@@ -10,12 +10,12 @@ Each candidate's strike row is priced with the package's graded static
 quadrature at half the default node count (``QUAD``, 768 nodes).
 The strike row (phases, displaced strikes, forward, discount) and expiry
 j's ``affine.CapletMap`` are built once per maturity.  A candidate goes
-through that map and ``charfn.cf_params_of``, the path every caplet price
-takes, to its characteristic-function inputs and their partials, then
-costs one tangent characteristic-function call and one matrix-vector
-product, which give the residuals and their exact Jacobian in (|beta|,
-kappa, eps, rho) together.  The prices move smoothly with the candidate,
-which the least-squares solve needs.  Over the whole search box, for
+through that map, the path every caplet price takes, to its
+characteristic-function inputs (``affine.CharFnParams``) and their
+partials, then costs one tangent characteristic-function call and one
+matrix-vector product, which give the residuals and their exact Jacobian
+in (|beta|, kappa, eps, rho) together.  The prices move smoothly with the
+candidate, which the least-squares solve needs.  Over the whole search box, for
 strikes 0.6-1.6 times the forward, the rule agrees with an adaptive
 reference at ``tol=1e-12`` to 1e-8 relative, down to that reference's own
 absolute error (checked by test).  Wider strikes need the default 1536
@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .affine import caplet_map
-from .charfn import cf_params_of
 from .errors import (ArbitrageBoundError, InvariantError, StrikeError,
                      SvLiborError)
 from .fourier import (DEFAULT_QUAD, QuadratureConfig, black76, caplet_price,
@@ -138,9 +137,9 @@ class _CapletPricer:
     no candidate moves, from the Libors stripped from ``curve`` and the
     loadings of ``params.corr_decay``: expiry j's ``CapletMap`` (``map``)
     and the strike row (``row``), which refuses K + alpha_j < 0
-    (StrikeError).  A candidate goes through ``map.at`` and
-    ``cf_params_of`` to its CharFnParams, and through ``map.partials`` to
-    their partials, then costs one tangent characteristic-function call.
+    (StrikeError).  A candidate goes through ``map.at`` to its CharFnParams,
+    and through ``map.partials`` to their partials, then costs one tangent
+    characteristic-function call.
     Prices are bitwise those of a fresh ``caplet_price`` call with the
     candidate in slot j.
     """
@@ -156,10 +155,10 @@ class _CapletPricer:
     def cf_params(self, candidate):
         """CharFnParams with the candidate in slot j, bitwise those of
         ``caplet_cf_params``, and their partials in the candidate (rows
-        ``charfn.TANGENT_FIELDS``, columns |beta|, kappa, eps, rho)."""
+        ``affine.TANGENT_FIELDS``, columns |beta|, kappa, eps, rho)."""
         x = tuple(map(float, candidate))
-        eff = self.map.at(x)
-        return cf_params_of(eff), self.map.partials(x, eff.kappa_eff)
+        cfp = self.map.at(x)
+        return cfp, self.map.partials(x, cfp.kappa_star)
 
     def price(self, candidate):
         """Prices of the strike row and their partials in the candidate, one

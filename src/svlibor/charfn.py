@@ -32,7 +32,8 @@ which removes the d = 0 removable singularity.
 
 The same formula serves caplets (measure-changed parameters of expiry j)
 and swaptions (annuity-averaged parameters of the leg [p, q]); only the
-parameter bundle differs.
+``CharFnParams`` record differs, which ``affine`` builds for both and this
+module re-exports.
 
 ``heston_cf`` also returns forward-mode derivatives of phi along given
 directions in (kappa*, theta*, eps, sigma . beta, |beta|^2), computed on
@@ -47,14 +48,12 @@ on the contour, so neither needs guarding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._scratch import Scratch
-from .affine import (EffectiveCapletParams, effective_caplet_params,
+from .affine import (TANGENT_FIELDS, CharFnParams, effective_caplet_params,
                      swap_effective_params)
-from .errors import InvariantError
 from .market_data import swap_context
 
 __all__ = [
@@ -63,12 +62,8 @@ __all__ = [
     "explosion_margin",
     "black_cf",
     "caplet_cf_params",
-    "cf_params_of",
     "swaption_cf_params",
 ]
-
-# The CharFnParams fields a ``heston_cf`` tangent row moves, in order.
-TANGENT_FIELDS = ("kappa_star", "theta_star", "eps", "sigma_beta", "beta_sq")
 
 # Where |dT| is below P_SERIES the tangents take dphi1/dd from the series
 # of (e^x - 1 - x) / x^2 = sum_k x^k / (k + 2)!, cut after x^(P_TERMS - 1).
@@ -80,43 +75,6 @@ P_TERMS = 7
 EPS_DETERMINISTIC = 1e-8
 
 _SCRATCH = Scratch()
-
-
-@dataclass(frozen=True)
-class CharFnParams:
-    """Inputs of the Heston-type characteristic function.
-
-    kappa_star, theta_star: effective mean reversion of the variance proxy.
-    eps: vol of vol norm.  sigma_beta: cross term sigma . beta coupling the
-    variance noise to the rate noise.  beta_sq: |beta|^2.  gamma_int:
-    integral of |gamma|^2 over [0, T].  horizon: T.  v0: initial variance.
-    """
-
-    kappa_star: float
-    theta_star: float
-    eps: float
-    sigma_beta: float
-    beta_sq: float
-    gamma_int: float
-    horizon: float
-    v0: float
-
-    def __post_init__(self):
-        if self.eps < 0.0:
-            raise InvariantError("eps", "vol of vol must be >= 0")
-        if self.horizon <= 0.0:
-            raise InvariantError("horizon", "need T > 0")
-        if self.v0 <= 0.0:
-            raise InvariantError("v0", "initial variance must be positive")
-        if self.beta_sq < 0.0:
-            raise InvariantError("beta_sq", "squared loading must be >= 0")
-        if self.gamma_int < 0.0:
-            raise InvariantError("gamma_int", "integrated squared Gaussian "
-                                 "loading must be >= 0")
-        # Cauchy-Schwarz: |sigma . beta| <= |sigma| |beta| <= eps |beta|.
-        bound = self.eps * np.sqrt(self.beta_sq) + 1e-12
-        if abs(self.sigma_beta) > bound:
-            raise InvariantError("sigma_beta", "exceeds eps * |beta|")
 
 
 def _deterministic_cf(z: np.ndarray, p: CharFnParams) -> np.ndarray:
@@ -371,45 +329,13 @@ def black_cf(z, sigma_b: float, horizon: float):
     return np.exp(-0.5 * sigma_b ** 2 * horizon * (z * z + 1j * z))
 
 
-def cf_params_of(eff: EffectiveCapletParams) -> CharFnParams:
-    """The characteristic function inputs of a caplet's parameters."""
-    return CharFnParams(
-        kappa_star=eff.kappa_eff,
-        theta_star=eff.theta_eff,
-        eps=eff.eps,
-        sigma_beta=eff.sigma_beta,
-        beta_sq=eff.beta_norm ** 2,
-        gamma_int=float(eff.gamma @ eff.gamma) * eff.expiry,
-        horizon=eff.expiry,
-        v0=eff.v0,
-    )
-
-
 def caplet_cf_params(j: int, params, fact, tenor, libors) -> CharFnParams:
-    """Assemble the caplet characteristic function inputs for expiry j."""
-    return cf_params_of(effective_caplet_params(j, params, fact, tenor,
-                                                libors))
+    """The caplet characteristic function inputs for expiry j."""
+    return effective_caplet_params(j, params, fact, tenor, libors)
 
 
 def swaption_cf_params(p: int, q: int, params, fact, tenor, curve,
                        libors) -> CharFnParams:
-    """Assemble the swap-rate characteristic function inputs for [p, q].
-
-    The single variance proxy uses eps^2 = |sigma_pq|^2 + sigmabar_pq^2 and
-    starts at v0 = theta_pq.
-    """
-    ctx = swap_context(p, q, curve, tenor)
-    eff = swap_effective_params(ctx, params, fact, tenor, libors)
-    eps_sq = float(eff.sigma_avg @ eff.sigma_avg) + eff.sigma_bar_avg ** 2
-    beta_sq = float(eff.beta @ eff.beta)
-    gamma_sq = float(eff.gamma @ eff.gamma)
-    return CharFnParams(
-        kappa_star=eff.kappa_eff,
-        theta_star=eff.theta_eff,
-        eps=float(np.sqrt(eps_sq)),
-        sigma_beta=float(eff.sigma_avg @ eff.beta),
-        beta_sq=beta_sq,
-        gamma_int=gamma_sq * eff.expiry,
-        horizon=eff.expiry,
-        v0=eff.theta_avg,
-    )
+    """The swap-rate characteristic function inputs for [p, q]."""
+    return swap_effective_params(swap_context(p, q, curve, tenor), params,
+                                 fact, tenor, libors)

@@ -408,7 +408,7 @@ def price_row(row: StrikeRow, cf_params, tangents=None):
     function's explosion margin is too narrow for the rule's first panel
     to resolve, and whatever ``_invert`` raises.
 
-    ``tangents``, a (k, 5) array of directions in ``charfn.TANGENT_FIELDS``,
+    ``tangents``, a (k, 5) array of directions in ``affine.TANGENT_FIELDS``,
     asks for the exact derivatives of the prices along them as well: the
     call returns (prices, derivatives) with derivatives of shape
     (strikes..., k), from one tangent characteristic-function call.  The

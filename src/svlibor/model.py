@@ -244,8 +244,10 @@ def correlation_matrices(params: ModelParams, fact: VolFactorization,
         Cor_Lv = (sqrt(v) * B Sigma^T) / (s eps^T),
         Cor_vv = (Sigma Sigma^T + sigmabar sigmabar^T) / (eps eps^T),
 
-    with * and / elementwise.  With gamma = 0 the Libor correlation reduces
-    to e_j . e_j' = r_jj' whatever the state.  A negative state entry raises
+    with * and / elementwise, clipped to [-1, 1]: a diagonal entry is the
+    ratio of two separately rounded squares and can land an ulp above 1.
+    With gamma = 0 the Libor correlation reduces to e_j . e_j' = r_jj'
+    whatever the state.  A negative state entry raises
     InvariantError, and a vanishing s_j (v_j = 0 and gamma_j = 0) or eps_j
     raises CorrelationError; each names the first expiry at fault.
     """
@@ -270,7 +272,7 @@ def correlation_matrices(params: ModelParams, fact: VolFactorization,
                       / np.outer(s, s))
     out[1, 1:, 1:] = root_v[:, None] * (B @ sig.T) / np.outer(s, eps)
     out[2, 1:, 1:] = (sig @ sig.T + np.outer(sigbar, sigbar)) / np.outer(eps, eps)
-    return tuple(out)
+    return tuple(np.clip(out, -1.0, 1.0, out=out))
 
 
 def load_params(path) -> ModelParams:

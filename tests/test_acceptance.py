@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from svlibor.affine import effective_caplet_params, swap_effective_params
+from svlibor.affine import (effective_caplet_params, swap_averaged_vol_params,
+                            swap_effective_params)
 from svlibor.calibrate import calibrate_all, calibrate_maturity
 from svlibor.charfn import black_cf, caplet_cf_params, heston_cf, swaption_cf_params
 from svlibor.fourier import (DEFAULT_QUAD, QuadratureConfig, black76,
@@ -286,15 +287,17 @@ class TestCriterion5StructuralIdentities:
         worst = 0.0
         for j in range(1, tenor.n):
             eff = effective_caplet_params(j, params, fact, tenor, libors)
-            worst = max(worst, abs(eff.kappa_eff * eff.theta_eff
+            worst = max(worst, abs(eff.kappa_star * eff.theta_star
                                    - params.kappa[j] * params.theta[j]))
         sw_params, sw_fact = swap_market
         for (p, q) in LEGS:
             ctx = swap_context(p, q, curve, tenor)
             eff = swap_effective_params(ctx, sw_params, sw_fact, tenor,
                                         libors)
-            avg = eff.kappa_avg * eff.theta_avg
-            worst = max(worst, abs(eff.kappa_eff * eff.theta_eff - avg))
+            kappa_avg, theta_avg, _, _ = swap_averaged_vol_params(
+                ctx, sw_params, sw_fact)
+            worst = max(worst, abs(eff.kappa_star * eff.theta_star
+                                   - kappa_avg * theta_avg))
         ok = worst <= 1e-14
         report("5a", ok, f"max |kappa* theta* - kappa theta| over 19 "
                          f"expiries + 4 legs = {worst:.2e} (<= 1e-14)")

@@ -24,9 +24,9 @@ from svlibor import (
     swap_context,
     swap_effective_params,
 )
-from svlibor.affine import caplet_map
+from svlibor.affine import TANGENT_FIELDS, caplet_map
 from svlibor.calibrate import _CapletPricer
-from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
+from svlibor.charfn import caplet_cf_params
 
 import oracles
 
@@ -38,8 +38,8 @@ BETA_NORM_2_10 = 0.13987975966126828  # |beta_{2,10}| at decay 0.0553
 def test_last_expiry_needs_no_correction(params, fact, tenor, libors):
     j = 19
     eff = effective_caplet_params(j, params, fact, tenor, libors)
-    assert eff.kappa_eff == pytest.approx(params.kappa[j], abs=1e-15)
-    assert eff.theta_eff == pytest.approx(params.theta[j], abs=1e-15)
+    assert eff.kappa_star == pytest.approx(params.kappa[j], abs=1e-15)
+    assert eff.theta_star == pytest.approx(params.theta[j], abs=1e-15)
 
 
 def test_rho_zero_leaves_kappa_unchanged(tenor, libors, params, loadings):
@@ -49,40 +49,40 @@ def test_rho_zero_leaves_kappa_unchanged(tenor, libors, params, loadings):
         eps=np.full(19, 1.5), corr_decay=0.073)
     fact = factorize_vols(flat, loadings)
     eff = effective_caplet_params(3, flat, fact, tenor, libors)
-    assert eff.kappa_eff == pytest.approx(2.0, abs=1e-15)
+    assert eff.kappa_star == pytest.approx(2.0, abs=1e-15)
     assert eff.sigma_beta == 0.0
 
 
 def test_effective_kappa_frozen_value(params, fact, tenor, libors):
     eff = effective_caplet_params(5, params, fact, tenor, libors)
-    assert eff.kappa_eff == pytest.approx(KAPPA_EFF_5, abs=1e-13)
-    assert eff.kappa_eff == pytest.approx(
+    assert eff.kappa_star == pytest.approx(KAPPA_EFF_5, abs=1e-13)
+    assert eff.kappa_star == pytest.approx(
         oracles.effective_kappa_caplet(5, 0.073), abs=1e-12)
 
 
 def test_caplet_kappa_theta_conserved(params, fact, tenor, libors):
     for j in range(1, 20):
         eff = effective_caplet_params(j, params, fact, tenor, libors)
-        assert abs(eff.kappa_eff * eff.theta_eff
+        assert abs(eff.kappa_star * eff.theta_star
                    - params.kappa[j] * params.theta[j]) <= 1e-14
 
 
 def test_negative_rho_raises_effective_kappa(params, fact, tenor, libors):
     # sigma_j . beta_k < 0 for rho < 0, so the correction only pushes the
-    # reversion speed up; theta_eff drops to compensate.
+    # reversion speed up; theta_star drops to compensate.
     for j in range(1, 19):
         eff = effective_caplet_params(j, params, fact, tenor, libors)
-        assert eff.kappa_eff >= params.kappa[j]
-        assert eff.theta_eff <= params.theta[j]
+        assert eff.kappa_star >= params.kappa[j]
+        assert eff.theta_star <= params.theta[j]
 
 
 def test_caplet_passthrough_fields(params, fact, tenor, libors):
     eff = effective_caplet_params(5, params, fact, tenor, libors)
-    assert eff.beta_norm == params.beta_norm[5]
+    assert eff.beta_sq == params.beta_norm[5] ** 2
     assert eff.eps == params.eps[5]
-    assert eff.expiry == tenor.dates[5]
+    assert eff.horizon == tenor.dates[5]
     assert eff.v0 == params.theta[5]
-    assert eff.gamma.size == 0
+    assert eff.gamma_int == 0.0
     assert eff.sigma_beta == pytest.approx(
         params.rho[5] * params.eps[5] * params.beta_norm[5], abs=1e-13)
 
@@ -116,8 +116,8 @@ def test_swap_beta_norm_frozen(params, tenor, curve, libors):
     fact553 = build_factorization(work, tenor)
     ctx = swap_context(2, 10, curve, tenor)
     eff = swap_effective_params(ctx, work, fact553, tenor, libors)
-    assert np.linalg.norm(eff.beta) == pytest.approx(BETA_NORM_2_10, abs=1e-13)
-    assert np.linalg.norm(eff.beta) == pytest.approx(
+    assert np.sqrt(eff.beta_sq) == pytest.approx(BETA_NORM_2_10, abs=1e-13)
+    assert np.sqrt(eff.beta_sq) == pytest.approx(
         oracles.swap_beta_norm(2, 10, 0.0553), abs=1e-12)
 
 
@@ -125,28 +125,30 @@ def test_swap_kappa_theta_conserved(params, fact, tenor, curve, libors):
     for p, q in ((2, 10), (4, 10), (4, 20), (10, 20)):
         ctx = swap_context(p, q, curve, tenor)
         eff = swap_effective_params(ctx, params, fact, tenor, libors)
-        assert abs(eff.kappa_eff * eff.theta_eff
-                   - eff.kappa_avg * eff.theta_avg) <= 1e-14
+        kappa_avg, theta_avg, _, _ = swap_averaged_vol_params(ctx, params,
+                                                              fact)
+        assert eff.v0 == theta_avg
+        assert abs(eff.kappa_star * eff.theta_star
+                   - kappa_avg * theta_avg) <= 1e-14
 
 
 def test_single_period_swap_matches_caplet(params, fact, tenor, curve, libors):
     # With theta uniform the [p, p+1] swaption reduces exactly to the
-    # T_p-caplet: same loadings, same measure shift.
+    # T_p-caplet: same loadings, same measure shift, so all eight CF inputs
+    # agree.
     p = 6
     ctx = swap_context(p, p + 1, curve, tenor)
     swap = swap_effective_params(ctx, params, fact, tenor, libors)
     cap = effective_caplet_params(p, params, fact, tenor, libors)
-    assert swap.kappa_eff == pytest.approx(cap.kappa_eff, abs=1e-12)
-    assert swap.theta_eff == pytest.approx(cap.theta_eff, abs=1e-12)
-    np.testing.assert_allclose(swap.beta,
-                               params.beta_norm[p] * fact.loadings[p],
-                               rtol=0, atol=1e-12)
-    assert swap.expiry == cap.expiry
+    for field in dataclasses.fields(cap):
+        assert getattr(swap, field.name) == pytest.approx(
+            getattr(cap, field.name), rel=1e-12, abs=1e-12), field.name
+    assert swap.horizon == cap.horizon
 
 
 def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
                                           curve, libors):
-    # One formula, bitwise: kappa_eff = kappa_j - rho_j eps_j C_j and
+    # One formula, bitwise: kappa_star = kappa_j - rho_j eps_j C_j and
     # sigma . beta = rho_j eps_j |beta_j| (e_j . e_j), for caplet prices
     # and calibration alike.  C_j does not move with expiry j's own
     # parameters, so the calibration's pricer, built once per maturity,
@@ -166,12 +168,10 @@ def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
             slope = cmap.slope
             rho_eps = work.rho[j] * work.eps[j]
             ee = float(loadings[j] @ loadings[j])
-            assert eff.kappa_eff == work.kappa[j] - rho_eps * slope
+            assert eff.kappa_star == work.kappa[j] - rho_eps * slope
             assert eff.sigma_beta == rho_eps * work.beta_norm[j] * ee
             x = (work.beta_norm[j], work.kappa[j], work.eps[j], work.rho[j])
-            at = cmap.at(x)
-            assert (eff.kappa_eff, eff.theta_eff, eff.sigma_beta) == \
-                (at.kappa_eff, at.theta_eff, at.sigma_beta)
+            assert cmap.at(x) == eff
 
             x = (other.beta_norm[j], other.kappa[j], other.eps[j],
                  other.rho[j])
@@ -203,7 +203,7 @@ def test_caplet_partials_match_central_differences(params, loadings, tenor,
     x0 = np.array([params.beta_norm[j], params.kappa[j], params.eps[j],
                    params.rho[j]])
     partials = caplet_map(j, params, fact, tenor, libors).partials(
-        x0, eff.kappa_eff)
+        x0, eff.kappa_star)
     assert partials.shape == (len(TANGENT_FIELDS), 4)
 
     def fields(x):
@@ -245,16 +245,6 @@ def test_degenerate_drift_raises(params, tenor, curve, libors):
     assert exc.value.value == pytest.approx(-0.477385, abs=1e-6)
 
 
-def test_swap_effective_vectors_are_read_only(params, fact, tenor, curve,
-                                              libors):
-    # The record is frozen, and so are the vectors it holds.
-    ctx = swap_context(4, 10, curve, tenor)
-    eff = swap_effective_params(ctx, params, fact, tenor, libors)
-    for name in ("sigma_avg", "beta", "gamma"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(eff, name)[...] = 0.0
-
-
 @given(
     kappa=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
     theta=st.floats(min_value=0.2, max_value=3.0, allow_nan=False),
@@ -279,9 +269,10 @@ def test_kappa_theta_conservation_random(kappa, theta, eps, rho, rate):
     fact = build_factorization(params, tenor)
     for j in range(1, n):
         eff = effective_caplet_params(j, params, fact, tenor, libors)
-        assert abs(eff.kappa_eff * eff.theta_eff - kappa * theta) \
+        assert abs(eff.kappa_star * eff.theta_star - kappa * theta) \
             <= 1e-12 * max(1.0, kappa * theta)
     ctx = swap_context(1, n, curve, tenor)
     eff = swap_effective_params(ctx, params, fact, tenor, libors)
-    assert abs(eff.kappa_eff * eff.theta_eff - eff.kappa_avg * eff.theta_avg) \
+    kappa_avg, theta_avg, _, _ = swap_averaged_vol_params(ctx, params, fact)
+    assert abs(eff.kappa_star * eff.theta_star - kappa_avg * theta_avg) \
         <= 1e-12 * max(1.0, kappa * theta)

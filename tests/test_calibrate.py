@@ -727,6 +727,23 @@ class TestCalibrateAll:
 
 
 class TestFitReport:
+    @pytest.mark.filterwarnings("ignore:no panel")
+    def test_vol_above_the_arbitrage_bound_is_nan(self, tenor, curve, params,
+                                                  libors):
+        # A quote of twice the discounted displaced forward has no Black
+        # vol; the report gives NaN for it alone.
+        j = 19
+        strikes = np.linspace(0.6, 1.6, 7) * libors[j]
+        quotes = caplet_price(j, strikes, tenor, curve, params)
+        quotes[-1] = (2.0 * tenor.accruals()[j] * curve.bonds[j + 1]
+                      * (libors[j] + params.alpha[j]))
+        panel = CapletPanel(expiry=j, strikes=strikes, quotes=quotes)
+        result = calibrate_all([panel], params, tenor, curve)
+        rows = fit_report_rows(result, [panel], tenor, curve)
+        assert math.isnan(rows[-1]["market_ivol"])
+        assert all(math.isfinite(row["market_ivol"]) for row in rows[:-1])
+        assert all(math.isfinite(row["model_ivol"]) for row in rows)
+
     def test_rows_schema_and_fit_quality(self):
         tenor, curve, params = small_market()
         panel = small_panel(5, tenor, curve, params)

@@ -95,6 +95,18 @@ def test_deterministic_variance_limit(params, fact, tenor, libors):
     assert worst <= 1e-10
 
 
+def test_deterministic_limit_without_reversion(params, fact, tenor, libors):
+    # With eps = 0 the mean variance takes its kappa* -> 0 limit v0 T where
+    # kappa* T is below 1e-14; just above, the closed form agrees with it.
+    base = caplet_cf_params(5, params, fact, tenor, libors)
+    zero = dataclasses.replace(base, eps=0.0, sigma_beta=0.0)
+    assert zero.v0 != zero.theta_star
+    limit = heston_cf(QUAD.contour,
+                      dataclasses.replace(zero, kappa_star=1e-16))
+    near = heston_cf(QUAD.contour, dataclasses.replace(zero, kappa_star=1e-9))
+    np.testing.assert_allclose(limit, near, rtol=0, atol=1e-9)
+
+
 def test_pure_gaussian_part_is_black():
     # beta = 0 turns the CF into exp(-psi Gamma / 2), Black with
     # sigma^2 = Gamma / T.

@@ -7,12 +7,16 @@ import json
 import numpy as np
 import pytest
 
+from svlibor.affine import CharFnParams
 from svlibor.cli import main
 from svlibor.fourier import (black76, caplet_price, implied_vol,
                              swaption_price)
 from svlibor.market_data import strip_libors
 from svlibor.model import build_factorization, load_params
 from svlibor.montecarlo import MCConfig, mc_caplets, mc_swaptions
+
+# What ``--dump-effective`` writes, in order, for caplets and swaptions.
+CF_FIELDS = [field.name for field in dataclasses.fields(CharFnParams)]
 
 
 def write_small_market(tmp_path):
@@ -103,10 +107,11 @@ class TestPriceCaplet:
                    "--j", "5", "--dump-effective", "--out", str(out)])
         assert rc == 0
         blob = json.loads(out.read_text())
-        assert blob["expiry"] == 5
-        assert blob["kappa_eff"] == pytest.approx(3.8979114755633613,
-                                                  rel=1e-12)
-        assert blob["gamma"] == []
+        assert list(blob) == CF_FIELDS
+        assert blob["horizon"] == 5.0
+        assert blob["kappa_star"] == pytest.approx(3.8979114755633613,
+                                                   rel=1e-12)
+        assert blob["gamma_int"] == 0.0
 
     def test_strike_required(self, fixtures_dir, capsys):
         rc = main(["price-caplet",
@@ -157,7 +162,7 @@ class TestPriceSwaption:
         got = [float(row["fourier_price"]) for row in rows]
         np.testing.assert_array_equal(got, expected)
 
-    def test_dump_effective(self, tmp_path, fixtures_dir, tenor):
+    def test_dump_effective(self, tmp_path, fixtures_dir):
         out = tmp_path / "eff.json"
         rc = main(["price-swaption",
                    "--curve", str(fixtures_dir / "curve_table.csv"),
@@ -166,11 +171,10 @@ class TestPriceSwaption:
                    "--out", str(out)])
         assert rc == 0
         blob = json.loads(out.read_text())
-        assert blob["kappa_eff"] == pytest.approx(3.881564586849864,
-                                                  rel=1e-12)
-        # One entry per Brownian factor of W, one per expiry 1..n-1.
-        assert len(blob["sigma_avg"]) == len(blob["beta"]) == tenor.n - 1
-        assert blob["gamma"] == [] and blob["expiry"] == 2.0
+        assert list(blob) == CF_FIELDS
+        assert blob["kappa_star"] == pytest.approx(3.881564586849864,
+                                                   rel=1e-12)
+        assert blob["gamma_int"] == 0.0 and blob["horizon"] == 2.0
 
 
 class TestPriceTables:
@@ -254,7 +258,9 @@ class TestPriceTables:
         got = [float(row["fourier_price"])
                for row in csv.DictReader(table.open())]
         np.testing.assert_array_equal(got, expected)
-        assert json.loads(eff.read_text())["gamma"] == [0.001, 0.001]
+        # Gamma = |gamma_5|^2 T_5 with gamma_5 = (0.001, 0.001).
+        assert json.loads(eff.read_text())["gamma_int"] == pytest.approx(
+            2e-6 * 5.0, rel=1e-12)
 
 
 class TestMcPrice:
@@ -487,6 +493,35 @@ class TestCalibrate:
         # unit-column Jacobian.
         assert fit["residual_rms"] >= fit["objective"]
         assert len(fit["singular_values"]) == 3
+
+
+    @pytest.mark.filterwarnings("ignore:no panel")
+    def test_fit_report_leaves_an_undefined_vol_empty(self, tmp_path,
+                                                      fixtures_dir, tenor,
+                                                      curve, params, libors):
+        # The last quote, twice the discounted displaced forward, has no
+        # Black vol: its market_ivol cell is empty.
+        j = 19
+        strikes = np.linspace(0.6, 1.6, 7) * libors[j]
+        quotes = caplet_price(j, strikes, tenor, curve, params)
+        quotes[-1] = (2.0 * tenor.accruals()[j] * curve.bonds[j + 1]
+                      * (libors[j] + params.alpha[j]))
+        panel_path = tmp_path / "panels.csv"
+        lines = ["expiry_index,strike,quote,quote_kind"]
+        lines += [f"{j},{k:.17g},{q:.17g},price"
+                  for k, q in zip(strikes, quotes)]
+        panel_path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.csv"
+        rc = main(["calibrate",
+                   "--curve", str(fixtures_dir / "curve_table.csv"),
+                   "--model", str(fixtures_dir / "model_table.json"),
+                   "--panels", str(panel_path), "--fit-report", str(report),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 0
+        rows = list(csv.DictReader(report.open()))
+        empty = [row["market_ivol"] == "" for row in rows]
+        assert empty == [False] * 6 + [True]
+        assert all(row["model_ivol"] for row in rows)
 
 
 class TestImpliedVol:

@@ -156,6 +156,29 @@ def test_correlation_matrices_shapes(params, fact):
     assert np.max(np.abs(vv[1:, 1:] - vv[1:, 1:].T)) <= 1e-13
 
 
+def test_correlations_lie_in_unit_interval(tenor, params, fact):
+    # A diagonal entry is a ratio of two separately rounded squares, which
+    # lands a few ulps either side of 1; the clip removes the side above.
+    # At the fixture state and at random decays, rho_3 and states (worst
+    # 7.8e-16 below 1).
+    rng = np.random.default_rng(5)
+    cases = [(params, fact, None)]
+    for _ in range(300):
+        work = dataclasses.replace(
+            params.with_expiry(3, rho=rng.uniform(-0.999, 0.999)),
+            corr_decay=rng.uniform(1e-3, 0.5))
+        v = np.concatenate([[np.nan], rng.uniform(0.01, 3.0, 19)])
+        cases.append((work, build_factorization(work, tenor), v))
+    body = np.arange(1, 20)
+    for work, work_fact, v in cases:
+        ll, lv, vv = correlation_matrices(work, work_fact, v)
+        for m in (ll, lv, vv):
+            assert np.all(np.abs(m[1:, 1:]) <= 1.0)
+            assert np.all(np.isnan(m[0])) and np.all(np.isnan(m[:, 0]))
+        for m in (ll, vv):
+            assert np.max(np.abs(m[body, body] - 1.0)) <= 1e-15
+
+
 def test_correlation_matrices_refusals(tenor, params, fact):
     # A negative state, a vanishing Libor vol (v = 0 with gamma = 0) and a
     # vanishing vol of vol are refused, each naming the first expiry at
