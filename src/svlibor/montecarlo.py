@@ -55,11 +55,8 @@ order, so no call holds a per-path payoff and an estimator's memory does
 not grow with the path count.  ``simulate`` reads the snapshots
 themselves and stacks them.
 
-Substitution modes reproduce the single-variance comparison models:
-"caplet-j" drives every Libor with v_j; "swap-pq" drives the Libors of the
-leg [p, q-1] with one averaged variance process and leaves the rest alone.
-Variance rows no Libor reads are dropped, and the rest are ordered as the
-Libors read them, so the rows live Libors read are always a suffix too.
+``_variance_rows`` is the one place that gives ``MCConfig.substitution``
+its meaning: it builds the variance rows and the row each Libor reads.
 """
 
 from __future__ import annotations
@@ -149,6 +146,48 @@ class MCResult:
     steps: int
 
 
+def _clean(a):
+    """``a`` as floats with its NaN padding slot set to 0, so that the slot
+    contributes nothing anywhere."""
+    return np.where(np.isnan(a), 0.0, np.asarray(a, dtype=float))
+
+
+def _variance_rows(sub, tenor, curve, params, fact):
+    """The variance rows that substitution ``sub`` steps, as
+    ((kappa, theta, sigma, sigma_bar, v0), vmap) with vmap[j] the row that
+    drives X_j.
+
+    Substitution modes reproduce the single-variance comparison models:
+    None drives X_j with v_j; ("caplet", j) drives every Libor with v_j;
+    ("swap", p, q) drives the Libors of the leg [p, q-1] with one averaged
+    variance process, started at its theta, and leaves the rest alone.
+    Variance rows no Libor reads are dropped, and the rest are ordered as
+    the Libors read them: vmap is non-decreasing, so the rows read by the
+    live Libors j0..n-1 are always a suffix of the rows.
+    """
+    n = tenor.n
+    rows = [_clean(params.kappa), _clean(params.theta), fact.sigma,
+            _clean(fact.sigma_bar)]
+    # vmap[j]: variance row driving X_j, row j unless substituted.
+    vmap = np.arange(n)
+    if sub is not None and sub[0] == "caplet":
+        j = int(sub[1])
+        if not (1 <= j <= n - 1):
+            raise IndexError(f"substitution expiry {j} outside 1..{n - 1}")
+        vmap[:] = j
+    elif sub is not None and sub[0] == "swap":
+        p, q = int(sub[1]), int(sub[2])
+        averaged = swap_averaged_vol_params(swap_context(p, q, curve, tenor),
+                                            params, fact)
+        rows = [np.concatenate([r, [a]]) for r, a in zip(rows, averaged)]
+        vmap[p:q] = n  # the appended shared row
+    v0 = rows[1].copy()
+    v0[0] = 0.0
+    first_read = np.concatenate([[True], np.diff(vmap) != 0])
+    keep = vmap[first_read]
+    return [r[keep] for r in (*rows, v0)], np.cumsum(first_read) - 1
+
+
 class _Precomp:
     """Constant arrays shared by all path groups of one simulation.
 
@@ -171,55 +210,20 @@ class _Precomp:
         self.dim = self.m + self.mh + 1
         self.variance = variance
 
-        # Neutralize the padding slot so it contributes nothing anywhere.
-        def clean(a):
-            return np.where(np.isnan(a), 0.0, np.asarray(a, dtype=float))
-
-        self.alpha = clean(params.alpha)
-        self.delta = clean(tenor.accruals()[:n])
+        self.alpha = _clean(params.alpha)
+        self.delta = _clean(tenor.accruals()[:n])
         self.delta[0] = 0.0
-        beta_norm = clean(params.beta_norm)
+        beta_norm = _clean(params.beta_norm)
         beta_load = beta_norm[:, None] * fact.loadings  # rows beta_j
         gamma = params.gamma
-
-        kap = clean(params.kappa)
-        thet = clean(params.theta)
-        sig = fact.sigma
-        sigbar = clean(fact.sigma_bar)
-        # vmap[j]: variance row driving X_j, row j unless substituted.
-        vmap = np.arange(n)
-        sub = cfg.substitution
-        if sub is not None and sub[0] == "caplet":
-            j = int(sub[1])
-            if not (1 <= j <= n - 1):
-                raise IndexError(f"substitution expiry {j} outside 1..{n - 1}")
-            vmap[:] = j
-        elif sub is not None and sub[0] == "swap":
-            p, q = int(sub[1]), int(sub[2])
-            ctx = swap_context(p, q, curve, tenor)
-            k_pq, t_pq, s_pq, sb_pq = swap_averaged_vol_params(ctx, params, fact)
-            kap = np.append(kap, k_pq)
-            thet = np.append(thet, t_pq)
-            sig = np.vstack([sig, s_pq])
-            sigbar = np.append(sigbar, sb_pq)
-            vmap[p:q] = n  # the appended shared row
-        v0 = thet.copy()
-        v0[0] = 0.0
-        # Keep only the variance rows some Libor reads, in the order the
-        # Libors read them: vmap becomes non-decreasing, so the rows read
-        # by the live Libors j0..n-1 are always a suffix of the rows.
-        first_read = np.concatenate([[True], np.diff(vmap) != 0])
-        keep = vmap[first_read]
-        self.vmap = np.cumsum(first_read) - 1
-        kap, thet, v0 = kap[keep], thet[keep], v0[keep]
-        sig, sigbar = sig[keep], sigbar[keep]
-        self.nv = nv = keep.size
+        (kap, thet, sig, sigbar, self.v0), self.vmap = _variance_rows(
+            cfg.substitution, tenor, curve, params, fact)
+        self.nv = nv = kap.size
 
         libors = strip_libors(curve, tenor)
         x0 = np.zeros(n)
         x0[1:] = np.log(libors[1:n] + self.alpha[1:])
         self.x0 = x0
-        self.v0 = v0
         # Snapshot columns of the Libors below ``first``, never stepped.
         self.L0 = np.exp(x0[:first]) - self.alpha[:first]
         # The lowest variance row stepped.

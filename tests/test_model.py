@@ -158,9 +158,9 @@ def test_correlation_matrices_shapes(params, fact):
 
 def test_correlations_lie_in_unit_interval(tenor, params, fact):
     # A diagonal entry is a ratio of two separately rounded squares, which
-    # lands a few ulps either side of 1; the clip removes the side above.
-    # At the fixture state and at random decays, rho_3 and states (worst
-    # 7.8e-16 below 1).
+    # lands a few ulps either side of 1 (up to 7.8e-16 below it at these
+    # states), so the diagonals are set to exactly 1.  At the fixture state
+    # and at random decays, rho_3 and states.
     rng = np.random.default_rng(5)
     cases = [(params, fact, None)]
     for _ in range(300):
@@ -176,7 +176,7 @@ def test_correlations_lie_in_unit_interval(tenor, params, fact):
             assert np.all(np.abs(m[1:, 1:]) <= 1.0)
             assert np.all(np.isnan(m[0])) and np.all(np.isnan(m[:, 0]))
         for m in (ll, vv):
-            assert np.max(np.abs(m[body, body] - 1.0)) <= 1e-15
+            assert np.all(m[body, body] == 1.0)
 
 
 def test_correlation_matrices_refusals(tenor, params, fact):

@@ -340,6 +340,10 @@ def test_horizon_and_recording_guards(tenor, curve, params, fact):
     for leg in ((3, 3), (0, 5), (5, 21)):
         with pytest.raises(IndexError, match="need 1 <= p < q"):
             mc_swaptions({leg: K}, tenor, curve, params, fact, cfg)
+    for leg in ((0, 5), (5, 5), (3, 21), (6, 3)):
+        with pytest.raises(IndexError, match="need 1 <= p < q"):
+            mc_caplets({3: K}, tenor, curve, params, fact,
+                       dataclasses.replace(cfg, substitution=("swap", *leg)))
 
 
 def test_zero_horizon_records_the_initial_state(tenor, curve, params, fact,
@@ -376,6 +380,22 @@ def test_substitution_swap_mode_runs(tenor, curve, params, fact):
     res = mc_swaptions({(2, 6): [0.02]}, tenor, curve, params, fact,
                        cfg)[(2, 6)][0]
     assert res.price > 0.0
+
+
+def test_one_period_swap_substitution_is_the_true_model(tenor, curve, params,
+                                                         fact):
+    # The leg [j, j+1) has the one weight w_j = 1.0, so its averaged
+    # variance is row j itself: the substituted ensemble, variances
+    # included, is bitwise the true model's.
+    cfg = MCConfig(paths=304, steps_per_year=2)
+    true = simulate(tenor, curve, params, fact, 10.0, cfg)
+    for j in range(1, tenor.n):
+        sub = dataclasses.replace(cfg, substitution=("swap", j, j + 1))
+        got = simulate(tenor, curve, params, fact, 10.0, sub)
+        assert got.keys() == true.keys()
+        for t in true:
+            np.testing.assert_array_equal(got[t][0], true[t][0])
+            np.testing.assert_array_equal(got[t][1], true[t][1])
 
 
 def test_expiry_frozen_after_fixing(tenor, curve, params, fact):
