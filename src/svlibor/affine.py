@@ -26,6 +26,7 @@ __all__ = [
     "caplet_map",
     "effective_caplet_params",
     "swap_averaged_vol_params",
+    "swap_displacement",
     "swap_effective_params",
 ]
 
@@ -182,6 +183,12 @@ def swap_averaged_vol_params(ctx: SwapContext, params: ModelParams,
     return kappa_avg, theta_avg, sigma_avg, sigma_bar_avg
 
 
+def swap_displacement(ctx: SwapContext, params: ModelParams) -> float:
+    """Swap-rate displacement alpha_pq = sum_{j in [p, q)} xi_j alpha_j."""
+    leg = slice(ctx.p, ctx.q)
+    return float(ctx.xi[leg] @ params.alpha[leg])
+
+
 def swap_effective_params(ctx: SwapContext, params: ModelParams,
                           fact: VolFactorization, tenor: TenorStructure,
                           libors: np.ndarray) -> CharFnParams:
@@ -189,17 +196,20 @@ def swap_effective_params(ctx: SwapContext, params: ModelParams,
     loadings plus the annuity-measure drift shift.
 
     beta_pq and gamma_pq are the xi-weighted sums of beta_j and gamma_j
-    scaled by (L_j + alpha_j)/S at time 0.  The mean-reversion shift mirrors
-    the caplet case with the averaged sigma_pq and the weight-mixed
-    correction sum; theta is rescaled to conserve kappa * theta.  The single
-    variance proxy has eps^2 = |sigma_pq|^2 + sigmabar_pq^2 and starts at
-    v0 = theta_pq.
+    scaled by (L_j + alpha_j)/(S + alpha_pq) at time 0, the swap rate
+    displaced by alpha_pq (``swap_displacement``) as each Libor is by
+    alpha_j, so that [j, j+1] is the caplet on L_j.  The mean-reversion
+    shift mirrors the caplet case with the averaged sigma_pq and the
+    weight-mixed correction sum; theta is rescaled to conserve
+    kappa * theta.  The single variance proxy has
+    eps^2 = |sigma_pq|^2 + sigmabar_pq^2 and starts at v0 = theta_pq.
     """
     kappa_avg, theta_avg, sigma_avg, sigma_bar_avg = \
         swap_averaged_vol_params(ctx, params, fact)
     n = params.n
     leg = np.arange(ctx.p, ctx.q)
-    scale = (libors[leg] + params.alpha[leg]) / ctx.swap_rate * ctx.xi[leg]
+    scale = ((libors[leg] + params.alpha[leg])
+             / (ctx.swap_rate + swap_displacement(ctx, params)) * ctx.xi[leg])
     beta_pq = scale @ (params.beta_norm[leg, None] * fact.loadings[leg])
     gamma_pq = scale @ params.gamma[leg]
 

@@ -111,20 +111,14 @@ class CalibrationResult:
         }
 
 
-def _market_prices(panel: CapletPanel, tenor, curve,
-                   params: ModelParams) -> np.ndarray:
+def _market_prices(panel: CapletPanel, forward: float, displacement: float,
+                   discount: float, expiry: float) -> np.ndarray:
     """Panel quotes as prices; vol quotes run through Black-76 on the
-    displaced forward and strikes of ``params`` (the Libors stripped from
-    ``curve``)."""
+    caplet's displaced ``forward`` and the strikes plus ``displacement``
+    over ``expiry``, times ``discount``: the terms its strike row holds."""
     if panel.quote_kind == "price":
         return np.asarray(panel.quotes, dtype=float)
-    libors = strip_libors(curve, tenor)
-    j = panel.expiry
-    delta = tenor.accruals()
-    discount = float(delta[j] * curve.bonds[j + 1])
-    forward = float(libors[j] + params.alpha[j])
-    expiry = float(tenor.dates[j])
-    return np.array([discount * black76(forward, expiry, vol, k + params.alpha[j])
+    return np.array([discount * black76(forward, expiry, vol, k + displacement)
                      for k, vol in zip(panel.strikes, panel.quotes)])
 
 
@@ -141,7 +135,8 @@ class _CapletPricer:
     and through ``map.partials`` to their partials, then costs one tangent
     characteristic-function call.
     Prices are bitwise those of a fresh ``caplet_price`` call with the
-    candidate in slot j.
+    candidate in slot j, and ``map.at`` gives bitwise the CF inputs that
+    call reads.
     """
 
     def __init__(self, j: int, strikes, tenor, curve, params: ModelParams):
@@ -152,19 +147,14 @@ class _CapletPricer:
         self.row = caplet_row(j, self.strikes, tenor, curve, params, QUAD,
                               libors)
 
-    def cf_params(self, candidate):
-        """CharFnParams with the candidate in slot j, bitwise those of
-        ``caplet_cf_params``, and their partials in the candidate (rows
-        ``affine.TANGENT_FIELDS``, columns |beta|, kappa, eps, rho)."""
+    def price(self, candidate):
+        """Prices of the strike row and their partials in the candidate
+        (|beta|, kappa, eps, rho), one row per strike; raises what
+        ``caplet_price`` raises."""
         x = tuple(map(float, candidate))
         cfp = self.map.at(x)
-        return cfp, self.map.partials(x, cfp.kappa_star)
-
-    def price(self, candidate):
-        """Prices of the strike row and their partials in the candidate, one
-        row per strike; raises what ``caplet_price`` raises."""
-        cfp, partials = self.cf_params(candidate)
-        return price_row(self.row, lambda: cfp, tangents=partials.T)
+        return price_row(self.row, lambda: cfp,
+                         tangents=self.map.partials(x, cfp.kappa_star).T)
 
     def residuals_and_jacobian(self, candidate, market_prices):
         """Relative price residuals (model - market) / market, one per
@@ -251,8 +241,9 @@ def calibrate_maturity(panel: CapletPanel, params: ModelParams, tenor, curve,
     with K + alpha_j < 0 raises StrikeError before the first eval.
     """
     j = panel.expiry
-    market = _market_prices(panel, tenor, curve, params)
     pricer = _CapletPricer(j, panel.strikes, tenor, curve, params)
+    market = _market_prices(panel, pricer.row.forward, params.alpha[j],
+                            pricer.row.discount, pricer.map.expiry)
     lower, upper = np.array(BOUNDS).T
     evals = penalties = jacobians = 0
     spent = f"objective-eval budget of {MAX_EVALS} spent"
@@ -436,12 +427,13 @@ def fit_report_rows(result: CalibrationResult, panels: list[CapletPanel],
     rows = []
     for panel in sorted(panels, key=lambda p: p.expiry):
         j = panel.expiry
-        market = _market_prices(panel, tenor, curve, params)
-        model = caplet_price(j, panel.strikes, tenor, curve, params, fact,
-                             DEFAULT_QUAD, libors)
         discount = float(delta[j] * curve.bonds[j + 1])
         forward = float(libors[j] + params.alpha[j])
         expiry_time = float(tenor.dates[j])
+        market = _market_prices(panel, forward, params.alpha[j], discount,
+                                expiry_time)
+        model = caplet_price(j, panel.strikes, tenor, curve, params, fact,
+                             DEFAULT_QUAD, libors)
 
         def ivol(price: float, strike: float) -> float:
             try:

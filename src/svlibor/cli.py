@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from .affine import effective_caplet_params, swap_effective_params
 from .calibrate import calibrate_all, fit_report_rows
+from .charfn import caplet_cf_params, swaption_cf_params
 from .errors import SvLiborError
 from .fourier import caplet_price, implied_vol, swaption_price
-from .market_data import load_curve, load_panel, strip_libors, swap_context
+from .market_data import load_curve, load_panel, strip_libors
 from .model import build_factorization, correlation_matrices, load_params
 from .montecarlo import MCConfig, mc_caplets, mc_swaptions
 
@@ -196,11 +196,9 @@ def _cmd_price(args) -> int:
     caplet = args.command == "price-caplet"
     index = (args.j,) if caplet else (args.p, args.q)
     if args.dump_effective:
-        if caplet:
-            eff = effective_caplet_params(args.j, params, fact, tenor, libors)
-        else:
-            ctx = swap_context(args.p, args.q, curve, tenor)
-            eff = swap_effective_params(ctx, params, fact, tenor, libors)
+        eff = (caplet_cf_params(args.j, params, fact, tenor, libors) if caplet
+               else swaption_cf_params(args.p, args.q, params, fact, tenor,
+                                       curve, libors))
         _write_json(args.out, eff)
         return 0
     if args.strikes is None:

@@ -20,6 +20,9 @@ nodes, and the ``QuadratureConfig`` itself, which built its nodes and
 their node-only contour terms when it was constructed.  ``price_row`` then
 costs one CF call on the contour and one matrix-vector product, so a
 calibration builds its row once and prices every candidate against it.
+One gate (``_strike_row``) displaces a row's forward and strikes, a
+caplet's by alpha_j and a swaption's by alpha_pq = sum_j xi_j alpha_j
+(Andersen & Piterbarg 2010, vol. II).
 
 No sine or cosine is evaluated on the phases.  numpy's float64 tan is
 vectorized where its sin and cos are scalar code, so every phase pair
@@ -49,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scratch import Scratch
+from .affine import swap_displacement
 from .charfn import (caplet_cf_params, explosion_margin, heston_cf,
                      swaption_cf_params)
 from .errors import ArbitrageBoundError, InvariantError, QuadratureError, StrikeError
@@ -250,14 +254,18 @@ class StrikeRow:
     rule: QuadratureConfig
 
 
-def _strike_row(forward: float, strike: np.ndarray, discount: float,
+def _strike_row(forward: float, displacement: float, strike, discount: float,
                 quad: QuadratureConfig) -> StrikeRow:
-    """Row of finite non-negative strikes (a caplet's displaced); live
-    ones need a positive forward.  Raises StrikeError otherwise."""
+    """Row of ``strike`` on ``forward``, both plus ``displacement``.  A
+    displaced strike that is negative or not finite, or live with a
+    displaced forward that is not positive, raises StrikeError; a zero one
+    prices by parity."""
+    strike = np.asarray(strike, dtype=float) + displacement
+    forward = float(forward + displacement)
     K = np.atleast_1d(strike)
     if not np.all((K >= 0.0) & (K < np.inf)):
-        raise StrikeError("a strike (for a caplet, strike plus displacement)"
-                          " is negative or not finite")
+        raise StrikeError("a strike plus displacement is negative or not "
+                          "finite")
     live = K != 0.0
     K_live = K[live]
     if K_live.size and forward <= 0.0:
@@ -395,8 +403,8 @@ def carr_madan_cv(cf, forward: float, strike, expiry: float,
     non-finite strike, and QuadratureError when a CF value on the contour
     or a price comes out inf or nan.
     """
-    row = _strike_row(forward, np.asarray(strike, dtype=float),
-                      discount_times_accrual, DEFAULT_QUAD)
+    row = _strike_row(forward, 0.0, strike, discount_times_accrual,
+                      DEFAULT_QUAD)
     return _invert(row, cf(row.rule.contour), sigma_b, expiry)
 
 
@@ -453,21 +461,19 @@ def caplet_row(j: int, strike, tenor, curve, params,
         raise IndexError(f"expiry index {j} outside 1..{params.n - 1}")
     if libors is None:
         libors = strip_libors(curve, tenor)
-    disp_k = np.asarray(strike, dtype=float) + params.alpha[j]
     discount = float(tenor.accruals()[j] * curve.bonds[j + 1])
-    return _strike_row(float(libors[j] + params.alpha[j]), disp_k, discount,
-                       quad)
+    return _strike_row(libors[j], params.alpha[j], strike, discount, quad)
 
 
-def swaption_row(p: int, q: int, strike, tenor, curve,
+def swaption_row(p: int, q: int, strike, tenor, curve, params,
                  quad: QuadratureConfig = DEFAULT_QUAD) -> StrikeRow:
-    """Strike row of the payer swaptions on S_{p,q}.
+    """Strike row of the payer swaptions on S_{p,q} (swap rate and strikes
+    displaced by ``affine.swap_displacement``, alpha_pq).
 
-    No displacement applies to the swap rate; K = 0 prices by parity to
-    B_p(0) - B_q(0).
+    K + alpha_pq = 0 prices by parity, K + alpha_pq < 0 is rejected.
     """
     ctx = swap_context(p, q, curve, tenor)
-    return _strike_row(ctx.swap_rate, np.asarray(strike, dtype=float),
+    return _strike_row(ctx.swap_rate, swap_displacement(ctx, params), strike,
                        ctx.annuity, quad)
 
 
@@ -491,14 +497,15 @@ def swaption_price(p: int, q: int, strike, tenor, curve, params, fact=None,
                    quad: QuadratureConfig = DEFAULT_QUAD, libors=None):
     """Payer swaption B_{p,q}(0) E (S_{p,q}(T_p) - K)^+ via Fourier.
 
-    No displacement applies to the swap rate; K = 0 prices by parity to
-    B_p(0) - B_q(0).
+    Displacement alpha_pq = sum_j xi_j alpha_j shifts both swap rate and
+    strike; K + alpha_pq = 0 prices by parity to annuity * (S + alpha_pq),
+    K + alpha_pq < 0 is rejected.
     """
     if fact is None:
         fact = build_factorization(params, tenor)
     if libors is None:
         libors = strip_libors(curve, tenor)
-    row = swaption_row(p, q, strike, tenor, curve, quad)
+    row = swaption_row(p, q, strike, tenor, curve, params, quad)
     return price_row(row, lambda: swaption_cf_params(p, q, params, fact,
                                                      tenor, curve, libors))
 

@@ -26,7 +26,8 @@ from svlibor import (
 )
 from svlibor.affine import TANGENT_FIELDS, caplet_map
 from svlibor.calibrate import _CapletPricer
-from svlibor.charfn import caplet_cf_params
+from svlibor.charfn import caplet_cf_params, heston_cf, swaption_cf_params
+from svlibor.fourier import caplet_price, swaption_price
 
 import oracles
 
@@ -132,18 +133,31 @@ def test_swap_kappa_theta_conserved(params, fact, tenor, curve, libors):
                    - kappa_avg * theta_avg) <= 1e-14
 
 
-def test_single_period_swap_matches_caplet(params, fact, tenor, curve, libors):
-    # With theta uniform the [p, p+1] swaption reduces exactly to the
-    # T_p-caplet: same loadings, same measure shift, so all eight CF inputs
-    # agree.
-    p = 6
-    ctx = swap_context(p, p + 1, curve, tenor)
-    swap = swap_effective_params(ctx, params, fact, tenor, libors)
-    cap = effective_caplet_params(p, params, fact, tenor, libors)
+@pytest.mark.parametrize("p", range(1, 19))
+@pytest.mark.parametrize("alpha", [0.0, 0.005, 0.01, 0.02])
+def test_single_period_swap_matches_caplet(params, loadings, tenor, curve,
+                                           libors, alpha, p):
+    # With theta uniform the [p, p+1] swaption is the T_p-caplet at any
+    # displacement: xi_p = 1, so the swap rate is displaced by alpha_p as
+    # L_p is, the loadings and the measure shift are the caplet's, and so
+    # are all eight CF inputs, the CF and the prices.
+    work = dataclasses.replace(
+        params, alpha=np.where(np.isnan(params.alpha), np.nan, alpha))
+    fact = factorize_vols(work, loadings)
+    swap = swaption_cf_params(p, p + 1, work, fact, tenor, curve, libors)
+    cap = caplet_cf_params(p, work, fact, tenor, libors)
     for field in dataclasses.fields(cap):
-        assert getattr(swap, field.name) == pytest.approx(
-            getattr(cap, field.name), rel=1e-12, abs=1e-12), field.name
-    assert swap.horizon == cap.horizon
+        got, want = getattr(swap, field.name), getattr(cap, field.name)
+        assert abs(got - want) <= 1e-12 * abs(want), field.name
+    z = np.linspace(0.0, 50.0, 26) - 1.0j
+    np.testing.assert_allclose(heston_cf(z, swap), heston_cf(z, cap),
+                               rtol=0, atol=1e-12)
+    strikes = libors[p] * np.array([0.8, 1.0, 1.25])
+    np.testing.assert_allclose(
+        swaption_price(p, p + 1, strikes, tenor, curve, work, fact,
+                       libors=libors),
+        caplet_price(p, strikes, tenor, curve, work, fact, libors=libors),
+        rtol=1e-12, atol=0)
 
 
 def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
@@ -181,7 +195,7 @@ def test_drift_slope_gives_effective_kappa(params, fact, loadings, tenor,
             assert caplet_map(j, moved, moved_fact, tenor,
                               libors).slope == slope
             pricer = _CapletPricer(j, [libors[j]], tenor, curve, work)
-            assert pricer.cf_params(x)[0] == caplet_cf_params(
+            assert pricer.map.at(x) == caplet_cf_params(
                 j, moved, moved_fact, tenor, libors)
     with pytest.raises(IndexError, match="outside 1..19"):
         caplet_map(20, params, fact, tenor, libors)

@@ -383,24 +383,33 @@ class TestResidualJacobian:
 
 
 class TestPanelMarketPrices:
-    def test_price_kind_passthrough(self, tenor, curve, params):
+    def test_price_kind_passthrough(self):
         panel = CapletPanel(expiry=3, strikes=np.array([0.01, 0.02]),
                             quotes=np.array([0.004, 0.002]))
-        out = _market_prices(panel, tenor, curve, params)
+        out = _market_prices(panel, 0.02, 0.0, 0.9, 3.0)
         np.testing.assert_array_equal(out, [0.004, 0.002])
 
     def test_vol_kind_matches_black_oracle(self, tenor, curve, params,
                                            libors):
+        # The terms calibrate_maturity passes, those of the maturity's
+        # pricer, at the fixture's alpha = 0 and at alpha = 0.01: Black on
+        # the displaced forward and the displaced strikes.
         j = 5
         strikes = np.array([0.02, 0.03])
         vols = np.array([0.22, 0.31])
         panel = CapletPanel(expiry=j, strikes=strikes, quotes=vols,
                             quote_kind="vol")
-        out = _market_prices(panel, tenor, curve, params)
         discount = float(curve.bonds[j + 1])  # delta_j = 1 on this grid
-        expected = [discount * oracles.black_call(libors[j], 5.0, v, k)
-                    for k, v in zip(strikes, vols)]
-        np.testing.assert_allclose(out, expected, rtol=1e-13)
+        for alpha in (0.0, 0.01):
+            work = dataclasses.replace(params, alpha=np.where(
+                np.isnan(params.alpha), np.nan, alpha))
+            pricer = _CapletPricer(j, strikes, tenor, curve, work)
+            out = _market_prices(panel, pricer.row.forward, work.alpha[j],
+                                 pricer.row.discount, pricer.map.expiry)
+            expected = [discount * oracles.black_call(libors[j] + alpha, 5.0,
+                                                      v, k + alpha)
+                        for k, v in zip(strikes, vols)]
+            np.testing.assert_allclose(out, expected, rtol=1e-13)
 
 
 class TestCalibrateMaturity:

@@ -30,14 +30,17 @@ from svlibor import (
     factorize_vols,
     heston_cf,
     implied_vol,
+    swap_context,
     swaption_cf_params,
     swaption_price,
 )
 from svlibor import fourier
+from svlibor.affine import swap_displacement
 from svlibor.calibrate import QUAD
 from svlibor.charfn import TANGENT_FIELDS, caplet_cf_params
 from svlibor.fourier import (DEFAULT_QUAD, _norm_cdf, caplet_row, price_row,
                              swaption_row)
+from svlibor.montecarlo import MCConfig, mc_swaptions
 
 import oracles
 
@@ -272,13 +275,43 @@ def test_swaption_zero_strike_parity(tenor, curve, params, fact):
     assert abs(price - (curve.bonds[2] - curve.bonds[10])) <= 1e-9
 
 
+def test_displaced_swaption_matches_swap_substituted_mc(tenor, curve, params,
+                                                        libors):
+    # At alpha = 0.01 the swap rate is displaced by alpha_pq = sum_j xi_j
+    # alpha_j.  Monte Carlo under the same swap substitution is exact in
+    # the displacement; the Fourier price stays within 2a's 3 SE of it.
+    work = dataclasses.replace(
+        params, corr_decay=0.0553,
+        alpha=np.where(np.isnan(params.alpha), np.nan, 0.01))
+    fact = build_factorization(work, tenor)
+    strikes = np.array([0.01, 0.02, 0.03])
+    for leg in ((2, 10), (4, 20)):
+        cfg = MCConfig(paths=30000, steps_per_year=8, seed=0,
+                       substitution=("swap", *leg))
+        mc = mc_swaptions({leg: strikes}, tenor, curve, work, fact, cfg)[leg]
+        prices = swaption_price(*leg, strikes, tenor, curve, work, fact,
+                                libors=libors)
+        gaps = [(price - res.price) / res.se for price, res in zip(prices, mc)]
+        assert max(map(abs, gaps)) <= 3.0, (leg, gaps)
+        # K + alpha_pq < 0 is refused, and K = -alpha_pq prices by parity.
+        ctx = swap_context(*leg, curve, tenor)
+        alpha_pq = swap_displacement(ctx, work)
+        assert alpha_pq > 0.0
+        with pytest.raises(StrikeError, match="displacement"):
+            swaption_price(*leg, [-alpha_pq - 1e-4, 0.02], tenor, curve, work,
+                           fact, libors=libors)
+        parity = ctx.annuity * (ctx.swap_rate + alpha_pq)
+        assert swaption_price(*leg, -alpha_pq, tenor, curve, work, fact,
+                              libors=libors) == parity
+
+
 def test_swaption_row_goes_through_the_split(tenor, curve, params, fact,
                                              libors):
     # A swaption row built once prices every CF through price_row, bitwise
     # as swaption_price and, on the live strikes, as the generic
     # carr_madan_cv with the same CF; the zero strike prices by parity.
     strikes = np.array([0.0, 0.01, 0.02, 0.03])
-    row = swaption_row(4, 10, strikes, tenor, curve)
+    row = swaption_row(4, 10, strikes, tenor, curve, params)
     assert np.array_equal(row.live, strikes > 0.0)
     for bump in (1.0, 1.3):
         work = params.with_expiry(6, beta_norm=bump * params.beta_norm[6])
@@ -296,12 +329,12 @@ def test_swaption_row_goes_through_the_split(tenor, curve, params, fact,
         assert got[1:].tobytes() == generic.tobytes()
         assert got[0] == row.discount * row.forward
     # A row of zero strikes only never builds the CF parameters.
-    zeros = swaption_row(4, 10, [0.0, 0.0], tenor, curve)
+    zeros = swaption_row(4, 10, [0.0, 0.0], tenor, curve, params)
     np.testing.assert_array_equal(
         price_row(zeros, lambda: pytest.fail("CF params built")),
         2 * [zeros.discount * zeros.forward])
     with pytest.raises(StrikeError, match="negative"):
-        swaption_row(4, 10, [-0.01, 0.02], tenor, curve)
+        swaption_row(4, 10, [-0.01, 0.02], tenor, curve, params)
 
 
 def test_strike_row_arrays_are_read_only(tenor, curve, params, libors):
@@ -498,7 +531,7 @@ def test_half_angle_phases_match_sin_cos(quad):
     # [-10, 10]: |theta| reaches 4,000 on the default rule.  Both sides
     # round, so the bound is 4 * 2^-53 times the node's weight.
     strikes = np.exp(np.linspace(-10.0, 10.0, 2001))
-    row = fourier._strike_row(1.0, strikes, 1.0, quad)
+    row = fourier._strike_row(1.0, 0.0, strikes, 1.0, quad)
     theta = np.multiply.outer(np.log(row.strikes / row.forward), quad.nodes)
     weights = quad.pair_weights[0::2]
     bound = 4.0 * 2.0 ** -53 * weights
