@@ -133,10 +133,24 @@ def test_swap_kappa_theta_conserved(params, fact, tenor, curve, libors):
                    - kappa_avg * theta_avg) <= 1e-14
 
 
+def test_single_period_swap_matches_caplet(params, fact, tenor, curve, libors):
+    # With theta uniform the [p, p+1] swaption reduces exactly to the
+    # T_p-caplet: same loadings, same measure shift, so all eight CF inputs
+    # agree.
+    p = 6
+    ctx = swap_context(p, p + 1, curve, tenor)
+    swap = swap_effective_params(ctx, params, fact, tenor, libors)
+    cap = effective_caplet_params(p, params, fact, tenor, libors)
+    for field in dataclasses.fields(cap):
+        assert getattr(swap, field.name) == pytest.approx(
+            getattr(cap, field.name), rel=1e-12, abs=1e-12), field.name
+    assert swap.horizon == cap.horizon
+
+
 @pytest.mark.parametrize("p", range(1, 19))
 @pytest.mark.parametrize("alpha", [0.0, 0.005, 0.01, 0.02])
-def test_single_period_swap_matches_caplet(params, loadings, tenor, curve,
-                                           libors, alpha, p):
+def test_single_period_swap_matches_caplet_at_any_displacement(
+        params, loadings, tenor, curve, libors, alpha, p):
     # With theta uniform the [p, p+1] swaption is the T_p-caplet at any
     # displacement: xi_p = 1, so the swap rate is displaced by alpha_p as
     # L_p is, the loadings and the measure shift are the caplet's, and so

@@ -156,6 +156,23 @@ def test_vectorized_matches_scalar(params, fact, tenor, libors):
     np.testing.assert_allclose(batch, one_by_one, rtol=0, atol=1e-15)
 
 
+def test_single_period_swaption_cf_equals_caplet_cf(params, fact, tenor,
+                                                    curve, libors):
+    # theta is uniform in the fixture, so [p, p+1] collapses to the caplet.
+    p = 6
+    swap = swaption_cf_params(p, p + 1, params, fact, tenor, curve, libors)
+    cap = caplet_cf_params(p, params, fact, tenor, libors)
+    assert swap.kappa_star == pytest.approx(cap.kappa_star, abs=1e-12)
+    assert swap.theta_star == pytest.approx(cap.theta_star, abs=1e-12)
+    assert swap.eps == pytest.approx(cap.eps, abs=1e-12)
+    assert swap.sigma_beta == pytest.approx(cap.sigma_beta, abs=1e-12)
+    assert swap.beta_sq == pytest.approx(cap.beta_sq, abs=1e-12)
+    assert swap.horizon == cap.horizon
+    z = np.linspace(0.0, 50.0, 26) - 1.0j
+    np.testing.assert_allclose(heston_cf(z, swap), heston_cf(z, cap),
+                               rtol=0, atol=1e-12)
+
+
 def test_swaption_cf_effective_vol_norm(params, fact, tenor, curve, libors):
     # For the swaption bundle eps^2 = |sigma_pq|^2 + sigmabar_pq^2 by
     # construction; the CF only ever sees the combined norm.
